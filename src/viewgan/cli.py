@@ -105,11 +105,11 @@ def cmd_eval(args) -> int:
     dataset = load_multiview_file(args.data)
     scenario = Scenario(args.scenario)
     if scenario == Scenario.COMPLETE:
-        test = list(dataset.s_full)
+        test = dataset.s_full
     elif scenario == Scenario.VIEW1_GENERATED:
-        test = list(dataset.s_full) + list(dataset.s_missing1)
+        test = dataset.observing(2)
     else:
-        test = list(dataset.s_full) + list(dataset.s_missing2)
+        test = dataset.observing(1)
     report = evaluate(model, test, scenario, seed=args.seed)
     print(f"scenario={scenario.value}")
     _print_report(report)
@@ -122,8 +122,10 @@ def cmd_synth(args) -> int:
     cfg.finish()
     dataset, test, bayes = generate_synthetic(spec)
     save_multiview_file(args.out_train, dataset)
+    empty = test[:0]
     save_multiview_file(args.out_test, PartitionedDataset(
-        test, [], [], spec.d1, spec.d2, spec.num_classes))
+        test, dataclasses.replace(empty, view1=None), dataclasses.replace(empty, view2=None),
+        spec.d1, spec.d2, spec.num_classes))
     print(f"train examples={dataset.m} test examples={len(test)}")
     print(f"bayes_accuracy={repr(bayes)}")
     return 0
@@ -146,8 +148,7 @@ def cmd_experiment(args) -> int:
         m_missing1 = cfg.get_int("m_missing1")
         m_missing2 = cfg.get_int("m_missing2")
         cfg.finish()
-        loaded = load_multiview_file(pool_file)
-        pool = list(loaded.s_full)
+        pool = load_multiview_file(pool_file).s_full
     else:
         # the synthetic spec owns the split sizes; lift them to the
         # experiment level so both sources carry them the same way

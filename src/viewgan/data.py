@@ -10,7 +10,7 @@ which anchors end-to-end accuracy tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,58 +31,50 @@ def label_index(label: np.ndarray) -> int:
     return int(np.argmax(label))
 
 
-@dataclass(eq=False)
-class MultiviewExample:
-    """One observation: two optional views and a one-hot label.
+@dataclass(frozen=True, eq=False)
+class Views:
+    """A block of labelled examples held as rows.
 
-    At least one view must be present; a missing view is None.
+    view1 is (n, d1), view2 is (n, d2) and label is (n, K) one-hot rows; a
+    view the block lacks is None. An index array or a slice selects a
+    block of rows, an int one example (1-D fields), and iterating yields
+    the examples.
     """
 
     view1: np.ndarray | None
     view2: np.ndarray | None
     label: np.ndarray
 
-    def __post_init__(self):
-        if self.view1 is None and self.view2 is None:
-            raise ValueError("example with both views missing")
-        for name in ("view1", "view2"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            v = np.asarray(v, dtype=np.float64)
-            if v.ndim != 1:
-                raise DimensionError(f"{name} must be a vector")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"non-finite values in {name}")
-            setattr(self, name, v)
-        self.label = np.asarray(self.label, dtype=np.float64)
-        if self.label.ndim != 1 or self.label.size < 1:
-            raise DimensionError("label must be a nonempty vector")
-        ones = np.count_nonzero(self.label == 1.0)
-        if ones != 1 or np.count_nonzero(self.label) != 1:
-            raise ValueError("label must be one-hot")
+    def __len__(self) -> int:
+        return self.label.shape[0]
 
-    def __eq__(self, other):
-        if not isinstance(other, MultiviewExample):
-            return NotImplemented
-        for a, b in ((self.view1, other.view1), (self.view2, other.view2)):
-            if (a is None) != (b is None):
-                return False
-            if a is not None and not np.array_equal(a, b):
-                return False
-        return np.array_equal(self.label, other.label)
+    def __getitem__(self, index) -> "Views":
+        v1, v2 = self.view1, self.view2
+        return Views(None if v1 is None else v1[index], None if v2 is None else v2[index],
+                     self.label[index])
 
 
-def _check_subset(examples, d1, d2, num_classes, want1: bool, want2: bool, name: str):
-    for ex in examples:
-        if (ex.view1 is not None) != want1 or (ex.view2 is not None) != want2:
-            raise ValueError(f"example in {name} has the wrong view pattern")
-        if ex.view1 is not None and ex.view1.size != d1:
-            raise DimensionError(f"view1 length {ex.view1.size} != d1 {d1}")
-        if ex.view2 is not None and ex.view2.size != d2:
-            raise DimensionError(f"view2 length {ex.view2.size} != d2 {d2}")
-        if ex.label.size != num_classes:
-            raise DimensionError("label length mismatch")
+def _check_subset(subset: Views, d1, d2, num_classes, want1: bool, want2: bool,
+                  name: str) -> Views:
+    """Validate a whole subset at once; return it with float64 arrays."""
+    if (subset.view1 is not None) != want1 or (subset.view2 is not None) != want2:
+        raise ValueError(f"{name} has the wrong view pattern")
+    label = np.asarray(subset.label, dtype=np.float64)
+    if label.ndim != 2 or label.shape[1] != num_classes:
+        raise DimensionError(f"{name} labels must have shape (n, {num_classes})")
+    if not (np.all((label == 0.0) | (label == 1.0)) and np.all(label.sum(axis=1) == 1.0)):
+        raise ValueError(f"{name} labels must be one-hot rows")
+    views = []
+    for view, width, vname in ((subset.view1, d1, "view1"), (subset.view2, d2, "view2")):
+        if view is not None:
+            view = np.asarray(view, dtype=np.float64)
+            if view.shape != (label.shape[0], width):
+                raise DimensionError(
+                    f"{name} {vname} has shape {view.shape}, not ({label.shape[0]}, {width})")
+            if not np.all(np.isfinite(view)):
+                raise ValueError(f"non-finite values in {name} {vname}")
+        views.append(view)
+    return Views(*views, label)
 
 
 @dataclass(eq=False)
@@ -92,9 +84,9 @@ class PartitionedDataset:
     s_full has both views, s_missing1 lacks view 1, s_missing2 lacks view 2.
     """
 
-    s_full: list
-    s_missing1: list
-    s_missing2: list
+    s_full: Views
+    s_missing1: Views
+    s_missing2: Views
     d1: int
     d2: int
     num_classes: int
@@ -102,32 +94,28 @@ class PartitionedDataset:
     def __post_init__(self):
         if min(self.d1, self.d2) < 1 or self.num_classes < 1:
             raise DimensionError("d1, d2, num_classes must be positive")
-        _check_subset(self.s_full, self.d1, self.d2, self.num_classes, True, True, "s_full")
-        _check_subset(self.s_missing1, self.d1, self.d2, self.num_classes, False, True, "s_missing1")
-        _check_subset(self.s_missing2, self.d1, self.d2, self.num_classes, True, False, "s_missing2")
+        dims = (self.d1, self.d2, self.num_classes)
+        self.s_full = _check_subset(self.s_full, *dims, True, True, "s_full")
+        self.s_missing1 = _check_subset(self.s_missing1, *dims, False, True, "s_missing1")
+        self.s_missing2 = _check_subset(self.s_missing2, *dims, True, False, "s_missing2")
 
     @property
     def m(self) -> int:
         return len(self.s_full) + len(self.s_missing1) + len(self.s_missing2)
 
-
-def stack_examples(examples) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
-    """Stack a uniform subset into (view1 array, view2 array, labels).
-
-    A view absent from every example comes back as None. Used to turn the
-    list-of-examples representation into batched arrays for training.
-    """
-    if not examples:
-        raise ConfigError("cannot stack an empty example list")
-    has1 = examples[0].view1 is not None
-    has2 = examples[0].view2 is not None
-    for ex in examples:
-        if (ex.view1 is not None) != has1 or (ex.view2 is not None) != has2:
-            raise ValueError("mixed view patterns in subset")
-    x1 = np.stack([ex.view1 for ex in examples]) if has1 else None
-    x2 = np.stack([ex.view2 for ex in examples]) if has2 else None
-    y = np.stack([ex.label for ex in examples])
-    return x1, x2, y
+    def observing(self, which_view: int) -> Views:
+        """Every example that observes ``which_view``, carrying that view only:
+        s_full first, then the subset that lacks the other view."""
+        full = self.s_full
+        if which_view == 1:
+            other = self.s_missing2
+            return Views(np.concatenate([full.view1, other.view1]), None,
+                         np.concatenate([full.label, other.label]))
+        if which_view == 2:
+            other = self.s_missing1
+            return Views(None, np.concatenate([full.view2, other.view2]),
+                         np.concatenate([full.label, other.label]))
+        raise ValueError(f"which_view must be 1 or 2, got {which_view}")
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +187,8 @@ def load_multiview_file(path) -> PartitionedDataset:
     if min(d1, d2, num_classes) < 1:
         raise DataFormatError("dimensions must be positive", line=1)
 
-    s_full, s_missing1, s_missing2 = [], [], []
+    # one (view1s, view2s, labels) column triple per subset
+    full, missing1, missing2 = ([], [], []), ([], [], []), ([], [], [])
     for lineno, line in enumerate(lines[1:], start=2):
         if line == "":
             continue
@@ -216,34 +205,18 @@ def load_multiview_file(path) -> PartitionedDataset:
         v2 = _parse_view(fields[2], d2, lineno)
         if v1 is None and v2 is None:
             raise DataFormatError("both views missing", line=lineno)
-        ex = MultiviewExample(v1, v2, one_hot(label, num_classes))
-        if v1 is None:
-            s_missing1.append(ex)
-        elif v2 is None:
-            s_missing2.append(ex)
-        else:
-            s_full.append(ex)
-    return PartitionedDataset(s_full, s_missing1, s_missing2, d1, d2, num_classes)
+        columns = missing1 if v1 is None else missing2 if v2 is None else full
+        for column, value in zip(columns, (v1, v2, one_hot(label, num_classes))):
+            column.append(value)
 
+    def block(columns, widths):
+        return Views(*(None if w is None else np.array(c, dtype=np.float64).reshape(len(c), w)
+                       for c, w in zip(columns, widths)))
 
-def l2_normalize_views(dataset: PartitionedDataset) -> PartitionedDataset:
-    """Optional preprocessing: scale each present view vector to unit length.
-
-    Zero vectors stay zero. Returns a new dataset; the input is untouched.
-    """
-    def norm(v):
-        if v is None:
-            return None
-        n = float(np.linalg.norm(v))
-        return v.copy() if n == 0.0 else v / n
-
-    def conv(examples):
-        return [MultiviewExample(norm(ex.view1), norm(ex.view2), ex.label.copy())
-                for ex in examples]
-
-    return PartitionedDataset(conv(dataset.s_full), conv(dataset.s_missing1),
-                              conv(dataset.s_missing2),
-                              dataset.d1, dataset.d2, dataset.num_classes)
+    return PartitionedDataset(block(full, (d1, d2, num_classes)),
+                              block(missing1, (None, d2, num_classes)),
+                              block(missing2, (d1, None, num_classes)),
+                              d1, d2, num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +321,7 @@ def _bayes_accuracy(spec: SyntheticSpec, a1, a2, rng: np.random.Generator) -> fl
 def generate_synthetic(spec: SyntheticSpec):
     """Draw a partitioned train set and a complete test set from the spec.
 
-    Returns (PartitionedDataset, test examples, bayes_accuracy). The same
+    Returns (PartitionedDataset, complete test Views, bayes_accuracy). The same
     seed reproduces everything, Bayes estimate included.
     """
     rng = np.random.default_rng(spec.seed)
@@ -365,50 +338,34 @@ def generate_synthetic(spec: SyntheticSpec):
     x2 = (spec.means_view2[labels] + rho * u @ a2.T
           + spec.noise_sigma * rng.standard_normal((n, spec.d2)))
 
-    def make(i, drop1=False, drop2=False):
-        return MultiviewExample(None if drop1 else x1[i],
-                                None if drop2 else x2[i],
-                                one_hot(int(labels[i]), spec.num_classes))
-
-    pos = 0
-    s_full = [make(i) for i in range(pos, pos + spec.m_full)]
-    pos += spec.m_full
-    s_missing1 = [make(i, drop1=True) for i in range(pos, pos + spec.m_missing1)]
-    pos += spec.m_missing1
-    s_missing2 = [make(i, drop2=True) for i in range(pos, pos + spec.m_missing2)]
-    pos += spec.m_missing2
-    test = [make(i) for i in range(pos, n)]
-
-    dataset = PartitionedDataset(s_full, s_missing1, s_missing2,
+    rows = Views(x1, x2, np.eye(spec.num_classes)[labels])
+    a = spec.m_full
+    b = a + spec.m_missing1
+    c = b + spec.m_missing2
+    dataset = PartitionedDataset(rows[:a], replace(rows[a:b], view1=None),
+                                 replace(rows[b:c], view2=None),
                                  spec.d1, spec.d2, spec.num_classes)
     bayes = _bayes_accuracy(spec, a1, a2, rng)
-    return dataset, test, bayes
+    return dataset, rows[c:], bayes
 
 
-def split_for_protocol(pool, m_full: int, m_missing1: int, m_missing2: int, seed: int):
+def split_for_protocol(pool: Views, m_full: int, m_missing1: int, m_missing2: int, seed: int):
     """Randomly split a pool of complete pairs into the three-subset layout.
 
     The view-1 subset has its first view deleted and the view-2 subset its
     second; whatever remains stays complete and is returned as the test set.
     """
-    if not pool:
+    if len(pool) == 0:
         raise ConfigError("empty pool")
-    for ex in pool:
-        if ex.view1 is None or ex.view2 is None:
-            raise ValueError("pool examples must have both views")
+    if pool.view1 is None or pool.view2 is None:
+        raise ValueError("pool examples must have both views")
     need = m_full + m_missing1 + m_missing2
     if min(m_full, m_missing1, m_missing2) < 0 or need > len(pool):
         raise ConfigError(f"cannot draw {need} examples from a pool of {len(pool)}")
-    d1, d2 = pool[0].view1.size, pool[0].view2.size
-    num_classes = pool[0].label.size
 
-    order = np.random.default_rng(seed).permutation(len(pool))
-    picked = [pool[i] for i in order]
-    s_full = picked[:m_full]
-    s_missing1 = [MultiviewExample(None, ex.view2, ex.label)
-                  for ex in picked[m_full:m_full + m_missing1]]
-    s_missing2 = [MultiviewExample(ex.view1, None, ex.label)
-                  for ex in picked[m_full + m_missing1:need]]
-    test = picked[need:]
-    dataset = PartitionedDataset(s_full, s_missing1, s_missing2, d1, d2, num_classes)
-    return dataset, test
+    picked = pool[np.random.default_rng(seed).permutation(len(pool))]
+    b = m_full + m_missing1
+    dataset = PartitionedDataset(picked[:m_full], replace(picked[m_full:b], view1=None),
+                                 replace(picked[b:need], view2=None),
+                                 pool.view1.shape[1], pool.view2.shape[1], pool.label.shape[1])
+    return dataset, picked[need:]

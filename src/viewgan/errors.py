@@ -22,6 +22,3 @@ class DataFormatError(ValueError):
         super().__init__(message)
         self.line = line
 
-
-class InvariantError(ValueError):
-    """A dataset invariant was violated (e.g. an example with no observed view)."""

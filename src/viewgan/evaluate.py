@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PartitionedDataset, SyntheticSpec, generate_synthetic, split_for_protocol
+from .data import (PartitionedDataset, SyntheticSpec, Views, generate_synthetic,
+                   split_for_protocol)
 from .errors import ConfigError
 from .model import TripartiteModel, decide_batch, discriminate, generate, new_model
 from .nn import DEFAULT_HIDDEN_DIM, SOFTMAX, AdamState, adam_step, backward, forward, init_mlp
-from .train import TrainConfig, _clamped_class_grad, train
+from .train import TrainConfig, clamped_class_grad, train
 
 
 class Scenario(enum.Enum):
@@ -85,41 +86,31 @@ def metrics_from_predictions(true_labels, predicted, fake, num_classes: int,
                          float(np.mean(fake)), n, seed, float(np.mean(pred == y)))
 
 
-def _require_views(test, need1: bool, need2: bool, scenario: Scenario):
-    for ex in test:
-        if need1 and ex.view1 is None or need2 and ex.view2 is None:
-            raise ValueError(f"scenario {scenario.value} needs a view this example lacks")
-
-
-def evaluate(model: TripartiteModel, test, scenario: Scenario, seed: int = 0) -> MetricsReport:
+def evaluate(model: TripartiteModel, test: Views, scenario: Scenario,
+             seed: int = 0) -> MetricsReport:
     """Apply the decide rule to the test set under the given scenario.
 
     For the generated scenarios the target view is dropped and recompleted
     with one fresh noise draw per item before scoring.
     """
-    if not test:
+    if len(test) == 0:
         raise ConfigError("empty test set")
     rng = np.random.default_rng(seed)
-    if scenario == Scenario.COMPLETE:
-        _require_views(test, True, True, scenario)
-        x1 = np.stack([ex.view1 for ex in test])
-        x2 = np.stack([ex.view2 for ex in test])
-    elif scenario == Scenario.VIEW1_GENERATED:
-        _require_views(test, False, True, scenario)
-        x2 = np.stack([ex.view2 for ex in test])
-        noise = rng.uniform(-1.0, 1.0, size=(len(test), model.d1))
-        x1 = generate(model, 1, x2, noise)
+    x1, x2 = test.view1, test.view2
+    if scenario == Scenario.VIEW1_GENERATED:
+        x1 = None if x2 is None else generate(
+            model, 1, x2, rng.uniform(-1.0, 1.0, size=(len(test), model.d1)))
     elif scenario == Scenario.VIEW2_GENERATED:
-        _require_views(test, True, False, scenario)
-        x1 = np.stack([ex.view1 for ex in test])
-        noise = rng.uniform(-1.0, 1.0, size=(len(test), model.d2))
-        x2 = generate(model, 2, x1, noise)
-    else:
+        x2 = None if x1 is None else generate(
+            model, 2, x1, rng.uniform(-1.0, 1.0, size=(len(test), model.d2)))
+    elif scenario != Scenario.COMPLETE:
         raise ValueError(f"unknown scenario {scenario!r}")
+    if x1 is None or x2 is None:
+        raise ValueError(f"scenario {scenario.value} needs a view the test set lacks")
 
     fake, cls = decide_batch(discriminate(model, x1, x2))
-    y = np.array([int(np.argmax(ex.label)) for ex in test])
-    return metrics_from_predictions(y, cls, fake, model.num_classes, seed)
+    return metrics_from_predictions(np.argmax(test.label, axis=1), cls, fake,
+                                    model.num_classes, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -127,47 +118,36 @@ def evaluate(model: TripartiteModel, test, scenario: Scenario, seed: int = 0) ->
 # example where that view is observed.
 
 def train_singleview_baseline(which_view: int, dataset: PartitionedDataset,
-                              config: TrainConfig, test,
+                              config: TrainConfig, test: Views,
                               hidden_dim: int = DEFAULT_HIDDEN_DIM):
     """Train a softmax classifier on view v alone; evaluate by plain argmax.
 
     Returns (classifier, MetricsReport). The training pool is s_full plus
     the subset whose other view is missing.
     """
-    if which_view == 1:
-        pool = list(dataset.s_full) + list(dataset.s_missing2)
-        dim = dataset.d1
-        pick = lambda ex: ex.view1
-    elif which_view == 2:
-        pool = list(dataset.s_full) + list(dataset.s_missing1)
-        dim = dataset.d2
-        pick = lambda ex: ex.view2
-    else:
-        raise ValueError(f"which_view must be 1 or 2, got {which_view}")
-    if not pool:
+    pool = dataset.observing(which_view)
+    if len(pool) == 0:
         raise ConfigError(f"no training examples observe view {which_view}")
-
-    x = np.stack([pick(ex) for ex in pool])
-    y_idx = np.array([int(np.argmax(ex.label)) for ex in pool])
+    x = pool.view1 if which_view == 1 else pool.view2
+    y_idx = np.argmax(pool.label, axis=1)
     k = dataset.num_classes
 
     rng = np.random.default_rng(config.seed)
-    net = init_mlp(dim, hidden_dim, k, SOFTMAX, rng)
+    net = init_mlp(x.shape[1], hidden_dim, k, SOFTMAX, rng)
     adam = AdamState.for_params(net.params(), config.alpha, config.beta1,
                                 config.beta2, config.epsilon)
     m_b = min(config.minibatch_size, len(pool))
     for _ in range(config.iterations):
         idx = rng.integers(0, len(pool), size=m_b)
         trace = forward(net, x[idx])
-        _, dlogits = _clamped_class_grad(trace.output, y_idx[idx], 1.0 / m_b)
+        _, dlogits = clamped_class_grad(trace.output, y_idx[idx], 1.0 / m_b)
         grads = backward(net, trace, dlogits)
         adam_step(net.params(), grads.params(), adam)
 
-    x_test = np.stack([pick(ex) for ex in test])
-    y_test = np.array([int(np.argmax(ex.label)) for ex in test])
+    x_test = test.view1 if which_view == 1 else test.view2
     pred = np.argmax(forward(net, x_test).output, axis=1)
-    report = metrics_from_predictions(y_test, pred, np.zeros(len(test), dtype=bool),
-                                      k, config.seed)
+    report = metrics_from_predictions(np.argmax(test.label, axis=1), pred,
+                                      np.zeros(len(test), dtype=bool), k, config.seed)
     return net, report
 
 
@@ -190,7 +170,7 @@ class ExperimentSpec:
     m_full: int
     m_missing1: int
     m_missing2: int
-    data_pool: list | None = None
+    data_pool: Views | None = None
     synthetic: SyntheticSpec | None = None
     hidden_dim: int = DEFAULT_HIDDEN_DIM
     include_baselines: bool = True
@@ -249,7 +229,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             else:
                 dataset, test = split_for_protocol(
                     spec.data_pool, spec.m_full, spec.m_missing1, spec.m_missing2, s_data)
-            if not test:
+            if len(test) == 0:
                 raise ConfigError("split left no test examples")
 
             model = new_model(dataset.d1, dataset.d2, dataset.num_classes,

@@ -131,25 +131,6 @@ def feature_map(model: TripartiteModel, x1, x2) -> np.ndarray:
     return feats[0] if single else feats
 
 
-def class_mass(probabilities) -> float:
-    """Total probability on the real classes: 1 minus the fake-class entry."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    if p.ndim != 1 or p.size < 2:
-        raise DimensionError("expected a probability vector over K+1 >= 2 outcomes")
-    if np.any(p < 0) or not np.isclose(p.sum(), 1.0, atol=1e-9):
-        raise ValueError("not a probability vector")
-    return float(1.0 - p[-1])
-
-
-@dataclass(frozen=True, eq=False)
-class Decision:
-    """Outcome of the fake-vs-class rule, with the probabilities that produced it."""
-
-    is_fake: bool
-    class_index: int | None
-    probabilities: np.ndarray
-
-
 def decide_batch(probabilities) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized decision rule on (n, K+1) probabilities.
 
@@ -161,14 +142,6 @@ def decide_batch(probabilities) -> tuple[np.ndarray, np.ndarray]:
     fake = p[:, -1] > p[:, :-1].sum(axis=1)
     cls = np.argmax(p[:, :-1], axis=1)
     return fake, cls
-
-
-def decide(model: TripartiteModel, x1, x2) -> Decision:
-    """Apply the decision rule to one observation with both views present."""
-    probs = discriminate(model, x1, x2)
-    fake, cls = decide_batch(probs)
-    is_fake = bool(fake[0])
-    return Decision(is_fake, None if is_fake else int(cls[0]), probs)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +194,24 @@ def _read_vector(reader: _LineReader, size: int) -> np.ndarray:
     return np.array([float(p) for p in parts], dtype=np.float64)
 
 
+def _int_fields(fields, line: int, what: str, low: int | None = None) -> list[int]:
+    try:
+        values = [int(f) for f in fields]
+    except ValueError:
+        raise DataFormatError(f"{what} must be integers", line=line) from None
+    if low is not None and min(values) < low:
+        raise DataFormatError(f"{what} must be at least {low}", line=line)
+    return values
+
+
+def _read_header(reader: _LineReader, key: str, count: int, low: int | None = None) -> list[int]:
+    """Parse a '<key> <int> ...' line holding ``count`` integers."""
+    parts = reader.next().split()
+    if len(parts) != count + 1 or parts[0] != key:
+        raise DataFormatError(f"expected a '{key}' line with {count} integer(s)", line=reader.pos)
+    return _int_fields(parts[1:], reader.pos, key, low)
+
+
 def _read_net(reader: _LineReader, expected_name: str) -> Mlp:
     parts = reader.next().split()
     if len(parts) != 6 or parts[0] != "net" or parts[1] != expected_name:
@@ -228,7 +219,7 @@ def _read_net(reader: _LineReader, expected_name: str) -> Mlp:
     kind = parts[2]
     if kind not in (LINEAR, SOFTMAX):
         raise DataFormatError(f"unknown output kind {kind!r}", line=reader.pos)
-    input_dim, hidden_dim, output_dim = (int(p) for p in parts[3:6])
+    input_dim, hidden_dim, output_dim = _int_fields(parts[3:6], reader.pos, "net sizes", low=1)
     w_in = np.stack([_read_vector(reader, input_dim) for _ in range(hidden_dim)])
     b_in = _read_vector(reader, hidden_dim)
     w_out = np.stack([_read_vector(reader, hidden_dim) for _ in range(output_dim)])
@@ -247,15 +238,9 @@ def load_checkpoint(path) -> tuple[TripartiteModel, int, int]:
         raise DataFormatError(f"missing magic header {CHECKPOINT_MAGIC!r}", line=1)
     if not reader.next().startswith("layout "):
         raise DataFormatError("missing layout line", line=2)
-    dims = reader.next().split()
-    if len(dims) != 4 or dims[0] != "dims":
-        raise DataFormatError("missing dims line", line=3)
-    d1, d2, num_classes = (int(p) for p in dims[1:])
-    seed_parts = reader.next().split()
-    step_parts = reader.next().split()
-    if seed_parts[:1] != ["seed"] or step_parts[:1] != ["step"]:
-        raise DataFormatError("missing seed/step lines", line=reader.pos)
-    seed, step = int(seed_parts[1]), int(step_parts[1])
+    d1, d2, num_classes = _read_header(reader, "dims", 3, low=1)
+    (seed,) = _read_header(reader, "seed", 1)
+    (step,) = _read_header(reader, "step", 1, low=0)
     gen1 = _read_net(reader, "gen1")
     gen2 = _read_net(reader, "gen2")
     disc = _read_net(reader, "disc")

@@ -70,24 +70,13 @@ class DiscriminatorTable:
 
 
 def _dist(x) -> np.ndarray:
-    """Accept a DiscreteJoint or a raw array; return a validated table."""
-    if isinstance(x, DiscreteJoint):
-        return x.table
-    t = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(t)) or np.any(t < 0):
-        raise ValueError("distribution entries must be finite and nonnegative")
-    if abs(float(t.sum()) - 1.0) > _SUM_TOL:
-        raise ValueError("distribution must sum to 1")
-    return t
+    """The table of a DiscreteJoint, or of one built (and so validated) from an array."""
+    return (x if isinstance(x, DiscreteJoint) else DiscreteJoint(x)).table
 
 
 def _disc(x) -> np.ndarray:
-    if isinstance(x, DiscriminatorTable):
-        return x.table
-    t = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(t)) or np.any(t < 0) or np.any(t > 1):
-        raise ValueError("discriminator entries must lie in [0, 1]")
-    return t
+    """The table of a DiscriminatorTable, or of one built from an array."""
+    return (x if isinstance(x, DiscriminatorTable) else DiscriminatorTable(x)).table
 
 
 def _same_shape(*tables):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PartitionedDataset
+from .data import PartitionedDataset, Views
 from .errors import ConfigError, DimensionError, NumericError
 from .model import TripartiteModel, decide_batch, discriminate, save_checkpoint
 from .nn import AdamState, MlpGrads, adam_step, backward, forward
@@ -91,7 +91,7 @@ class TrainConfig:
             raise ConfigError("eval_every and checkpoint_every must be nonnegative")
 
 
-def _clamped_class_grad(probs: np.ndarray, targets: np.ndarray, coeff: float):
+def clamped_class_grad(probs: np.ndarray, targets: np.ndarray, coeff: float):
     """Loss sum(-coeff*log p[target]) with the floor, and its logit gradient.
 
     Rows where the clamp is active contribute the constant -log(LOG_CLAMP)
@@ -139,7 +139,7 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch):
     grads: MlpGrads | None = None
     for pairs, targets, coeff in groups:
         trace = forward(model.disc, pairs)
-        part, dlogits = _clamped_class_grad(trace.output, targets, coeff)
+        part, dlogits = clamped_class_grad(trace.output, targets, coeff)
         total += part
         g = backward(model.disc, trace, dlogits)
         if grads is None:
@@ -216,7 +216,7 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
         pairs = np.concatenate([observed, gen_trace.output], axis=1)
 
     trace_d = forward(model.disc, pairs)
-    class_loss, dlogits = _clamped_class_grad(trace_d.output, np.argmax(labels, axis=1), coeff)
+    class_loss, dlogits = clamped_class_grad(trace_d.output, np.argmax(labels, axis=1), coeff)
     d_input = backward(model.disc, trace_d, dlogits).input_grad
     d_gen_view = d_input[:, :model.d1] if which_view == 1 else d_input[:, model.d1:]
     grads = backward(gen, gen_trace, d_gen_view)
@@ -234,34 +234,31 @@ def sample_minibatch(dataset: PartitionedDataset, m_b: int, rng: np.random.Gener
     Draw order is fixed (full, missing1, missing2 indices, then the two
     noise blocks) so a seeded generator reproduces the batch sequence.
     """
-    for name, subset in (("s_full", dataset.s_full), ("s_missing1", dataset.s_missing1),
-                         ("s_missing2", dataset.s_missing2)):
-        if not subset:
+    full, miss1, miss2 = dataset.s_full, dataset.s_missing1, dataset.s_missing2
+    for name, subset in (("s_full", full), ("s_missing1", miss1), ("s_missing2", miss2)):
+        if len(subset) == 0:
             raise ConfigError(f"{name} is empty")
-    idx_full = rng.integers(0, len(dataset.s_full), size=m_b)
-    idx_m1 = rng.integers(0, len(dataset.s_missing1), size=m_b)
-    idx_m2 = rng.integers(0, len(dataset.s_missing2), size=m_b)
+    idx_full = rng.integers(0, len(full), size=m_b)
+    idx_m1 = rng.integers(0, len(miss1), size=m_b)
+    idx_m2 = rng.integers(0, len(miss2), size=m_b)
     noise_v1 = rng.uniform(-1.0, 1.0, size=(m_b, dataset.d1))
     noise_v2 = rng.uniform(-1.0, 1.0, size=(m_b, dataset.d2))
     return Minibatch(
-        full_x1=np.stack([dataset.s_full[i].view1 for i in idx_full]),
-        full_x2=np.stack([dataset.s_full[i].view2 for i in idx_full]),
-        full_y=np.stack([dataset.s_full[i].label for i in idx_full]),
-        miss1_x2=np.stack([dataset.s_missing1[i].view2 for i in idx_m1]),
-        miss1_y=np.stack([dataset.s_missing1[i].label for i in idx_m1]),
-        miss2_x1=np.stack([dataset.s_missing2[i].view1 for i in idx_m2]),
-        miss2_y=np.stack([dataset.s_missing2[i].label for i in idx_m2]),
+        full_x1=full.view1[idx_full],
+        full_x2=full.view2[idx_full],
+        full_y=full.label[idx_full],
+        miss1_x2=miss1.view2[idx_m1],
+        miss1_y=miss1.label[idx_m1],
+        miss2_x1=miss2.view1[idx_m2],
+        miss2_y=miss2.label[idx_m2],
         noise_v1=noise_v1,
         noise_v2=noise_v2,
     )
 
 
-def _heldout_accuracy(model: TripartiteModel, heldout) -> float:
-    x1 = np.stack([ex.view1 for ex in heldout])
-    x2 = np.stack([ex.view2 for ex in heldout])
-    y = np.array([int(np.argmax(ex.label)) for ex in heldout])
-    fake, cls = decide_batch(discriminate(model, x1, x2))
-    return float(np.mean(~fake & (cls == y)))
+def _heldout_accuracy(model: TripartiteModel, heldout: Views) -> float:
+    fake, cls = decide_batch(discriminate(model, heldout.view1, heldout.view2))
+    return float(np.mean(~fake & (cls == np.argmax(heldout.label, axis=1))))
 
 
 def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConfig,

@@ -8,7 +8,6 @@ minutes; everything else is seconds.
 """
 
 import dataclasses
-import importlib
 import math
 import time
 
@@ -16,10 +15,7 @@ import numpy as np
 import pytest
 
 import viewgan as vg
-
-# the package re-exports the train() entry point under the same name as the
-# module, so fetch the module itself for monkeypatching
-train_mod = importlib.import_module("viewgan.train")
+import viewgan.train as train_mod
 from viewgan.data import one_hot
 from viewgan.evaluate import (ExperimentSpec, Scenario, evaluate,
                               run_experiment)

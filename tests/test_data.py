@@ -1,30 +1,35 @@
 """Tests for dataset containers, the sparse two-view file format and the
 synthetic Gaussian task."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import viewgan as vg
-from viewgan.data import (l2_normalize_views, label_index, one_hot,
-                          stack_examples)
-from viewgan.errors import ConfigError, DataFormatError
+from viewgan.data import label_index, one_hot
+from viewgan.errors import ConfigError, DataFormatError, DimensionError
 
 
-def make_example(d1=3, d2=2, k=2, label=0, miss=None, seed=0):
+def make_views(n, d1=3, d2=2, k=2, miss=None, seed=0):
+    """n examples with labels 0, 1, ..., k-1, 0, ...; ``miss`` drops a view."""
     rng = np.random.default_rng(seed)
-    v1 = None if miss == 1 else rng.normal(size=d1)
-    v2 = None if miss == 2 else rng.normal(size=d2)
-    return vg.MultiviewExample(view1=v1, view2=v2, label=one_hot(label, k))
+    v1 = rng.normal(size=(n, d1))
+    v2 = rng.normal(size=(n, d2))
+    return vg.Views(None if miss == 1 else v1, None if miss == 2 else v2,
+                    np.eye(k)[np.arange(n) % k])
+
+
+def views_equal(a, b) -> bool:
+    for x, y in ((a.view1, b.view1), (a.view2, b.view2), (a.label, b.label)):
+        if (x is None) != (y is None) or x is not None and not np.array_equal(x, y):
+            return False
+    return True
 
 
 def tiny_dataset(n_full=4, n_m1=3, n_m2=2, d1=3, d2=2, k=2):
-    full = [make_example(d1, d2, k, i % k, seed=i) for i in range(n_full)]
-    m1 = [make_example(d1, d2, k, i % k, miss=1, seed=10 + i) for i in range(n_m1)]
-    m2 = [make_example(d1, d2, k, i % k, miss=2, seed=20 + i) for i in range(n_m2)]
-    return vg.PartitionedDataset(s_full=full, s_missing1=m1, s_missing2=m2,
+    return vg.PartitionedDataset(s_full=make_views(n_full, d1, d2, k, seed=0),
+                                 s_missing1=make_views(n_m1, d1, d2, k, miss=1, seed=1),
+                                 s_missing2=make_views(n_m2, d1, d2, k, miss=2, seed=2),
                                  d1=d1, d2=d2, num_classes=k)
 
 
@@ -45,33 +50,76 @@ def test_one_hot_rejects_out_of_range():
 
 
 def test_partitioned_dataset_checks_view_patterns():
-    full = [make_example()]
-    wrong = [make_example(miss=1)]  # belongs in s_missing1
+    wrong = make_views(1, miss=1)  # belongs in s_missing1
     with pytest.raises(ValueError):
-        vg.PartitionedDataset(s_full=wrong, s_missing1=[], s_missing2=[],
-                              d1=3, d2=2, num_classes=2)
-    ds = vg.PartitionedDataset(s_full=full, s_missing1=[], s_missing2=[],
-                               d1=3, d2=2, num_classes=2)
+        vg.PartitionedDataset(s_full=wrong, s_missing1=make_views(0, miss=1),
+                              s_missing2=make_views(0, miss=2), d1=3, d2=2, num_classes=2)
+    ds = vg.PartitionedDataset(s_full=make_views(1), s_missing1=make_views(0, miss=1),
+                               s_missing2=make_views(0, miss=2), d1=3, d2=2, num_classes=2)
     assert ds.m == 1
 
 
+def _nan_in_view(ds):
+    bad = ds.s_full.view2.copy()
+    bad[1, 0] = np.nan
+    return {"s_full": vg.Views(ds.s_full.view1, bad, ds.s_full.label)}
+
+
+def _label_not_one_hot(ds):
+    bad = ds.s_missing1.label.copy()
+    bad[0] = [0.5, 0.5]
+    return {"s_missing1": vg.Views(None, ds.s_missing1.view2, bad)}
+
+
+def _wrong_view_width(ds):
+    return {"s_missing2": vg.Views(ds.s_missing2.view1[:, :2], None, ds.s_missing2.label)}
+
+
+def _view_in_slot_that_lacks_it(ds):
+    return {"s_missing1": vg.Views(np.zeros((3, 3)), ds.s_missing1.view2, ds.s_missing1.label)}
+
+
+@pytest.mark.parametrize("damage,error", [
+    (_nan_in_view, ValueError),
+    (_label_not_one_hot, ValueError),
+    (_wrong_view_width, DimensionError),
+    (_view_in_slot_that_lacks_it, ValueError),
+])
+def test_partitioned_dataset_rejects_bad_subset(damage, error):
+    ds = tiny_dataset()
+    subsets = {"s_full": ds.s_full, "s_missing1": ds.s_missing1, "s_missing2": ds.s_missing2}
+    subsets.update(damage(ds))
+    with pytest.raises(error):
+        vg.PartitionedDataset(**subsets, d1=3, d2=2, num_classes=2)
+
+
 def test_stack_examples():
-    exs = [make_example(seed=i) for i in range(3)]
-    x1, x2, y = stack_examples(exs)
-    assert x1.shape == (3, 3) and x2.shape == (3, 2) and y.shape == (3, 2)
-    missing = [make_example(miss=1, seed=i) for i in range(2)]
-    x1m, x2m, _ = stack_examples(missing)
-    assert x1m is None and x2m.shape == (2, 2)
+    # a Views holds its examples stacked as rows; a missing view is None
+    views = make_views(3)
+    assert len(views) == 3
+    assert views.view1.shape == (3, 3) and views.view2.shape == (3, 2)
+    assert views.label.shape == (3, 2)
+    batch = views[np.array([2, 0, 2])]
+    assert np.array_equal(batch.view1, views.view1[[2, 0, 2]])
+    assert np.array_equal(batch.label, views.label[[2, 0, 2]])
+    rows = list(views)
+    assert len(rows) == 3
+    assert np.array_equal(rows[1].view2, views.view2[1])
+    assert label_index(rows[1].label) == 1
+    missing = make_views(2, miss=1)
+    assert missing.view1 is None and missing.view2.shape == (2, 2)
+    assert all(ex.view1 is None for ex in missing)
 
 
 def test_stack_examples_rejects_mixed_patterns():
+    # the protocol split takes a pool of complete pairs only
     with pytest.raises(ValueError):
-        stack_examples([make_example(), make_example(miss=1)])
+        vg.split_for_protocol(make_views(6, miss=1), 2, 2, 2, seed=0)
 
 
 def test_stack_examples_rejects_empty():
     with pytest.raises(ConfigError):
-        stack_examples([])
+        vg.split_for_protocol(make_views(0), 0, 0, 0, seed=0)
 
 
 def test_file_roundtrip_is_exact(tmp_path):
@@ -84,9 +132,7 @@ def test_file_roundtrip_is_exact(tmp_path):
     for got, want in [(loaded.s_full, ds.s_full),
                       (loaded.s_missing1, ds.s_missing1),
                       (loaded.s_missing2, ds.s_missing2)]:
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a == b  # array-equality on views and label
+        assert views_equal(got, want)  # array-equality on views and labels
 
 
 def test_file_format_example(tmp_path):
@@ -128,16 +174,6 @@ def test_file_rejects_bad_header(tmp_path):
         vg.load_multiview_file(path)
 
 
-def test_l2_normalize_views():
-    ds = tiny_dataset()
-    normed = l2_normalize_views(ds)
-    for ex in normed.s_full:
-        assert math.isclose(float(np.linalg.norm(ex.view1)), 1.0, rel_tol=1e-12)
-        assert math.isclose(float(np.linalg.norm(ex.view2)), 1.0, rel_tol=1e-12)
-    for ex in normed.s_missing1:
-        assert ex.view1 is None
-
-
 def test_block_class_means():
     means = vg.block_class_means(3, 7, 2.0)
     assert means.shape == (3, 7)
@@ -175,14 +211,11 @@ def test_generate_synthetic_shapes_and_determinism():
     spec = synth_spec()
     ds, test, bayes = vg.generate_synthetic(spec)
     assert len(ds.s_full) == 6 and len(ds.s_missing1) == 8 and len(ds.s_missing2) == 7
-    assert len(test) == 10
-    for ex in test:
-        assert ex.view1 is not None and ex.view2 is not None
+    assert test.view1.shape == (10, 4) and test.view2.shape == (10, 3)
     assert 1.0 / spec.num_classes <= bayes <= 1.0
     ds2, test2, bayes2 = vg.generate_synthetic(spec)
     assert bayes == bayes2
-    for a, b in zip(test, test2):
-        assert a == b
+    assert views_equal(test, test2)
 
 
 def test_synthetic_missing_patterns():
@@ -213,22 +246,20 @@ def test_bayes_accuracy_increases_with_separation():
 
 
 def test_split_for_protocol_partitions_pool():
-    pool = [make_example(seed=i, label=i % 2) for i in range(20)]
+    pool = make_views(20)
     ds, test = vg.split_for_protocol(pool, m_full=5, m_missing1=6, m_missing2=4, seed=11)
     assert len(ds.s_full) == 5 and len(ds.s_missing1) == 6 and len(ds.s_missing2) == 4
     assert len(test) == 5  # remainder
     # the protocol hides one view per missing subset
-    assert all(e.view1 is None for e in ds.s_missing1)
-    assert all(e.view2 is None for e in ds.s_missing2)
+    assert ds.s_missing1.view1 is None and ds.s_missing2.view2 is None
     again, test_again = vg.split_for_protocol(pool, 5, 6, 4, seed=11)
-    for a, b in zip(test, test_again):
-        assert a == b
+    assert views_equal(test, test_again)
     other = vg.split_for_protocol(pool, 5, 6, 4, seed=12)[1]
-    assert any(a != b for a, b in zip(test, other))
+    assert not views_equal(test, other)
 
 
 def test_split_for_protocol_rejects_oversized_request():
-    pool = [make_example(seed=i) for i in range(5)]
+    pool = make_views(5)
     with pytest.raises(ConfigError):
         vg.split_for_protocol(pool, 4, 4, 4, seed=0)
 
@@ -240,5 +271,4 @@ def test_synthetic_generation_is_seed_deterministic(seed):
     a = vg.generate_synthetic(spec)
     b = vg.generate_synthetic(spec)
     assert a[2] == b[2]
-    for e1, e2 in zip(a[0].s_full, b[0].s_full):
-        assert e1 == e2
+    assert views_equal(a[0].s_full, b[0].s_full)

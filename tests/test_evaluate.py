@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import viewgan as vg
-from viewgan.data import MultiviewExample, one_hot
 from viewgan.errors import ConfigError
 from viewgan.evaluate import (ExperimentSpec, Scenario, evaluate,
                               metrics_from_predictions, run_experiment,
@@ -96,10 +95,10 @@ def test_evaluate_generated_scenarios_are_deterministic():
 
 def test_evaluate_missing_view_rejected():
     model = new_model(3, 3, 2, np.random.default_rng(0), hidden_dim=4)
-    test = [MultiviewExample(view1=None, view2=np.zeros(3), label=one_hot(0, 2))]
+    test = vg.Views(view1=None, view2=np.zeros((1, 3)), label=np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
         evaluate(model, test, Scenario.COMPLETE)
-    # view1-generated only needs view2, so the same example is fine
+    # view1-generated only needs view2, so the same test set is fine
     rep = evaluate(model, test, Scenario.VIEW1_GENERATED)
     assert rep.n_test == 1
     with pytest.raises(ValueError):
@@ -109,7 +108,8 @@ def test_evaluate_missing_view_rejected():
 def test_evaluate_empty_test_rejected():
     model = new_model(3, 3, 2, np.random.default_rng(0), hidden_dim=4)
     with pytest.raises(ConfigError):
-        evaluate(model, [], Scenario.COMPLETE)
+        evaluate(model, vg.Views(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 2))),
+                 Scenario.COMPLETE)
 
 
 # --------------------------------------------------------------- baseline
@@ -136,8 +136,8 @@ def test_baseline_learns_a_separable_task():
 
 def test_baseline_empty_pool_rejected():
     ds, test, _ = vg.generate_synthetic(synth_spec())
-    empty = vg.PartitionedDataset(s_full=[], s_missing1=ds.s_missing1,
-                                  s_missing2=[], d1=3, d2=3, num_classes=2)
+    empty = vg.PartitionedDataset(s_full=ds.s_full[:0], s_missing1=ds.s_missing1,
+                                  s_missing2=ds.s_missing2[:0], d1=3, d2=3, num_classes=2)
     with pytest.raises(ConfigError):
         train_singleview_baseline(1, empty, tiny_cfg(), test)
 
@@ -152,7 +152,8 @@ def test_experiment_spec_needs_exactly_one_source():
     with pytest.raises(ConfigError):
         ExperimentSpec(n_repeats=1, scenario=Scenario.COMPLETE, train_config=cfg,
                        m_full=4, m_missing1=4, m_missing2=4,
-                       data_pool=[], synthetic=synth_spec())
+                       data_pool=vg.generate_synthetic(synth_spec())[1],
+                       synthetic=synth_spec())
     with pytest.raises(ConfigError):
         ExperimentSpec(n_repeats=0, scenario=Scenario.COMPLETE, train_config=cfg,
                        m_full=4, m_missing1=4, m_missing2=4, synthetic=synth_spec())
@@ -187,11 +188,10 @@ def test_run_experiment_is_deterministic():
 
 def test_run_experiment_from_pool():
     _, test, _ = vg.generate_synthetic(synth_spec(seed=6, m_test=40))
-    pool = list(test)
     spec = ExperimentSpec(
         n_repeats=1, scenario=Scenario.COMPLETE, train_config=tiny_cfg(iters=3),
         m_full=6, m_missing1=6, m_missing2=6,
-        data_pool=pool, hidden_dim=4, include_baselines=False, master_seed=0)
+        data_pool=test, hidden_dim=4, include_baselines=False, master_seed=0)
     res = run_experiment(spec)
     assert res.rows[0].bayes_accuracy is None
     assert res.rows[0].baseline1_accuracy is None
@@ -219,7 +219,7 @@ def test_experiment_csv_blank_cells(tmp_path):
     spec = ExperimentSpec(
         n_repeats=1, scenario=Scenario.COMPLETE, train_config=tiny_cfg(iters=2),
         m_full=6, m_missing1=6, m_missing2=6,
-        data_pool=list(test), hidden_dim=4, include_baselines=False)
+        data_pool=test, hidden_dim=4, include_baselines=False)
     path = tmp_path / "exp.csv"
     write_experiment_csv(path, run_experiment(spec))
     row = path.read_text().splitlines()[1].split(",")

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viewgan.errors import DataFormatError
-from viewgan.model import (CHECKPOINT_MAGIC, class_mass, decide, decide_batch,
-                           discriminate, feature_map, generate, generator_input,
-                           load_checkpoint, new_model, pair_input, save_checkpoint)
+from viewgan.model import (CHECKPOINT_MAGIC, decide_batch, discriminate, feature_map,
+                           generate, generator_input, load_checkpoint, new_model,
+                           pair_input, save_checkpoint)
 
 
 def small_model(seed=0, d1=3, d2=4, k=2, hidden=5):
@@ -59,12 +59,6 @@ def test_generate_and_discriminate_shapes():
     assert np.all((f > 0) & (f < 1))
 
 
-def test_class_mass_complements_fake_probability():
-    assert class_mass(np.array([0.2, 0.3, 0.5])) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        class_mass(np.array([0.5, 0.6, 0.2]))  # not a distribution
-
-
 def test_decide_rule_boundary_is_not_fake():
     # exactly half the mass on the fake class: strict inequality keeps it real
     fake, cls = decide_batch(np.array([[0.25, 0.25, 0.5]]))
@@ -80,17 +74,6 @@ def test_decide_batch_argmax():
     fake, cls = decide_batch(probs)
     assert not fake.any()
     assert list(cls) == [1, 0]
-
-
-def test_decide_single_pair():
-    m = small_model()
-    rng = np.random.default_rng(2)
-    d = decide(m, rng.normal(size=3), rng.normal(size=4))
-    assert d.probabilities.shape == (3,)
-    if d.is_fake:
-        assert d.class_index is None
-    else:
-        assert d.class_index in (0, 1)
 
 
 def test_checkpoint_roundtrip_is_exact(tmp_path):
@@ -123,6 +106,23 @@ def test_checkpoint_reports_line_of_damage(tmp_path):
     with pytest.raises(DataFormatError) as err:
         load_checkpoint(path)
     assert err.value.line == 7
+
+
+@pytest.mark.parametrize("lineno,bad", [
+    (3, "dims 3 x 2"),
+    (4, "seed"),
+    (5, "step 1.5"),
+    (6, "net gen1 linear 7 five 3"),
+])
+def test_checkpoint_header_errors_carry_line_numbers(tmp_path, lineno, bad):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, small_model(), seed=0, step=0)
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError) as err:
+        load_checkpoint(path)
+    assert err.value.line == lineno
 
 
 def test_checkpoint_magic_is_stable(tmp_path):

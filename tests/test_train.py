@@ -181,6 +181,28 @@ def test_sample_minibatch_draws_from_each_subset():
         assert tuple(row) in full_rows
 
 
+def test_sample_minibatch_is_a_seeded_gather():
+    # draw order: full, missing-1 and missing-2 indices, then view-1 and
+    # view-2 noise; a second generator with the same seed replays it
+    ds, _, _ = small_task(k=3)
+    batch = sample_minibatch(ds, 5, np.random.default_rng(42))
+    rng = np.random.default_rng(42)
+    full, miss1, miss2 = ds.s_full, ds.s_missing1, ds.s_missing2
+    i_full = rng.integers(0, len(full), size=5)
+    i_m1 = rng.integers(0, len(miss1), size=5)
+    i_m2 = rng.integers(0, len(miss2), size=5)
+    want = {
+        "full_x1": full.view1[i_full], "full_x2": full.view2[i_full],
+        "full_y": full.label[i_full],
+        "miss1_x2": miss1.view2[i_m1], "miss1_y": miss1.label[i_m1],
+        "miss2_x1": miss2.view1[i_m2], "miss2_y": miss2.label[i_m2],
+        "noise_v1": rng.uniform(-1.0, 1.0, size=(5, ds.d1)),
+        "noise_v2": rng.uniform(-1.0, 1.0, size=(5, ds.d2)),
+    }
+    for name, expect in want.items():
+        assert np.array_equal(getattr(batch, name), expect), name
+
+
 def test_sample_minibatch_is_with_replacement():
     ds, _, _ = small_task()
     rng = np.random.default_rng(2)
@@ -190,7 +212,7 @@ def test_sample_minibatch_is_with_replacement():
 
 def test_sample_minibatch_names_empty_subset():
     ds, _, _ = small_task()
-    empty = vg.PartitionedDataset(s_full=ds.s_full, s_missing1=[],
+    empty = vg.PartitionedDataset(s_full=ds.s_full, s_missing1=ds.s_missing1[:0],
                                   s_missing2=ds.s_missing2,
                                   d1=ds.d1, d2=ds.d2, num_classes=ds.num_classes)
     with pytest.raises(ConfigError, match="missing1"):
