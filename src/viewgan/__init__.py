@@ -9,8 +9,8 @@ from .data import (PartitionedDataset, SyntheticSpec, Views, block_class_means,
 from .errors import ConfigError, DataFormatError, DimensionError, NumericError
 from .evaluate import (ExperimentSpec, MetricsReport, Scenario, evaluate,
                        run_experiment, train_singleview_baseline)
-from .model import (TripartiteModel, decide_batch, discriminate, feature_map, generate,
-                    load_checkpoint, new_model, save_checkpoint)
+from .model import (TripartiteModel, decide_batch, discriminate, generate, load_checkpoint,
+                    new_model, save_checkpoint)
 from .nn import AdamState, ForwardTrace, Mlp, adam_step, backward, forward, init_mlp, xavier_init
 from .theory import (DiscreteJoint, DiscriminatorTable, augmented_value,
                      brute_force_discriminator, check_theorem, jsd, kl, mixture,

@@ -65,6 +65,7 @@ def _synthetic_spec(cfg: ConfigMap) -> SyntheticSpec:
 
 def _print_report(report: MetricsReport) -> None:
     print(f"accuracy={repr(report.accuracy)}")
+    print(f"class_accuracy={repr(report.class_accuracy)}")
     print(f"macro_f1={repr(report.macro_f1)}")
     print(f"fake_rate={repr(report.fake_rate)}")
     print(f"n_test={report.n_test}")

@@ -250,8 +250,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             rows.append(RepeatResult(r, report.accuracy, report.macro_f1,
                                      report.fake_rate, b1, b2, bayes,
                                      report.class_accuracy))
-        except Exception as e:
-            raise RuntimeError(f"repeat {r} failed: {e}") from e
+        except ValueError as e:
+            # keep the type, which tells the CLI the inputs were unusable
+            e.args = (f"repeat {r}: {e}",)
+            raise
 
     mean, std = {}, {}
     for name in METRIC_FIELDS:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Views
 from .model import new_model
 from .nn import LINEAR, SOFTMAX, backward, forward, init_mlp
 from .train import Minibatch, feature_matching_penalty, loss_discriminator, loss_generator
@@ -58,16 +59,13 @@ def _random_batch(rng, d1, d2, k, m_b=2) -> Minibatch:
         y[np.arange(m_b), rng.integers(0, k, m_b)] = 1.0
         return y
 
+    # arguments evaluate left to right, which fixes the draw order
     return Minibatch(
-        full_x1=rng.standard_normal((m_b, d1)),
-        full_x2=rng.standard_normal((m_b, d2)),
-        full_y=onehots(),
-        miss1_x2=rng.standard_normal((m_b, d2)),
-        miss1_y=onehots(),
-        miss2_x1=rng.standard_normal((m_b, d1)),
-        miss2_y=onehots(),
-        noise_v1=rng.uniform(-1, 1, (m_b, d1)),
-        noise_v2=rng.uniform(-1, 1, (m_b, d2)),
+        Views(rng.standard_normal((m_b, d1)), rng.standard_normal((m_b, d2)), onehots()),
+        Views(None, rng.standard_normal((m_b, d2)), onehots()),
+        Views(rng.standard_normal((m_b, d1)), None, onehots()),
+        rng.uniform(-1, 1, (m_b, d1)),
+        rng.uniform(-1, 1, (m_b, d2)),
     )
 
 
@@ -122,8 +120,8 @@ def _check_loss(rng, family: str) -> float:
         analytic = loss_generator(model, v, batch, fm_weight=1.0)[1].params()
     else:  # feature-matching, through generator 1
         target_net = model.gen1
-        gen_in = np.concatenate([batch.noise_v1, batch.miss1_x2], axis=1)
-        real = (batch.full_x1, batch.full_x2)
+        gen_in = np.concatenate([batch.noise_v1, batch.miss1.view2], axis=1)
+        real = (batch.full.view1, batch.full.view2)
 
         def loss_fn():
             tr = forward(model.gen1, gen_in)

@@ -12,13 +12,14 @@ Canonical layouts (also recorded in checkpoint headers):
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError, DimensionError
-from .nn import (DEFAULT_HIDDEN_DIM, LINEAR, SOFTMAX, ForwardTrace, Mlp,
-                 forward, init_mlp)
+from .nn import DEFAULT_HIDDEN_DIM, LINEAR, SOFTMAX, Mlp, forward, init_mlp
 
 CHECKPOINT_MAGIC = "VIEWGAN-CKPT-1"
 _LAYOUT_LINE = "layout generator-input=noise,condition discriminator-input=view1,view2"
@@ -69,10 +70,18 @@ def new_model(d1: int, d2: int, num_classes: int,
     return TripartiteModel(d1, d2, num_classes, gen1, gen2, disc)
 
 
+def _rows(a, what: str) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise DimensionError(f"{what} must be an (n, d) block, got shape {a.shape}")
+    return a
+
+
 def generator_input(model: TripartiteModel, which_view: int, observed, noise) -> np.ndarray:
-    """Assemble [noise | observed] for the generator completing ``which_view``."""
-    observed = np.atleast_2d(np.asarray(observed, dtype=np.float64))
-    noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
+    """Assemble [noise | observed] (each of shape (n, d)) for the generator
+    completing ``which_view``."""
+    observed = _rows(observed, "observed view")
+    noise = _rows(noise, "noise")
     if which_view == 1:
         d_gen, d_obs = model.d1, model.d2
     elif which_view == 2:
@@ -92,18 +101,16 @@ def generate(model: TripartiteModel, which_view: int, observed, noise) -> np.nda
     """Complete ``which_view`` conditionally on the observed other view.
 
     Output is the raw linear layer; no squashing is applied so generated
-    values can match any real-valued view. Accepts single vectors or batches.
+    values can match any real-valued view. Takes and returns (n, d) blocks.
     """
-    single = np.asarray(noise).ndim == 1
     gen = model.gen1 if which_view == 1 else model.gen2
-    out = forward(gen, generator_input(model, which_view, observed, noise)).output
-    return out[0] if single else out
+    return forward(gen, generator_input(model, which_view, observed, noise)).output
 
 
 def pair_input(model: TripartiteModel, x1, x2) -> np.ndarray:
-    """Concatenate a (batch of) view pair(s) in canonical [view1 | view2] order."""
-    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
-    x2 = np.atleast_2d(np.asarray(x2, dtype=np.float64))
+    """Concatenate (n, d1) and (n, d2) view blocks in canonical [view1 | view2] order."""
+    x1 = _rows(x1, "view 1")
+    x2 = _rows(x2, "view 2")
     if x1.shape[-1] != model.d1 or x2.shape[-1] != model.d2:
         raise DimensionError(
             f"pair dims ({x1.shape[-1]}, {x2.shape[-1]}) != ({model.d1}, {model.d2})")
@@ -112,23 +119,9 @@ def pair_input(model: TripartiteModel, x1, x2) -> np.ndarray:
     return np.concatenate([x1, x2], axis=1)
 
 
-def disc_trace(model: TripartiteModel, x1, x2) -> ForwardTrace:
-    """Discriminator forward pass on a pair; ``hidden_act`` is the feature map."""
-    return forward(model.disc, pair_input(model, x1, x2))
-
-
 def discriminate(model: TripartiteModel, x1, x2) -> np.ndarray:
-    """Class-posterior estimates of shape (..., K+1); index K is the fake class."""
-    single = np.asarray(x1).ndim == 1
-    probs = disc_trace(model, x1, x2).output
-    return probs[0] if single else probs
-
-
-def feature_map(model: TripartiteModel, x1, x2) -> np.ndarray:
-    """Hidden sigmoid activations of the discriminator on a pair."""
-    single = np.asarray(x1).ndim == 1
-    feats = disc_trace(model, x1, x2).hidden_act
-    return feats[0] if single else feats
+    """Class-posterior estimates of shape (n, K+1); index K is the fake class."""
+    return forward(model.disc, pair_input(model, x1, x2)).output
 
 
 def decide_batch(probabilities) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +131,7 @@ def decide_batch(probabilities) -> tuple[np.ndarray, np.ndarray]:
     entries; the boundary case classifies. Returns (fake mask, argmax class
     per item with ties broken toward the lowest index).
     """
-    p = np.atleast_2d(np.asarray(probabilities, dtype=np.float64))
+    p = _rows(probabilities, "probabilities")
     fake = p[:, -1] > p[:, :-1].sum(axis=1)
     cls = np.argmax(p[:, :-1], axis=1)
     return fake, cls
@@ -163,16 +156,27 @@ def _write_net(f, name: str, net: Mlp):
 
 
 def save_checkpoint(path, model: TripartiteModel, seed: int, step: int) -> None:
-    """Write the model, RNG seed, and step count to ``path``."""
-    with open(path, "w", encoding="ascii") as f:
-        f.write(CHECKPOINT_MAGIC + "\n")
-        f.write(_LAYOUT_LINE + "\n")
-        f.write(f"dims {model.d1} {model.d2} {model.num_classes}\n")
-        f.write(f"seed {seed}\n")
-        f.write(f"step {step}\n")
-        _write_net(f, "gen1", model.gen1)
-        _write_net(f, "gen2", model.gen2)
-        _write_net(f, "disc", model.disc)
+    """Write the model, RNG seed, and step count to ``path``.
+
+    The text goes to a temporary file beside ``path``, which then replaces
+    it, so a crash mid-write leaves the previous checkpoint as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as f:
+            f.write(CHECKPOINT_MAGIC + "\n")
+            f.write(_LAYOUT_LINE + "\n")
+            f.write(f"dims {model.d1} {model.d2} {model.num_classes}\n")
+            f.write(f"seed {seed}\n")
+            f.write(f"step {step}\n")
+            _write_net(f, "gen1", model.gen1)
+            _write_net(f, "gen2", model.gen2)
+            _write_net(f, "disc", model.disc)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 class _LineReader:

@@ -2,8 +2,8 @@
 manual backprop, and the Adam optimizer.
 
 All arithmetic is float64; gradient checks depend on it. Forward and backward
-accept a single vector or a batch with one sample per row. Parameter
-gradients are summed over the batch; the caller owns any 1/m scaling.
+take a batch of shape (n, d) with one sample per row. Parameter gradients are
+summed over the batch; the caller owns any 1/m scaling.
 """
 
 from __future__ import annotations
@@ -123,9 +123,9 @@ class ForwardTrace:
 
 
 def forward(net: Mlp, x) -> ForwardTrace:
-    """Run the net on ``x`` (shape (input_dim,) or (n, input_dim))."""
+    """Run the net on ``x`` of shape (n, input_dim)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != net.input_dim:
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise DimensionError(
             f"input shape {x.shape} incompatible with input_dim {net.input_dim}")
     if not np.all(np.isfinite(x)):
@@ -155,17 +155,6 @@ class MlpGrads:
         return [self.weights_in, self.bias_in, self.weights_out, self.bias_out]
 
 
-def zero_grads(net: Mlp) -> MlpGrads:
-    return MlpGrads(*[np.zeros_like(b) for b in net.params()])
-
-
-def add_grads(acc: MlpGrads, extra: MlpGrads) -> MlpGrads:
-    """Accumulate ``extra`` into ``acc`` in place (parameter blocks only)."""
-    for a, b in zip(acc.params(), extra.params()):
-        a += b
-    return acc
-
-
 def backward(net: Mlp, trace: ForwardTrace, output_grad) -> MlpGrads:
     """Reverse-mode pass through both layers.
 
@@ -174,24 +163,20 @@ def backward(net: Mlp, trace: ForwardTrace, output_grad) -> MlpGrads:
     gradient (probabilities minus target). Parameter gradients are summed over
     the batch; ``input_grad`` keeps the input's shape.
     """
-    og = np.asarray(output_grad, dtype=np.float64)
-    if og.shape != trace.output_pre.shape:
+    g = np.asarray(output_grad, dtype=np.float64)
+    if g.shape != trace.output_pre.shape:
         raise DimensionError(
-            f"output_grad shape {og.shape} != output_pre shape {trace.output_pre.shape}")
+            f"output_grad shape {g.shape} != output_pre shape {trace.output_pre.shape}")
     if trace.input.shape[-1] != net.input_dim or trace.hidden_act.shape[-1] != net.hidden_dim \
             or trace.output_pre.shape[-1] != net.output_dim:
         raise DimensionError("trace does not match network dimensions")
-    x = np.atleast_2d(trace.input)
-    h = np.atleast_2d(trace.hidden_act)
-    g = np.atleast_2d(og)
+    x, h = trace.input, trace.hidden_act
     d_weights_out = g.T @ h
     d_bias_out = g.sum(axis=0)
     d_hidden = (g @ net.weights_out) * h * (1.0 - h)
     d_weights_in = d_hidden.T @ x
     d_bias_in = d_hidden.sum(axis=0)
     d_input = d_hidden @ net.weights_in
-    if og.ndim == 1:
-        d_input = d_input[0]
     return MlpGrads(d_weights_in, d_bias_in, d_weights_out, d_bias_out, d_input)
 
 

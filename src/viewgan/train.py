@@ -28,37 +28,23 @@ logger = logging.getLogger(__name__)
 class Minibatch:
     """m_b examples from each subset plus fresh uniform noise.
 
-    full_* come from the both-views subset, miss1_* from the subset whose
-    first view is absent (so only view 2 is carried), miss2_* symmetric.
-    Noise entries live in [-1, 1].
+    full carries both views, miss1 comes from the subset whose first view
+    is absent (so it carries view 2 only), miss2 is the mirror image. The
+    noise blocks complete view 1 and view 2.
     """
 
-    full_x1: np.ndarray
-    full_x2: np.ndarray
-    full_y: np.ndarray
-    miss1_x2: np.ndarray
-    miss1_y: np.ndarray
-    miss2_x1: np.ndarray
-    miss2_y: np.ndarray
+    full: Views
+    miss1: Views
+    miss2: Views
     noise_v1: np.ndarray
     noise_v2: np.ndarray
 
     def __post_init__(self):
-        m = self.full_x1.shape[0]
-        sized = (self.full_x2, self.full_y, self.miss1_x2, self.miss1_y,
-                 self.miss2_x1, self.miss2_y, self.noise_v1, self.noise_v2)
-        if m < 1 or any(a.shape[0] != m for a in sized):
+        m = len(self.full)
+        sized = (len(self.miss1), len(self.miss2),
+                 self.noise_v1.shape[0], self.noise_v2.shape[0])
+        if m < 1 or any(n != m for n in sized):
             raise DimensionError("all minibatch blocks must share one size m_b")
-        if np.abs(self.noise_v1).max() > 1.0 or np.abs(self.noise_v2).max() > 1.0:
-            raise ValueError("noise entries must lie in [-1, 1]")
-        for y in (self.full_y, self.miss1_y, self.miss2_y):
-            onehot = np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=1) == 1.0)
-            if not onehot:
-                raise ValueError("labels must be one-hot rows")
-
-    @property
-    def size(self) -> int:
-        return self.full_x1.shape[0]
 
 
 @dataclass
@@ -119,19 +105,20 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch):
     completed by either generator (weight 1/(2*m_b) per sample each).
     Generator outputs are data here; nothing flows back into the generators.
     """
-    m_b = batch.size
+    full, miss1, miss2 = batch.full, batch.miss1, batch.miss2
+    m_b = len(full)
     k = model.num_classes
     fake_idx = k
 
-    gen1_out = forward(model.gen1, np.concatenate([batch.noise_v1, batch.miss1_x2], axis=1)).output
-    gen2_out = forward(model.gen2, np.concatenate([batch.noise_v2, batch.miss2_x1], axis=1)).output
+    gen1_out = forward(model.gen1, np.concatenate([batch.noise_v1, miss1.view2], axis=1)).output
+    gen2_out = forward(model.gen2, np.concatenate([batch.noise_v2, miss2.view1], axis=1)).output
 
     groups = [
-        (np.concatenate([batch.full_x1, batch.full_x2], axis=1),
-         np.argmax(batch.full_y, axis=1), 1.0 / (m_b * (k + 1))),
-        (np.concatenate([gen1_out, batch.miss1_x2], axis=1),
+        (np.concatenate([full.view1, full.view2], axis=1),
+         np.argmax(full.label, axis=1), 1.0 / (m_b * (k + 1))),
+        (np.concatenate([gen1_out, miss1.view2], axis=1),
          np.full(m_b, fake_idx), 1.0 / (2.0 * m_b)),
-        (np.concatenate([batch.miss2_x1, gen2_out], axis=1),
+        (np.concatenate([miss2.view1, gen2_out], axis=1),
          np.full(m_b, fake_idx), 1.0 / (2.0 * m_b)),
     ]
 
@@ -199,13 +186,15 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
     Gradients reach the generator by backpropagating through the frozen
     discriminator into the input slot the generated view occupies.
     """
-    m_b = batch.size
+    m_b = len(batch.full)
     k = model.num_classes
     coeff = 1.0 / (m_b * (k + 1))
     if which_view == 1:
-        gen, noise, observed, labels = model.gen1, batch.noise_v1, batch.miss1_x2, batch.miss1_y
+        gen, noise, observed, labels = (model.gen1, batch.noise_v1,
+                                        batch.miss1.view2, batch.miss1.label)
     elif which_view == 2:
-        gen, noise, observed, labels = model.gen2, batch.noise_v2, batch.miss2_x1, batch.miss2_y
+        gen, noise, observed, labels = (model.gen2, batch.noise_v2,
+                                        batch.miss2.view1, batch.miss2.label)
     else:
         raise ValueError(f"which_view must be 1 or 2, got {which_view}")
 
@@ -222,7 +211,7 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
     grads = backward(gen, gen_trace, d_gen_view)
 
     penalty, fm_grads = feature_matching_penalty(
-        model, which_view, (batch.full_x1, batch.full_x2), gen_trace)
+        model, which_view, (batch.full.view1, batch.full.view2), gen_trace)
     for acc, extra in zip(grads.params(), fm_grads.params()):
         acc += fm_weight * extra
     return class_loss + fm_weight * penalty, grads
@@ -243,17 +232,7 @@ def sample_minibatch(dataset: PartitionedDataset, m_b: int, rng: np.random.Gener
     idx_m2 = rng.integers(0, len(miss2), size=m_b)
     noise_v1 = rng.uniform(-1.0, 1.0, size=(m_b, dataset.d1))
     noise_v2 = rng.uniform(-1.0, 1.0, size=(m_b, dataset.d2))
-    return Minibatch(
-        full_x1=full.view1[idx_full],
-        full_x2=full.view2[idx_full],
-        full_y=full.label[idx_full],
-        miss1_x2=miss1.view2[idx_m1],
-        miss1_y=miss1.label[idx_m1],
-        miss2_x1=miss2.view1[idx_m2],
-        miss2_y=miss2.label[idx_m2],
-        noise_v1=noise_v1,
-        noise_v2=noise_v2,
-    )
+    return Minibatch(full[idx_full], miss1[idx_m1], miss2[idx_m2], noise_v1, noise_v2)
 
 
 def _heldout_accuracy(model: TripartiteModel, heldout: Views) -> float:

@@ -16,7 +16,7 @@ import pytest
 
 import viewgan as vg
 import viewgan.train as train_mod
-from viewgan.data import one_hot
+from viewgan.data import Views, one_hot
 from viewgan.evaluate import (ExperimentSpec, Scenario, evaluate,
                               run_experiment)
 from viewgan.gradcheck import run_all
@@ -185,12 +185,11 @@ def test_initial_loss_closed_forms():
     rng = np.random.default_rng(1)
     labels = np.stack([one_hot(0, k)])
     batch = Minibatch(
-        full_x1=rng.normal(size=(m_b, 4)), full_x2=rng.normal(size=(m_b, 4)),
-        full_y=labels,
-        miss1_x2=rng.normal(size=(m_b, 4)), miss1_y=labels.copy(),
-        miss2_x1=rng.normal(size=(m_b, 4)), miss2_y=labels.copy(),
-        noise_v1=rng.uniform(-1, 1, size=(m_b, 4)),
-        noise_v2=rng.uniform(-1, 1, size=(m_b, 4)))
+        Views(rng.normal(size=(m_b, 4)), rng.normal(size=(m_b, 4)), labels),
+        Views(None, rng.normal(size=(m_b, 4)), labels.copy()),
+        Views(rng.normal(size=(m_b, 4)), None, labels.copy()),
+        rng.uniform(-1, 1, size=(m_b, 4)),
+        rng.uniform(-1, 1, size=(m_b, 4)))
 
     loss_d, _ = loss_discriminator(model, batch)
     expect_d = (k + 2) / (k + 1) * math.log(k + 1)

@@ -76,6 +76,9 @@ def test_train_then_eval(tmp_path, synth_files, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "accuracy=" in out and "fake_rate=" in out
+    lines = out.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("accuracy="))
+    assert lines[i + 1].startswith("class_accuracy=")
 
 
 def test_eval_generated_scenario(tmp_path, synth_files, capsys):
@@ -133,6 +136,25 @@ scenario = complete
     lines = open(out_csv).read().splitlines()
     assert lines[0].startswith("repeat,accuracy,")
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ((40, 3, 3), "cannot draw 46 examples from a pool of 10"),
+    ((4, 3, 3), "split left no test examples"),
+], ids=["pool-too-small", "no-test-left"])
+def test_experiment_on_an_impossible_split_exits_2(tmp_path, synth_files, capsys,
+                                                   sizes, message):
+    _, test_f = synth_files  # a pool of 10 complete pairs
+    m_full, m_missing1, m_missing2 = sizes
+    cfg = write(tmp_path / "exp.cfg",
+                f"data = {test_f}\nm_full = {m_full}\nm_missing1 = {m_missing1}\n"
+                f"m_missing2 = {m_missing2}\niterations = 2\nminibatch_size = 2\n"
+                "hidden_dim = 4\nn_repeats = 2\n")
+    capsys.readouterr()
+    rc = main(["experiment", "--config", cfg, "--out", str(tmp_path / "exp.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: repeat 0: {message}"]
 
 
 def test_theory_check_builtin(capsys):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viewgan.errors import DataFormatError
-from viewgan.model import (CHECKPOINT_MAGIC, decide_batch, discriminate, feature_map,
-                           generate, generator_input, load_checkpoint, new_model,
-                           pair_input, save_checkpoint)
+import viewgan.model as model_mod
+from viewgan.errors import DataFormatError, DimensionError
+from viewgan.model import (CHECKPOINT_MAGIC, decide_batch, discriminate, generate,
+                           generator_input, load_checkpoint, new_model, pair_input,
+                           save_checkpoint)
 
 
 def small_model(seed=0, d1=3, d2=4, k=2, hidden=5):
@@ -54,9 +55,16 @@ def test_generate_and_discriminate_shapes():
     p = discriminate(m, fake1, x2)
     assert p.shape == (6, 3)
     assert np.allclose(p.sum(axis=1), 1.0)
-    f = feature_map(m, fake1, x2)
-    assert f.shape == (6, 5)
-    assert np.all((f > 0) & (f < 1))
+
+
+@pytest.mark.parametrize("assemble", [
+    lambda m, v: pair_input(m, v, np.zeros((1, 4))),
+    lambda m, v: generator_input(m, 1, np.zeros((1, 4)), v),
+], ids=["pair_input", "generator_input"])
+def test_inputs_reject_a_single_vector(assemble):
+    # a view of width 3 given as a 1-D vector, not a (1, 3) block
+    with pytest.raises(DimensionError):
+        assemble(small_model(), np.zeros(3))
 
 
 def test_decide_rule_boundary_is_not_fake():
@@ -123,6 +131,21 @@ def test_checkpoint_header_errors_carry_line_numbers(tmp_path, lineno, bad):
     with pytest.raises(DataFormatError) as err:
         load_checkpoint(path)
     assert err.value.line == lineno
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, small_model(seed=1), seed=0, step=1)
+    first = path.read_bytes()
+
+    def boom(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(model_mod, "_write_net", boom)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, small_model(seed=2), seed=0, step=2)
+    assert path.read_bytes() == first
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_magic_is_stable(tmp_path):

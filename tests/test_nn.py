@@ -73,9 +73,11 @@ def test_forward_shapes_and_kinds():
 
 
 def test_forward_rejects_wrong_input_width():
-    x = np.zeros((4, 7))
-    with pytest.raises(DimensionError):
-        forward(tiny_net("linear"), x)
+    # a block of the wrong width, and a single vector of the right width:
+    # forward takes (n, input_dim) blocks only
+    for x in (np.zeros((4, 7)), np.zeros(3)):
+        with pytest.raises(DimensionError):
+            forward(tiny_net("linear"), x)
 
 
 def fd_grad(f, arr, h=1e-6):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import viewgan as vg
-from viewgan.data import one_hot
-from viewgan.errors import ConfigError
+from viewgan.data import Views, one_hot
+from viewgan.errors import ConfigError, DimensionError
 from viewgan.model import discriminate, generate, new_model
 from viewgan.train import (LOG_CLAMP, Minibatch, TrainConfig,
                            feature_matching_penalty, loss_discriminator,
@@ -26,15 +26,11 @@ def make_batch(m_b=1, d1=2, d2=2, k=3, seed=0):
     rng = np.random.default_rng(seed)
     labels = np.stack([one_hot(int(i % k), k) for i in range(m_b)])
     return Minibatch(
-        full_x1=rng.normal(size=(m_b, d1)),
-        full_x2=rng.normal(size=(m_b, d2)),
-        full_y=labels,
-        miss1_x2=rng.normal(size=(m_b, d2)),
-        miss1_y=labels.copy(),
-        miss2_x1=rng.normal(size=(m_b, d1)),
-        miss2_y=labels.copy(),
-        noise_v1=rng.uniform(-1, 1, size=(m_b, d1)),
-        noise_v2=rng.uniform(-1, 1, size=(m_b, d2)),
+        Views(rng.normal(size=(m_b, d1)), rng.normal(size=(m_b, d2)), labels),
+        Views(None, rng.normal(size=(m_b, d2)), labels.copy()),
+        Views(rng.normal(size=(m_b, d1)), None, labels.copy()),
+        rng.uniform(-1, 1, size=(m_b, d1)),
+        rng.uniform(-1, 1, size=(m_b, d2)),
     )
 
 
@@ -98,7 +94,7 @@ def test_clamped_log_saturates_and_freezes_gradient():
     model.disc.weights_out[1, :] = 0.0
     model.disc.bias_out[:] = np.array([-60.0, 60.0, -60.0])
     batch = make_batch(m_b=1, k=2, seed=5)
-    batch.full_y[0] = one_hot(0, 2)
+    batch.full.label[0] = one_hot(0, 2)
     loss, grads = loss_discriminator(model, batch)
     # the true-class probability underflows past the clamp; the loss is
     # finite and the class term contributes exactly -log(clamp)/3
@@ -111,13 +107,14 @@ def test_feature_matching_zero_when_distributions_match():
     model = new_model(2, 2, 2, np.random.default_rng(6), hidden_dim=4)
     batch = make_batch(m_b=3, k=2, seed=7)
     noise = batch.noise_v1
-    fake1 = generate(model, 1, batch.miss1_x2, noise)
+    observed = batch.miss1.view2
+    fake1 = generate(model, 1, observed, noise)
     from viewgan.nn import forward
     from viewgan.model import generator_input
-    trace = forward(model.gen1, generator_input(model, 1, batch.miss1_x2, noise))
+    trace = forward(model.gen1, generator_input(model, 1, observed, noise))
     # feed the generator's own output back as the "real" pairs: means match
     penalty, grads = feature_matching_penalty(
-        model, 1, (fake1, batch.miss1_x2), trace)
+        model, 1, (fake1, observed), trace)
     assert penalty == 0.0
     for g in grads.params():
         assert np.all(g == 0)
@@ -128,9 +125,9 @@ def test_feature_matching_positive_otherwise():
     batch = make_batch(m_b=3, k=2, seed=9)
     from viewgan.nn import forward
     from viewgan.model import generator_input
-    trace = forward(model.gen1, generator_input(model, 1, batch.miss1_x2, batch.noise_v1))
+    trace = forward(model.gen1, generator_input(model, 1, batch.miss1.view2, batch.noise_v1))
     penalty, grads = feature_matching_penalty(
-        model, 1, (batch.full_x1, batch.full_x2), trace)
+        model, 1, (batch.full.view1, batch.full.view2), trace)
     assert penalty > 0
     assert any(np.any(g != 0) for g in grads.params())
 
@@ -149,35 +146,24 @@ def test_generator_loss_includes_weighted_penalty():
 # ---------------------------------------------------------------- batches
 
 def test_minibatch_validation():
-    with pytest.raises(Exception):
-        b = make_batch(m_b=2)
-        Minibatch(full_x1=b.full_x1[:1], full_x2=b.full_x2, full_y=b.full_y,
-                  miss1_x2=b.miss1_x2, miss1_y=b.miss1_y,
-                  miss2_x1=b.miss2_x1, miss2_y=b.miss2_y,
-                  noise_v1=b.noise_v1, noise_v2=b.noise_v2)
-
-
-def test_minibatch_rejects_out_of_range_noise():
     b = make_batch(m_b=2)
-    bad = b.noise_v1.copy()
-    bad[0, 0] = 1.5
-    with pytest.raises(Exception):
-        Minibatch(full_x1=b.full_x1, full_x2=b.full_x2, full_y=b.full_y,
-                  miss1_x2=b.miss1_x2, miss1_y=b.miss1_y,
-                  miss2_x1=b.miss2_x1, miss2_y=b.miss2_y,
-                  noise_v1=bad, noise_v2=b.noise_v2)
+    with pytest.raises(DimensionError):
+        Minibatch(b.full[:1], b.miss1, b.miss2, b.noise_v1, b.noise_v2)
+    with pytest.raises(DimensionError):
+        Minibatch(b.full, b.miss1, b.miss2, b.noise_v1, b.noise_v2[:1])
 
 
 def test_sample_minibatch_draws_from_each_subset():
     ds, _, _ = small_task()
     rng = np.random.default_rng(1)
     batch = sample_minibatch(ds, 4, rng)
-    assert batch.size == 4
-    assert batch.full_x1.shape == (4, 3)
+    assert len(batch.full) == 4
+    assert batch.full.view1.shape == (4, 3)
+    assert batch.miss1.view1 is None and batch.miss2.view2 is None
     assert np.all(np.abs(batch.noise_v1) <= 1.0)
     # drawn rows come from the right subsets
     full_rows = {tuple(e.view1) for e in ds.s_full}
-    for row in batch.full_x1:
+    for row in batch.full.view1:
         assert tuple(row) in full_rows
 
 
@@ -191,23 +177,23 @@ def test_sample_minibatch_is_a_seeded_gather():
     i_full = rng.integers(0, len(full), size=5)
     i_m1 = rng.integers(0, len(miss1), size=5)
     i_m2 = rng.integers(0, len(miss2), size=5)
-    want = {
-        "full_x1": full.view1[i_full], "full_x2": full.view2[i_full],
-        "full_y": full.label[i_full],
-        "miss1_x2": miss1.view2[i_m1], "miss1_y": miss1.label[i_m1],
-        "miss2_x1": miss2.view1[i_m2], "miss2_y": miss2.label[i_m2],
-        "noise_v1": rng.uniform(-1.0, 1.0, size=(5, ds.d1)),
-        "noise_v2": rng.uniform(-1.0, 1.0, size=(5, ds.d2)),
-    }
-    for name, expect in want.items():
-        assert np.array_equal(getattr(batch, name), expect), name
+    for got, subset, idx in ((batch.full, full, i_full), (batch.miss1, miss1, i_m1),
+                             (batch.miss2, miss2, i_m2)):
+        for field in ("view1", "view2", "label"):
+            expect = getattr(subset, field)
+            if expect is None:
+                assert getattr(got, field) is None, field
+            else:
+                assert np.array_equal(getattr(got, field), expect[idx]), field
+    assert np.array_equal(batch.noise_v1, rng.uniform(-1.0, 1.0, size=(5, ds.d1)))
+    assert np.array_equal(batch.noise_v2, rng.uniform(-1.0, 1.0, size=(5, ds.d2)))
 
 
 def test_sample_minibatch_is_with_replacement():
     ds, _, _ = small_task()
     rng = np.random.default_rng(2)
     batch = sample_minibatch(ds, 50, rng)  # more than any subset holds
-    assert batch.size == 50
+    assert len(batch.full) == len(batch.miss1) == len(batch.miss2) == 50
 
 
 def test_sample_minibatch_names_empty_subset():
