@@ -17,11 +17,11 @@ import numpy as np
 from .config import ConfigMap, load_kv_file
 from .data import (PartitionedDataset, SyntheticSpec, block_class_means,
                    generate_synthetic, load_multiview_file, save_multiview_file)
-from .errors import ConfigError, DataFormatError, DimensionError, NumericError
+from .errors import ConfigError
 from .evaluate import (ExperimentSpec, MetricsReport, Scenario, evaluate,
                        run_experiment, write_experiment_csv)
 from .gradcheck import run_all
-from .model import load_checkpoint, new_model, save_checkpoint
+from .model import load_checkpoint, new_model
 from .nn import DEFAULT_HIDDEN_DIM
 from .theory import (DiscreteJoint, LOG4, brute_force_discriminator, check_theorem,
                      mixture, optimal_discriminator, random_joint)
@@ -29,18 +29,11 @@ from .train import TrainConfig, train
 
 
 def _train_config(cfg: ConfigMap) -> TrainConfig:
-    return TrainConfig(
-        iterations=cfg.get_int("iterations"),
-        minibatch_size=cfg.get_int("minibatch_size"),
-        alpha=cfg.get_float("alpha", 1e-4),
-        beta1=cfg.get_float("beta1", 0.5),
-        beta2=cfg.get_float("beta2", 0.999),
-        epsilon=cfg.get_float("epsilon", 1e-8),
-        seed=cfg.get_int("seed", 0),
-        fm_weight=cfg.get_float("fm_weight", 1.0),
-        eval_every=cfg.get_int("eval_every", 0),
-        checkpoint_every=cfg.get_int("checkpoint_every", 0),
-    )
+    """Read every TrainConfig field under its own name, type and default."""
+    getters = {"int": cfg.get_int, "float": cfg.get_float}
+    return TrainConfig(**{
+        f.name: getters[f.type](f.name, None if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(TrainConfig)})
 
 
 def _synthetic_spec(cfg: ConfigMap) -> SyntheticSpec:
@@ -92,7 +85,6 @@ def cmd_train(args) -> int:
     run_cfg = dataclasses.replace(tc, seed=int(train_ss.generate_state(1)[0]))
     _, rows = train(model, dataset, run_cfg, heldout=heldout,
                     metrics_path=args.metrics, checkpoint_path=args.out_checkpoint)
-    save_checkpoint(args.out_checkpoint, model, tc.seed, tc.iterations)
     if rows:
         last = rows[-1]
         print(f"final iter={last[0]} loss_d={repr(float(last[1]))} "
@@ -287,8 +279,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError, DimensionError, NumericError,
-            OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # every viewgan.errors type is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

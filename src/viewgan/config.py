@@ -13,9 +13,17 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
+def _to_bool(v: str) -> bool:
+    low = v.strip().lower()
+    if low not in _TRUE | _FALSE:
+        raise ValueError(v)
+    return low in _TRUE
+
+
 class ConfigMap:
-    def __init__(self, pairs: dict, source: str = "<config>"):
+    def __init__(self, pairs: dict, lines: dict, source: str = "<config>"):
         self._pairs = dict(pairs)
+        self._lines = lines  # key -> the 1-based line that set it
         self._source = source
 
     def _pop(self, key, default):
@@ -29,40 +37,35 @@ class ConfigMap:
             raise ConfigError(f"{self._source}: missing required key {key!r}")
         return v
 
-    def get_int(self, key: str, default=None) -> int:
+    def _typed(self, key: str, default, convert, needs: str):
         v = self.get_str(key, None if default is None else str(default))
         try:
-            return int(v)
+            return convert(v)
         except ValueError:
-            raise ConfigError(f"{self._source}: key {key!r} needs an integer, got {v!r}") from None
+            raise ConfigError(f"{self._source}: line {self._lines[key]}: "
+                              f"key {key!r} needs {needs}, got {v!r}") from None
+
+    def get_int(self, key: str, default=None) -> int:
+        return self._typed(key, default, int, "an integer")
 
     def get_float(self, key: str, default=None) -> float:
-        v = self.get_str(key, None if default is None else repr(float(default)))
-        try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"{self._source}: key {key!r} needs a number, got {v!r}") from None
+        return self._typed(key, default, float, "a number")
 
     def get_bool(self, key: str, default=None) -> bool:
-        v = self.get_str(key, None if default is None else str(default).lower())
-        low = str(v).strip().lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ConfigError(f"{self._source}: key {key!r} needs true/false, got {v!r}")
+        return self._typed(key, default, _to_bool, "true/false")
 
     def has(self, key: str) -> bool:
         return key in self._pairs
 
     def finish(self):
         if self._pairs:
-            stray = ", ".join(sorted(self._pairs))
-            raise ConfigError(f"{self._source}: unknown keys: {stray}")
+            stray = "; ".join(f"line {self._lines[k]}: unknown key {k!r}"
+                              for k in sorted(self._pairs, key=self._lines.get))
+            raise ConfigError(f"{self._source}: {stray}")
 
 
 def parse_kv_text(text: str, source: str = "<config>") -> ConfigMap:
-    pairs = {}
+    pairs, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -74,7 +77,8 @@ def parse_kv_text(text: str, source: str = "<config>") -> ConfigMap:
         if key in pairs:
             raise DataFormatError(f"duplicate key {key!r}", line=lineno)
         pairs[key] = value.strip()
-    return ConfigMap(pairs, source)
+        lines[key] = lineno
+    return ConfigMap(pairs, lines, source)
 
 
 def load_kv_file(path) -> ConfigMap:

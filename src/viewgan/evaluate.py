@@ -195,9 +195,7 @@ class RepeatResult:
     class_accuracy: float
 
 
-METRIC_FIELDS = ("accuracy", "macro_f1", "fake_rate",
-                 "baseline1_accuracy", "baseline2_accuracy", "bayes_accuracy",
-                 "class_accuracy")
+METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(RepeatResult))[1:]  # all but ``repeat``
 
 
 @dataclass(frozen=True)

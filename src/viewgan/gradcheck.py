@@ -115,19 +115,20 @@ def _check_loss(rng, family: str) -> float:
         analytic = loss_discriminator(model, batch)[1].params()
     elif family in ("loss-g1", "loss-g2"):
         v = 1 if family == "loss-g1" else 2
-        target_net = model.gen1 if v == 1 else model.gen2
+        target_net = model.generator(v)
         loss_fn = lambda: loss_generator(model, v, batch, fm_weight=1.0)[0]
         analytic = loss_generator(model, v, batch, fm_weight=1.0)[1].params()
     else:  # feature-matching, through generator 1
-        target_net = model.gen1
-        gen_in = np.concatenate([batch.noise_v1, batch.miss1.view2], axis=1)
+        target_net = model.generator(1)
+        noise, observed, _ = batch.side(1)
+        gen_in = np.concatenate([noise, observed], axis=1)
         real = (batch.full.view1, batch.full.view2)
 
         def loss_fn():
-            tr = forward(model.gen1, gen_in)
+            tr = forward(target_net, gen_in)
             return feature_matching_penalty(model, 1, real, tr)[0]
 
-        tr = forward(model.gen1, gen_in)
+        tr = forward(target_net, gen_in)
         analytic = feature_matching_penalty(model, 1, real, tr)[1].params()
 
     numeric = finite_difference(loss_fn, target_net.params())

@@ -42,17 +42,27 @@ class TripartiteModel:
     def __post_init__(self):
         if min(self.d1, self.d2) < 1 or self.num_classes < 1:
             raise DimensionError("d1, d2 and num_classes must be positive")
-        both = self.d1 + self.d2
-        if self.gen1.input_dim != both or self.gen1.output_dim != self.d1:
-            raise DimensionError("gen1 must map d1+d2 inputs to d1 outputs")
-        if self.gen2.input_dim != both or self.gen2.output_dim != self.d2:
-            raise DimensionError("gen2 must map d1+d2 inputs to d2 outputs")
-        if self.disc.input_dim != both or self.disc.output_dim != self.num_classes + 1:
-            raise DimensionError("disc must map d1+d2 inputs to num_classes+1 outputs")
-        if self.gen1.output_kind != LINEAR or self.gen2.output_kind != LINEAR:
-            raise ValueError("generators must have linear outputs")
-        if self.disc.output_kind != SOFTMAX:
-            raise ValueError("discriminator must have a softmax output")
+        for name, kind, n_in, n_out in _nets(self.d1, self.d2, self.num_classes):
+            net = getattr(self, name)
+            if (net.input_dim, net.output_dim) != (n_in, n_out):
+                raise DimensionError(f"{name} must map {n_in} inputs to {n_out} outputs")
+            if net.output_kind != kind:
+                raise ValueError(f"{name} must have a {kind} output")
+
+    def generator(self, v: int) -> Mlp:
+        """The generator that completes view ``v`` (1 or 2)."""
+        if v not in (1, 2):
+            raise ValueError(f"which_view must be 1 or 2, got {v}")
+        return self.gen1 if v == 1 else self.gen2
+
+    def slot(self, v: int, block: np.ndarray) -> np.ndarray:
+        """View ``v``'s columns of an (n, d1+d2) [view1 | view2] block."""
+        return block[:, :self.d1] if self.generator(v) is self.gen1 else block[:, self.d1:]
+
+    def completed_pair(self, v: int, generated, observed) -> np.ndarray:
+        """The [view1 | view2] pair block with ``generated`` in slot ``v``."""
+        parts = [generated, observed] if self.generator(v) is self.gen1 else [observed, generated]
+        return np.concatenate(parts, axis=1)
 
     def copy(self) -> "TripartiteModel":
         return TripartiteModel(self.d1, self.d2, self.num_classes,
@@ -63,11 +73,17 @@ def new_model(d1: int, d2: int, num_classes: int,
               rng: np.random.Generator,
               hidden_dim: int = DEFAULT_HIDDEN_DIM) -> TripartiteModel:
     """Fresh Xavier-initialized model. Draw order: gen1, gen2, disc."""
+    nets = [init_mlp(n_in, hidden_dim, n_out, kind, rng)
+            for _, kind, n_in, n_out in _nets(d1, d2, num_classes)]
+    return TripartiteModel(d1, d2, num_classes, *nets)
+
+
+def _nets(d1: int, d2: int, num_classes: int):
+    """(name, output kind, input dim, output dim) of each player, in the
+    order of initialization and of the checkpoint."""
     both = d1 + d2
-    gen1 = init_mlp(both, hidden_dim, d1, LINEAR, rng)
-    gen2 = init_mlp(both, hidden_dim, d2, LINEAR, rng)
-    disc = init_mlp(both, hidden_dim, num_classes + 1, SOFTMAX, rng)
-    return TripartiteModel(d1, d2, num_classes, gen1, gen2, disc)
+    return (("gen1", LINEAR, both, d1), ("gen2", LINEAR, both, d2),
+            ("disc", SOFTMAX, both, num_classes + 1))
 
 
 def _rows(a, what: str) -> np.ndarray:
@@ -82,12 +98,8 @@ def generator_input(model: TripartiteModel, which_view: int, observed, noise) ->
     completing ``which_view``."""
     observed = _rows(observed, "observed view")
     noise = _rows(noise, "noise")
-    if which_view == 1:
-        d_gen, d_obs = model.d1, model.d2
-    elif which_view == 2:
-        d_gen, d_obs = model.d2, model.d1
-    else:
-        raise ValueError(f"which_view must be 1 or 2, got {which_view}")
+    gen = model.generator(which_view)
+    d_gen, d_obs = gen.output_dim, gen.input_dim - gen.output_dim
     if noise.shape[-1] != d_gen:
         raise DimensionError(f"noise dim {noise.shape[-1]} != generated view dim {d_gen}")
     if observed.shape[-1] != d_obs:
@@ -103,8 +115,8 @@ def generate(model: TripartiteModel, which_view: int, observed, noise) -> np.nda
     Output is the raw linear layer; no squashing is applied so generated
     values can match any real-valued view. Takes and returns (n, d) blocks.
     """
-    gen = model.gen1 if which_view == 1 else model.gen2
-    return forward(gen, generator_input(model, which_view, observed, noise)).output
+    return forward(model.generator(which_view),
+                   generator_input(model, which_view, observed, noise)).output
 
 
 def pair_input(model: TripartiteModel, x1, x2) -> np.ndarray:
@@ -169,9 +181,8 @@ def save_checkpoint(path, model: TripartiteModel, seed: int, step: int) -> None:
             f.write(f"dims {model.d1} {model.d2} {model.num_classes}\n")
             f.write(f"seed {seed}\n")
             f.write(f"step {step}\n")
-            _write_net(f, "gen1", model.gen1)
-            _write_net(f, "gen2", model.gen2)
-            _write_net(f, "disc", model.disc)
+            for name, *_ in _nets(model.d1, model.d2, model.num_classes):
+                _write_net(f, name, getattr(model, name))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -195,7 +206,13 @@ def _read_vector(reader: _LineReader, size: int) -> np.ndarray:
     parts = reader.next().split()
     if len(parts) != size:
         raise DataFormatError(f"expected {size} values, got {len(parts)}", line=reader.pos)
-    return np.array([float(p) for p in parts], dtype=np.float64)
+    try:
+        vec = np.array([float(p) for p in parts], dtype=np.float64)
+    except ValueError:
+        raise DataFormatError("values must be numbers", line=reader.pos) from None
+    if not np.all(np.isfinite(vec)):
+        raise DataFormatError("values must be finite", line=reader.pos)
+    return vec
 
 
 def _int_fields(fields, line: int, what: str, low: int | None = None) -> list[int]:
@@ -216,14 +233,16 @@ def _read_header(reader: _LineReader, key: str, count: int, low: int | None = No
     return _int_fields(parts[1:], reader.pos, key, low)
 
 
-def _read_net(reader: _LineReader, expected_name: str) -> Mlp:
+def _read_net(reader: _LineReader, name: str, kind: str,
+              input_dim: int, output_dim: int) -> Mlp:
+    """Read net ``name``, whose header must agree with its entry in ``_nets``."""
     parts = reader.next().split()
-    if len(parts) != 6 or parts[0] != "net" or parts[1] != expected_name:
-        raise DataFormatError(f"expected 'net {expected_name} ...' header", line=reader.pos)
-    kind = parts[2]
-    if kind not in (LINEAR, SOFTMAX):
-        raise DataFormatError(f"unknown output kind {kind!r}", line=reader.pos)
-    input_dim, hidden_dim, output_dim = _int_fields(parts[3:6], reader.pos, "net sizes", low=1)
+    if len(parts) != 6 or parts[:3] != ["net", name, kind]:
+        raise DataFormatError(f"expected a 'net {name} {kind} ...' header", line=reader.pos)
+    got_in, hidden_dim, got_out = _int_fields(parts[3:6], reader.pos, "net sizes", low=1)
+    if (got_in, got_out) != (input_dim, output_dim):
+        raise DataFormatError(f"net {name} must map {input_dim} inputs to {output_dim} "
+                              f"outputs, as dims says", line=reader.pos)
     w_in = np.stack([_read_vector(reader, input_dim) for _ in range(hidden_dim)])
     b_in = _read_vector(reader, hidden_dim)
     w_out = np.stack([_read_vector(reader, hidden_dim) for _ in range(output_dim)])
@@ -245,8 +264,5 @@ def load_checkpoint(path) -> tuple[TripartiteModel, int, int]:
     d1, d2, num_classes = _read_header(reader, "dims", 3, low=1)
     (seed,) = _read_header(reader, "seed", 1)
     (step,) = _read_header(reader, "step", 1, low=0)
-    gen1 = _read_net(reader, "gen1")
-    gen2 = _read_net(reader, "gen2")
-    disc = _read_net(reader, "disc")
-    model = TripartiteModel(d1, d2, num_classes, gen1, gen2, disc)
-    return model, seed, step
+    nets = [_read_net(reader, *net) for net in _nets(d1, d2, num_classes)]
+    return TripartiteModel(d1, d2, num_classes, *nets), seed, step

@@ -116,7 +116,6 @@ class ForwardTrace:
     """
 
     input: np.ndarray
-    hidden_pre: np.ndarray
     hidden_act: np.ndarray
     output_pre: np.ndarray
     output: np.ndarray
@@ -130,19 +129,19 @@ def forward(net: Mlp, x) -> ForwardTrace:
             f"input shape {x.shape} incompatible with input_dim {net.input_dim}")
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite input")
-    hidden_pre = x @ net.weights_in.T + net.bias_in
-    hidden_act = sigmoid(hidden_pre)
+    hidden_act = sigmoid(x @ net.weights_in.T + net.bias_in)
     output_pre = hidden_act @ net.weights_out.T + net.bias_out
     output = softmax(output_pre) if net.output_kind == SOFTMAX else output_pre
-    return ForwardTrace(x, hidden_pre, hidden_act, output_pre, output)
+    return ForwardTrace(x, hidden_act, output_pre, output)
 
 
 @dataclass(eq=False)
 class MlpGrads:
     """Gradients for the four parameter blocks plus the input gradient.
 
-    ``input_grad`` is None for gradients accumulated over several forward
-    passes, where a single input gradient has no meaning.
+    ``input_grad`` is the input gradient of the pass ``backward`` ran. Sums
+    over several passes (``loss_discriminator``) keep the first pass's;
+    zero gradients built without a pass carry None.
     """
 
     weights_in: np.ndarray

@@ -10,6 +10,7 @@ through the frozen discriminator into the slot its view occupies.
 from __future__ import annotations
 
 import logging
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,15 @@ class Minibatch:
                  self.noise_v1.shape[0], self.noise_v2.shape[0])
         if m < 1 or any(n != m for n in sized):
             raise DimensionError("all minibatch blocks must share one size m_b")
+
+    def side(self, v: int):
+        """(noise, observed other view, labels) for generator ``v``, drawn
+        from the subset that lacks view v."""
+        if v == 1:
+            return self.noise_v1, self.miss1.view2, self.miss1.label
+        if v == 2:
+            return self.noise_v2, self.miss2.view1, self.miss2.label
+        raise ValueError(f"which_view must be 1 or 2, got {v}")
 
 
 @dataclass
@@ -97,6 +107,16 @@ def clamped_class_grad(probs: np.ndarray, targets: np.ndarray, coeff: float):
     return loss, dlogits
 
 
+def _complete(model: TripartiteModel, v: int, batch: Minibatch):
+    """Run generator ``v`` on its side of the batch.
+
+    Returns (generator trace, completed [view1 | view2] pairs, labels).
+    """
+    noise, observed, labels = batch.side(v)
+    trace = forward(model.generator(v), np.concatenate([noise, observed], axis=1))
+    return trace, model.completed_pair(v, trace.output, observed), labels
+
+
 def loss_discriminator(model: TripartiteModel, batch: Minibatch):
     """Empirical discriminator loss and its parameter gradients.
 
@@ -105,22 +125,13 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch):
     completed by either generator (weight 1/(2*m_b) per sample each).
     Generator outputs are data here; nothing flows back into the generators.
     """
-    full, miss1, miss2 = batch.full, batch.miss1, batch.miss2
+    full = batch.full
     m_b = len(full)
     k = model.num_classes
-    fake_idx = k
-
-    gen1_out = forward(model.gen1, np.concatenate([batch.noise_v1, miss1.view2], axis=1)).output
-    gen2_out = forward(model.gen2, np.concatenate([batch.noise_v2, miss2.view1], axis=1)).output
-
-    groups = [
-        (np.concatenate([full.view1, full.view2], axis=1),
-         np.argmax(full.label, axis=1), 1.0 / (m_b * (k + 1))),
-        (np.concatenate([gen1_out, miss1.view2], axis=1),
-         np.full(m_b, fake_idx), 1.0 / (2.0 * m_b)),
-        (np.concatenate([miss2.view1, gen2_out], axis=1),
-         np.full(m_b, fake_idx), 1.0 / (2.0 * m_b)),
-    ]
+    groups = [(np.concatenate([full.view1, full.view2], axis=1),
+               np.argmax(full.label, axis=1), 1.0 / (m_b * (k + 1)))]
+    groups += [(_complete(model, v, batch)[1], np.full(m_b, k), 1.0 / (2.0 * m_b))
+               for v in (1, 2)]
 
     total = 0.0
     grads: MlpGrads | None = None
@@ -150,15 +161,9 @@ def feature_matching_penalty(model: TripartiteModel, which_view: int,
     x1_real, x2_real = real_pairs
     if x1_real.shape[0] < 1 or gen_trace.output.shape[0] < 1:
         raise ConfigError("feature matching needs non-empty real and generated batches")
-    gen = model.gen1 if which_view == 1 else model.gen2
-    d_gen = model.d1 if which_view == 1 else model.d2
-    observed = gen_trace.input[:, d_gen:]
-    if which_view == 1:
-        gen_pairs = np.concatenate([gen_trace.output, observed], axis=1)
-    elif which_view == 2:
-        gen_pairs = np.concatenate([observed, gen_trace.output], axis=1)
-    else:
-        raise ValueError(f"which_view must be 1 or 2, got {which_view}")
+    gen = model.generator(which_view)
+    gen_pairs = model.completed_pair(which_view, gen_trace.output,
+                                     gen_trace.input[:, gen.output_dim:])
 
     feats_real = forward(model.disc, np.concatenate([x1_real, x2_real], axis=1)).hidden_act
     trace_d = forward(model.disc, gen_pairs)
@@ -175,8 +180,7 @@ def feature_matching_penalty(model: TripartiteModel, which_view: int,
     d_feats = (-delta / norm) / n_gen
     d_hidden_pre = d_feats * feats_gen * (1.0 - feats_gen)
     d_pairs = d_hidden_pre @ model.disc.weights_in
-    d_gen_view = d_pairs[:, :model.d1] if which_view == 1 else d_pairs[:, model.d1:]
-    return norm, backward(gen, gen_trace, d_gen_view)
+    return norm, backward(gen, gen_trace, model.slot(which_view, d_pairs))
 
 
 def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
@@ -187,28 +191,13 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
     discriminator into the input slot the generated view occupies.
     """
     m_b = len(batch.full)
-    k = model.num_classes
-    coeff = 1.0 / (m_b * (k + 1))
-    if which_view == 1:
-        gen, noise, observed, labels = (model.gen1, batch.noise_v1,
-                                        batch.miss1.view2, batch.miss1.label)
-    elif which_view == 2:
-        gen, noise, observed, labels = (model.gen2, batch.noise_v2,
-                                        batch.miss2.view1, batch.miss2.label)
-    else:
-        raise ValueError(f"which_view must be 1 or 2, got {which_view}")
-
-    gen_trace = forward(gen, np.concatenate([noise, observed], axis=1))
-    if which_view == 1:
-        pairs = np.concatenate([gen_trace.output, observed], axis=1)
-    else:
-        pairs = np.concatenate([observed, gen_trace.output], axis=1)
+    coeff = 1.0 / (m_b * (model.num_classes + 1))
+    gen_trace, pairs, labels = _complete(model, which_view, batch)
 
     trace_d = forward(model.disc, pairs)
     class_loss, dlogits = clamped_class_grad(trace_d.output, np.argmax(labels, axis=1), coeff)
     d_input = backward(model.disc, trace_d, dlogits).input_grad
-    d_gen_view = d_input[:, :model.d1] if which_view == 1 else d_input[:, model.d1:]
-    grads = backward(gen, gen_trace, d_gen_view)
+    grads = backward(model.generator(which_view), gen_trace, model.slot(which_view, d_input))
 
     penalty, fm_grads = feature_matching_penalty(
         model, which_view, (batch.full.view1, batch.full.view2), gen_trace)
@@ -249,45 +238,44 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
     the other players held fixed. Returns (model, rows) where each row is
     (iteration, loss_d, loss_g1, loss_g2, heldout accuracy or None). When
     metrics_path is given the rows are streamed to a CSV with header
-    ``iter,loss_d,loss_g1,loss_g2,heldout_acc``.
+    ``iter,loss_d,loss_g1,loss_g2,heldout_acc``. When checkpoint_path is
+    given, the model is saved there, with config.seed, after every
+    checkpoint_every-th step and after the last one (before any step if
+    there are none), each step at most once.
     """
     rng = np.random.default_rng(config.seed)
-    adam_d = AdamState.for_params(model.disc.params(), config.alpha, config.beta1,
-                                  config.beta2, config.epsilon)
-    adam_g1 = AdamState.for_params(model.gen1.params(), config.alpha, config.beta1,
-                                   config.beta2, config.epsilon)
-    adam_g2 = AdamState.for_params(model.gen2.params(), config.alpha, config.beta1,
-                                   config.beta2, config.epsilon)
+    adam = [AdamState.for_params(net.params(), config.alpha, config.beta1,
+                                 config.beta2, config.epsilon)
+            for net in (model.disc, model.generator(1), model.generator(2))]
 
     rows = []
-    out = open(metrics_path, "w", encoding="ascii") if metrics_path else None
-    try:
+    with open(metrics_path, "w", encoding="ascii") if metrics_path else nullcontext() as out:
         if out:
             out.write("iter,loss_d,loss_g1,loss_g2,heldout_acc\n")
+        if checkpoint_path and config.iterations == 0:
+            save_checkpoint(checkpoint_path, model, config.seed, 0)
         for i in range(config.iterations):
             try:
                 batch = sample_minibatch(dataset, config.minibatch_size, rng)
-                loss_d, grads_d = loss_discriminator(model, batch)
-                adam_step(model.disc.params(), grads_d.params(), adam_d)
-                loss_g1, grads_g1 = loss_generator(model, 1, batch, config.fm_weight)
-                adam_step(model.gen1.params(), grads_g1.params(), adam_g1)
-                loss_g2, grads_g2 = loss_generator(model, 2, batch, config.fm_weight)
-                adam_step(model.gen2.params(), grads_g2.params(), adam_g2)
+                loss_d, grads = loss_discriminator(model, batch)
+                adam_step(model.disc.params(), grads.params(), adam[0])
+                losses = [loss_d]
+                for v in (1, 2):
+                    loss, grads = loss_generator(model, v, batch, config.fm_weight)
+                    adam_step(model.generator(v).params(), grads.params(), adam[v])
+                    losses.append(loss)
             except NumericError as e:
                 raise NumericError(f"iteration {i}: {e}") from e
 
+            step = i + 1
             acc = None
-            if heldout is not None and config.eval_every and (i + 1) % config.eval_every == 0:
+            if heldout is not None and config.eval_every and step % config.eval_every == 0:
                 acc = _heldout_accuracy(model, heldout)
-            rows.append((i, loss_d, loss_g1, loss_g2, acc))
+            rows.append((i, *losses, acc))
             if out:
                 acc_s = "" if acc is None else repr(float(acc))
-                out.write(f"{i},{repr(float(loss_d))},{repr(float(loss_g1))},"
-                          f"{repr(float(loss_g2))},{acc_s}\n")
-            if (checkpoint_path and config.checkpoint_every
-                    and (i + 1) % config.checkpoint_every == 0):
-                save_checkpoint(checkpoint_path, model, config.seed, i + 1)
-    finally:
-        if out:
-            out.close()
+                out.write(f"{i},{','.join(repr(float(x)) for x in losses)},{acc_s}\n")
+            if checkpoint_path and (step == config.iterations or (
+                    config.checkpoint_every and step % config.checkpoint_every == 0)):
+                save_checkpoint(checkpoint_path, model, config.seed, step)
     return model, rows

@@ -1,5 +1,7 @@
 """End-to-end tests of the command line interface."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -45,8 +47,12 @@ def synth_files(tmp_path):
     return train_f, test_f
 
 
-def test_synth_prints_bayes(synth_files, capsys):
-    # fixture already ran the command; just check the files exist and parse
+def test_synth_prints_bayes(capsys, synth_files):
+    # capsys comes first, so it captures what the fixture's synth run printed
+    bayes = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("bayes_accuracy=")]
+    assert len(bayes) == 1
+    assert 1 / 2 <= float(bayes[0].split("=", 1)[1]) <= 1  # K = 2
     train_f, test_f = synth_files
     import viewgan as vg
     ds = vg.load_multiview_file(train_f)
@@ -106,6 +112,29 @@ def test_cli_train_is_bitwise_deterministic(tmp_path, synth_files):
         assert rc == 0
         outputs.append((ckpt.read_bytes(), metrics.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_train_writes_each_checkpoint_once_with_one_seed(tmp_path, synth_files, monkeypatch):
+    import viewgan.model as model_mod
+    original = model_mod.save_checkpoint
+    saves = []
+
+    def record(path, model, seed, step):
+        saves.append((seed, step))
+        original(path, model, seed, step)
+
+    # whichever viewgan module writes a checkpoint, the write is recorded
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("viewgan") and getattr(mod, "save_checkpoint", None) is original:
+            monkeypatch.setattr(mod, "save_checkpoint", record)
+    cfg = write(tmp_path / "train.cfg", "iterations = 4\nminibatch_size = 3\nseed = 9\n"
+                "hidden_dim = 4\ncheckpoint_every = 2\n")
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", cfg, "--data", synth_files[0],
+                 "--out-checkpoint", str(ckpt)]) == 0
+    assert [step for _, step in saves] == [2, 4]
+    assert len({seed for seed, _ in saves}) == 1
+    assert f"seed {saves[-1][0]}" in ckpt.read_text().splitlines()
 
 
 def test_experiment_command(tmp_path, capsys):

@@ -32,19 +32,23 @@ def test_defaults_and_missing():
 
 def test_type_errors_name_the_key():
     cfg = parse_kv_text("n = soon\nx = maybe\nb = 2\n")
-    with pytest.raises(ConfigError, match="'n'"):
+    with pytest.raises(ConfigError, match="'n'") as err:
         cfg.get_int("n")
-    with pytest.raises(ConfigError, match="'x'"):
+    assert "line 1:" in str(err.value)
+    with pytest.raises(ConfigError, match="'x'") as err:
         cfg.get_float("x")
-    with pytest.raises(ConfigError, match="'b'"):
+    assert "line 2:" in str(err.value)
+    with pytest.raises(ConfigError, match="'b'") as err:
         cfg.get_bool("b")
+    assert "line 3:" in str(err.value)
 
 
 def test_finish_rejects_stray_keys():
-    cfg = parse_kv_text("known = 1\ntypo_key = 2\n")
+    cfg = parse_kv_text("known = 1\n\ntypo_key = 2\n")
     cfg.get_int("known")
-    with pytest.raises(ConfigError, match="typo_key"):
+    with pytest.raises(ConfigError, match="typo_key") as err:
         cfg.finish()
+    assert "line 3:" in str(err.value)
 
 
 def test_malformed_lines_carry_line_numbers():

@@ -93,7 +93,7 @@ def test_partitioned_dataset_rejects_bad_subset(damage, error):
         vg.PartitionedDataset(**subsets, d1=3, d2=2, num_classes=2)
 
 
-def test_stack_examples():
+def test_views_hold_examples_as_rows():
     # a Views holds its examples stacked as rows; a missing view is None
     views = make_views(3)
     assert len(views) == 3
@@ -111,13 +111,13 @@ def test_stack_examples():
     assert all(ex.view1 is None for ex in missing)
 
 
-def test_stack_examples_rejects_mixed_patterns():
+def test_split_for_protocol_rejects_a_pool_lacking_a_view():
     # the protocol split takes a pool of complete pairs only
     with pytest.raises(ValueError):
         vg.split_for_protocol(make_views(6, miss=1), 2, 2, 2, seed=0)
 
 
-def test_stack_examples_rejects_empty():
+def test_split_for_protocol_rejects_an_empty_pool():
     with pytest.raises(ConfigError):
         vg.split_for_protocol(make_views(0), 0, 0, 0, seed=0)
 

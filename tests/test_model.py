@@ -133,6 +133,24 @@ def test_checkpoint_header_errors_carry_line_numbers(tmp_path, lineno, bad):
     assert err.value.line == lineno
 
 
+@pytest.mark.parametrize("lineno,damage", [
+    (7, lambda line: "abc" + line[line.index(" "):]),
+    (7, lambda line: "nan" + line[line.index(" "):]),
+    (6, lambda line: line.replace(" linear ", " softmax ")),
+    (6, lambda line: line.replace(" 7 5 3", " 7 5 4")),
+], ids=["not-a-number", "non-finite", "wrong-output-kind", "sizes-disagree-with-dims"])
+def test_checkpoint_net_errors_carry_line_numbers(tmp_path, lineno, damage):
+    # line 6 is the 'net gen1 linear 7 5 3' header, line 7 its first weight row
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, small_model(), seed=0, step=0)
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = damage(lines[lineno - 1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError) as err:
+        load_checkpoint(path)
+    assert err.value.line == lineno
+
+
 def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, small_model(seed=1), seed=0, step=1)

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 import viewgan as vg
+import viewgan.train as train_mod
 from viewgan.data import Views, one_hot
 from viewgan.errors import ConfigError, DimensionError
-from viewgan.model import discriminate, generate, new_model
+from viewgan.evaluate import train_singleview_baseline
+from viewgan.model import discriminate, generate, generator_input, new_model
+from viewgan.nn import forward
 from viewgan.train import (LOG_CLAMP, Minibatch, TrainConfig,
                            feature_matching_penalty, loss_discriminator,
                            loss_generator, sample_minibatch, train)
@@ -109,8 +112,6 @@ def test_feature_matching_zero_when_distributions_match():
     noise = batch.noise_v1
     observed = batch.miss1.view2
     fake1 = generate(model, 1, observed, noise)
-    from viewgan.nn import forward
-    from viewgan.model import generator_input
     trace = forward(model.gen1, generator_input(model, 1, observed, noise))
     # feed the generator's own output back as the "real" pairs: means match
     penalty, grads = feature_matching_penalty(
@@ -123,8 +124,6 @@ def test_feature_matching_zero_when_distributions_match():
 def test_feature_matching_positive_otherwise():
     model = new_model(2, 2, 2, np.random.default_rng(8), hidden_dim=4)
     batch = make_batch(m_b=3, k=2, seed=9)
-    from viewgan.nn import forward
-    from viewgan.model import generator_input
     trace = forward(model.gen1, generator_input(model, 1, batch.miss1.view2, batch.noise_v1))
     penalty, grads = feature_matching_penalty(
         model, 1, (batch.full.view1, batch.full.view2), trace)
@@ -263,6 +262,20 @@ def test_train_checkpoints(tmp_path):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("iterations,every,steps", [
+    (0, 0, [0]), (3, 0, [3]), (5, 2, [2, 4, 5]), (4, 2, [2, 4]),
+])
+def test_train_saves_after_the_last_step(tmp_path, monkeypatch, iterations, every, steps):
+    saved = []
+    monkeypatch.setattr(train_mod, "save_checkpoint",
+                        lambda path, model, seed, step: saved.append(step))
+    ds, _, _ = small_task()
+    cfg = TrainConfig(iterations=iterations, minibatch_size=2, checkpoint_every=every)
+    train(new_model(3, 3, 2, np.random.default_rng(4), hidden_dim=4), ds, cfg,
+          checkpoint_path=tmp_path / "model.ckpt")
+    assert saved == steps
+
+
 def test_training_moves_losses():
     ds, _, _ = small_task(seed=5)
     cfg = TrainConfig(iterations=40, minibatch_size=4, alpha=1e-3, seed=1)
@@ -280,3 +293,24 @@ def test_train_config_validation():
         TrainConfig(iterations=1, minibatch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(iterations=1, minibatch_size=2, alpha=-1.0)
+
+
+# ---------------------------------------------------------------- views
+
+@pytest.mark.parametrize("call", [
+    lambda m, b, ds: generate(m, 3, b.miss1.view2, b.noise_v1),
+    lambda m, b, ds: generator_input(m, 3, b.miss1.view2, b.noise_v1),
+    lambda m, b, ds: loss_generator(m, 3, b),
+    lambda m, b, ds: feature_matching_penalty(
+        m, 3, (b.full.view1, b.full.view2),
+        forward(m.gen1, generator_input(m, 1, b.miss1.view2, b.noise_v1))),
+    lambda m, b, ds: ds.observing(3),
+    lambda m, b, ds: train_singleview_baseline(
+        3, ds, TrainConfig(iterations=1, minibatch_size=2), ds.s_full),
+], ids=["generate", "generator_input", "loss_generator", "feature_matching_penalty",
+        "observing", "train_singleview_baseline"])
+def test_view_taking_entries_reject_a_third_view(call):
+    ds, _, _ = small_task(d1=2, d2=2)
+    model = new_model(2, 2, 2, np.random.default_rng(0), hidden_dim=4)
+    with pytest.raises(ValueError, match="which_view must be 1 or 2"):
+        call(model, make_batch(m_b=2, k=2), ds)
