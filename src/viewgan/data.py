@@ -3,8 +3,10 @@
 A training set splits into three subsets: examples with both views, examples
 missing view 1, and examples missing view 2. Every example is labeled. The
 synthetic generator produces Gaussian class-conditional views with a shared
-latent factor and reports the exact Bayes accuracy of the complete-pair task,
-which anchors end-to-end accuracy tests.
+latent factor and reports the Bayes accuracy of the complete-pair task, which
+anchors end-to-end accuracy tests: in closed form for two classes, otherwise
+by a 100,000-sample Monte Carlo over the K discriminant scores (standard
+error at most 0.0016).
 """
 
 from __future__ import annotations
@@ -294,35 +296,50 @@ def _pair_gaussian(spec: SyntheticSpec, a1: np.ndarray, a2: np.ndarray):
     return means, cov
 
 
+def _score_monte_carlo(means: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> float:
+    """Monte Carlo accuracy of the linear discriminant, drawn in score space.
+
+    With weights W = cov^-1 means^T and offsets c_k = 1/2 mu_k^T cov^-1 mu_k,
+    the K scores s = W^T x - c of a class-y pair are Gaussian with mean
+    G[y] - 1/2 diag G and covariance G = means cov^-1 means^T. Drawing
+    _BAYES_MC_SAMPLES score vectors gives the same estimator as drawing whole
+    pairs, without building any. G is singular when the means are linearly
+    dependent, so its square root comes from eigh, not Cholesky.
+    """
+    gram = means @ np.linalg.solve(cov, means.T)  # (K, K)
+    evals, evecs = np.linalg.eigh(gram)
+    root = evecs * np.sqrt(np.clip(evals, 0.0, None))  # root @ root.T == gram
+    labels = rng.integers(0, means.shape[0], size=_BAYES_MC_SAMPLES)
+    z = rng.standard_normal((_BAYES_MC_SAMPLES, means.shape[0]))
+    scores = z @ root.T
+    scores += (gram - 0.5 * np.diag(gram)).take(labels, axis=0)
+    return float(np.mean(np.argmax(scores, axis=1) == labels))
+
+
 def _bayes_accuracy(spec: SyntheticSpec, a1, a2, rng: np.random.Generator) -> float:
-    """Exact Bayes accuracy of the complete-pair task under equal priors.
+    """Bayes accuracy of the complete-pair task under equal priors.
 
     The class-conditional pairs are Gaussian with shared covariance, so the
     Bayes rule is the linear discriminant. For two classes the error has the
     closed form Phi(-delta/2) with delta the Mahalanobis distance between the
-    means; for more classes it is estimated by Monte Carlo with the exact
-    discriminant.
+    means; for more classes it is a 100,000-sample Monte Carlo over the K
+    discriminant scores (``_score_monte_carlo``), standard error at most 0.0016.
     """
     means, cov = _pair_gaussian(spec, a1, a2)
-    weights = np.linalg.solve(cov, means.T)  # (d1+d2, K)
     if spec.num_classes == 2:
         diff = means[1] - means[0]
         delta = math.sqrt(float(diff @ np.linalg.solve(cov, diff)))
         return 0.5 * (1.0 + math.erf(delta / (2.0 * math.sqrt(2.0))))
-    labels = rng.integers(0, spec.num_classes, size=_BAYES_MC_SAMPLES)
-    u = rng.standard_normal((_BAYES_MC_SAMPLES, spec.latent_dim))
-    eps = rng.standard_normal((_BAYES_MC_SAMPLES, spec.d1 + spec.d2))
-    a = np.concatenate([a1, a2], axis=0)
-    x = means[labels] + spec.view_correlation * u @ a.T + spec.noise_sigma * eps
-    scores = x @ weights - 0.5 * np.sum(means.T * weights, axis=0)
-    return float(np.mean(np.argmax(scores, axis=1) == labels))
+    return _score_monte_carlo(means, cov, rng)
 
 
 def generate_synthetic(spec: SyntheticSpec):
     """Draw a partitioned train set and a complete test set from the spec.
 
-    Returns (PartitionedDataset, complete test Views, bayes_accuracy). The same
-    seed reproduces everything, Bayes estimate included.
+    Returns (PartitionedDataset, complete test Views, bayes_accuracy). The
+    Bayes accuracy is exact for two classes and a Monte Carlo estimate
+    otherwise (``_bayes_accuracy``), drawn after the data from the same
+    generator. The same seed reproduces everything, Bayes estimate included.
     """
     rng = np.random.default_rng(spec.seed)
     scale = 1.0 / math.sqrt(spec.latent_dim)

@@ -224,9 +224,11 @@ def sample_minibatch(dataset: PartitionedDataset, m_b: int, rng: np.random.Gener
     return Minibatch(full[idx_full], miss1[idx_m1], miss2[idx_m2], noise_v1, noise_v2)
 
 
-def _heldout_accuracy(model: TripartiteModel, heldout: Views) -> float:
+def _heldout_accuracy(model: TripartiteModel, heldout: Views) -> tuple[float, float]:
+    """Fake-gated and class-head accuracy on held-out pairs, from one discriminate call."""
     fake, cls = decide_batch(discriminate(model, heldout.view1, heldout.view2))
-    return float(np.mean(~fake & (cls == np.argmax(heldout.label, axis=1))))
+    hit = cls == np.argmax(heldout.label, axis=1)
+    return float(np.mean(~fake & hit)), float(np.mean(hit))
 
 
 def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConfig,
@@ -236,12 +238,14 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
     Per step: sample one batch, then update the discriminator, generator 1,
     and generator 2 sequentially, each by one Adam step on its own loss with
     the other players held fixed. Returns (model, rows) where each row is
-    (iteration, loss_d, loss_g1, loss_g2, heldout accuracy or None). When
-    metrics_path is given the rows are streamed to a CSV with header
-    ``iter,loss_d,loss_g1,loss_g2,heldout_acc``. When checkpoint_path is
-    given, the model is saved there, with config.seed, after every
-    checkpoint_every-th step and after the last one (before any step if
-    there are none), each step at most once.
+    (iteration, loss_d, loss_g1, loss_g2, heldout_acc, heldout_class_acc):
+    heldout_acc is the Fake-gated accuracy and heldout_class_acc the class
+    head's argmax accuracy on the held-out pairs, both None on steps that
+    are not evaluated. When metrics_path is given the rows are streamed to a
+    CSV with header ``iter,loss_d,loss_g1,loss_g2,heldout_acc,heldout_class_acc``.
+    When checkpoint_path is given, the model is saved there, with
+    config.seed, after every checkpoint_every-th step and after the last one
+    (before any step if there are none), each step at most once.
     """
     rng = np.random.default_rng(config.seed)
     adam = [AdamState.for_params(net.params(), config.alpha, config.beta1,
@@ -251,7 +255,7 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
     rows = []
     with open(metrics_path, "w", encoding="ascii") if metrics_path else nullcontext() as out:
         if out:
-            out.write("iter,loss_d,loss_g1,loss_g2,heldout_acc\n")
+            out.write("iter,loss_d,loss_g1,loss_g2,heldout_acc,heldout_class_acc\n")
         if checkpoint_path and config.iterations == 0:
             save_checkpoint(checkpoint_path, model, config.seed, 0)
         for i in range(config.iterations):
@@ -268,12 +272,12 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
                 raise NumericError(f"iteration {i}: {e}") from e
 
             step = i + 1
-            acc = None
+            accs = (None, None)
             if heldout is not None and config.eval_every and step % config.eval_every == 0:
-                acc = _heldout_accuracy(model, heldout)
-            rows.append((i, *losses, acc))
+                accs = _heldout_accuracy(model, heldout)
+            rows.append((i, *losses, *accs))
             if out:
-                acc_s = "" if acc is None else repr(float(acc))
+                acc_s = ",".join("" if a is None else repr(a) for a in accs)
                 out.write(f"{i},{','.join(repr(float(x)) for x in losses)},{acc_s}\n")
             if checkpoint_path and (step == config.iterations or (
                     config.checkpoint_every and step % config.checkpoint_every == 0)):

@@ -74,8 +74,9 @@ def test_train_then_eval(tmp_path, synth_files, capsys):
     assert "checkpoint written" in out
 
     lines = open(metrics).read().splitlines()
-    assert lines[0] == "iter,loss_d,loss_g1,loss_g2,heldout_acc"
+    assert lines[0] == "iter,loss_d,loss_g1,loss_g2,heldout_acc,heldout_class_acc"
     assert len(lines) == 7
+    last_class_acc = lines[-1].split(",")[5]
 
     rc = main(["eval", "--checkpoint", ckpt, "--data", test_f,
                "--scenario", "complete"])
@@ -85,6 +86,8 @@ def test_train_then_eval(tmp_path, synth_files, capsys):
     lines = out.splitlines()
     i = next(i for i, line in enumerate(lines) if line.startswith("accuracy="))
     assert lines[i + 1].startswith("class_accuracy=")
+    # the last step is evaluated on the held-out file with the saved model
+    assert lines[i + 1] == f"class_accuracy={last_class_acc}"
 
 
 def test_eval_generated_scenario(tmp_path, synth_files, capsys):

@@ -1,11 +1,15 @@
 """Tests for dataset containers, the sparse two-view file format and the
 synthetic Gaussian task."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import viewgan as vg
+import viewgan.data as data_mod
 from viewgan.data import label_index, one_hot
 from viewgan.errors import ConfigError, DataFormatError, DimensionError
 
@@ -243,6 +247,83 @@ def test_bayes_accuracy_increases_with_separation():
     lo = vg.generate_synthetic(synth_spec(sigma=2.5, seed=3))[2]
     hi = vg.generate_synthetic(synth_spec(sigma=0.3, seed=3))[2]
     assert hi > lo
+
+
+def pair_space_bayes(spec, a1, a2, rng, n=100_000):
+    """The linear discriminant scored on whole pairs [view1|view2], each drawn
+    as the task draws it: class mean, latent factor, isotropic noise."""
+    means, cov = data_mod._pair_gaussian(spec, a1, a2)
+    weights = np.linalg.solve(cov, means.T)
+    y = rng.integers(0, spec.num_classes, size=n)
+    u = rng.standard_normal((n, spec.latent_dim))
+    eps = rng.standard_normal((n, spec.d1 + spec.d2))
+    x = means[y] + spec.view_correlation * u @ np.vstack([a1, a2]).T + spec.noise_sigma * eps
+    scores = x @ weights - 0.5 * np.sum(means.T * weights, axis=0)
+    return float(np.mean(np.argmax(scores, axis=1) == y))
+
+
+def mc_se(p, n=100_000):
+    return math.sqrt(p * (1.0 - p) / n)
+
+
+def latent_maps(spec, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((spec.d1, spec.latent_dim)),
+            rng.standard_normal((spec.d2, spec.latent_dim)))
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.4, 1.0])
+def test_score_monte_carlo_matches_the_binary_closed_form(rho):
+    spec = synth_spec(k=2, d1=5, d2=4, sigma=1.5, rho=rho)
+    a1, a2 = latent_maps(spec, 20)
+    exact = data_mod._bayes_accuracy(spec, a1, a2, np.random.default_rng(0))
+    means, cov = data_mod._pair_gaussian(spec, a1, a2)
+    mc = data_mod._score_monte_carlo(means, cov, np.random.default_rng(21))
+    assert abs(mc - exact) < 4 * mc_se(exact)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("rho", [0.0, 0.7, 1.0])
+def test_score_monte_carlo_matches_pair_space_sampling(k, rho):
+    spec = synth_spec(k=k, d1=6, d2=5, sigma=1.2, rho=rho)
+    a1, a2 = latent_maps(spec, 30 + k)
+    mc = data_mod._bayes_accuracy(spec, a1, a2, np.random.default_rng(31))
+    ref = pair_space_bayes(spec, a1, a2, np.random.default_rng(32))
+    assert abs(mc - ref) < 4 * math.hypot(mc_se(mc), mc_se(ref))
+
+
+def test_bayes_accuracy_with_collinear_means():
+    # means 0, c, 2c in both views: the (K, K) score covariance has rank 1.
+    # Without view correlation the latent map generate_synthetic draws does
+    # not enter the Bayes rate.
+    scale = np.arange(3.0)[:, None]
+    spec = vg.SyntheticSpec(num_classes=3, d1=4, d2=3,
+                            means_view1=scale * np.ones(4), means_view2=scale * 0.5 * np.ones(3),
+                            noise_sigma=1.0, view_correlation=0.0,
+                            m_full=2, m_missing1=2, m_missing2=2, m_test=2, seed=4)
+    _, _, bayes = vg.generate_synthetic(spec)
+    a1, a2 = latent_maps(spec, 40)
+    means, cov = data_mod._pair_gaussian(spec, a1, a2)
+    assert np.linalg.matrix_rank(means @ np.linalg.solve(cov, means.T)) == 1
+    ref = pair_space_bayes(spec, a1, a2, np.random.default_rng(42))
+    assert abs(bayes - ref) < 4 * math.hypot(mc_se(bayes), mc_se(ref))
+
+
+def test_generate_synthetic_memory_peak():
+    # the acceptance task: drawing the Bayes Monte Carlo as 100,000 whole
+    # pairs instead of score vectors peaks at about 130 MB
+    spec = vg.SyntheticSpec(num_classes=3, d1=20, d2=20,
+                            means_view1=vg.block_class_means(3, 20, 1.6),
+                            means_view2=vg.block_class_means(3, 20, 0.8),
+                            noise_sigma=1.0, view_correlation=0.0, m_full=50,
+                            m_missing1=500, m_missing2=500, m_test=1000, seed=7)
+    tracemalloc.start()
+    try:
+        vg.generate_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_split_for_protocol_partitions_pool():

@@ -243,11 +243,16 @@ def test_train_rows_and_metrics_file(tmp_path):
     # every eval_every block
     assert [r[0] for r in evaluated] == [2, 5, 8]
     lines = path.read_text().splitlines()
-    assert lines[0] == "iter,loss_d,loss_g1,loss_g2,heldout_acc"
+    assert lines[0] == "iter,loss_d,loss_g1,loss_g2,heldout_acc,heldout_class_acc"
     assert len(lines) == 10
-    # unevaluated iterations leave the accuracy column empty
-    assert lines[1].endswith(",")
+    # unevaluated iterations leave both accuracy columns empty
+    assert lines[1].endswith(",,")
     float(lines[1].split(",")[1])  # losses parse back
+    # the last step is evaluated on the final model: its class column is
+    # evaluate's class-head accuracy on the same pairs
+    report = vg.evaluate(model, test, vg.Scenario.COMPLETE)
+    assert rows[-1][4:] == (report.accuracy, report.class_accuracy)
+    assert lines[-1].split(",")[4:] == [repr(report.accuracy), repr(report.class_accuracy)]
 
 
 def test_train_checkpoints(tmp_path):
