@@ -20,7 +20,8 @@ from .data import (PartitionedDataset, SyntheticSpec, Views, generate_synthetic,
                    split_for_protocol)
 from .errors import ConfigError
 from .model import TripartiteModel, decide_batch, discriminate, generate, new_model
-from .nn import DEFAULT_HIDDEN_DIM, SOFTMAX, AdamState, adam_step, backward, forward, init_mlp
+from .nn import (DEFAULT_HIDDEN_DIM, PARAMS, SOFTMAX, AdamState, adam_step, backward, forward,
+                 init_mlp)
 from .train import TrainConfig, clamped_class_grad, train
 
 
@@ -141,7 +142,7 @@ def train_singleview_baseline(which_view: int, dataset: PartitionedDataset,
         idx = rng.integers(0, len(pool), size=m_b)
         trace = forward(net, x[idx])
         _, dlogits = clamped_class_grad(trace.output, y_idx[idx], 1.0 / m_b)
-        grads = backward(net, trace, dlogits)
+        grads = backward(net, trace, dlogits, need=PARAMS)
         adam_step(net.params(), grads.params(), adam)
 
     x_test = test.view1 if which_view == 1 else test.view2

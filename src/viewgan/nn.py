@@ -26,20 +26,31 @@ _SATURATION = 36.0
 
 
 def sigmoid(x):
-    """Elementwise logistic function, saturation-clipped so outputs stay in (0, 1)."""
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -_SATURATION, _SATURATION)))
+    """Elementwise logistic function, saturation-clipped so outputs stay in (0, 1).
+
+    Same operations as 1 / (1 + exp(-clip(x, -36, 36))), run in place on one
+    fresh buffer; ``x`` is not modified.
+    """
+    z = np.maximum(x, -_SATURATION)
+    np.minimum(z, _SATURATION, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def softmax(logits):
     """Softmax over the last axis, stabilized by max-subtraction.
 
     Shifted logits are floored at -36 so every output is strictly positive
-    and strictly below 1 even for logit magnitudes up to 1e4.
+    and strictly below 1 even for logit magnitudes up to 1e4. Works in place
+    on the shifted copy; ``logits`` is not modified.
     """
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    z = np.maximum(z, -_SATURATION)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    np.maximum(z, -_SATURATION, out=z)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def xavier_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -127,10 +138,13 @@ def forward(net: Mlp, x) -> ForwardTrace:
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise DimensionError(
             f"input shape {x.shape} incompatible with input_dim {net.input_dim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError("non-finite input")
-    hidden_act = sigmoid(x @ net.weights_in.T + net.bias_in)
-    output_pre = hidden_act @ net.weights_out.T + net.bias_out
+    hidden_pre = x @ net.weights_in.T
+    hidden_pre += net.bias_in
+    hidden_act = sigmoid(hidden_pre)
+    output_pre = hidden_act @ net.weights_out.T
+    output_pre += net.bias_out
     output = softmax(output_pre) if net.output_kind == SOFTMAX else output_pre
     return ForwardTrace(x, hidden_act, output_pre, output)
 
@@ -139,29 +153,41 @@ def forward(net: Mlp, x) -> ForwardTrace:
 class MlpGrads:
     """Gradients for the four parameter blocks plus the input gradient.
 
-    ``input_grad`` is the input gradient of the pass ``backward`` ran. Sums
-    over several passes (``loss_discriminator``) keep the first pass's;
-    zero gradients built without a pass carry None.
+    Each field holds what ``backward`` was asked for and None otherwise: a
+    PARAMS pass leaves ``input_grad`` None, an INPUT pass the four blocks.
+    Sums over several passes (``loss_discriminator``, the generator losses)
+    are built from PARAMS passes, so they carry ``input_grad=None`` too, as
+    do zero gradients built without a pass.
     """
 
-    weights_in: np.ndarray
-    bias_in: np.ndarray
-    weights_out: np.ndarray
-    bias_out: np.ndarray
+    weights_in: np.ndarray | None
+    bias_in: np.ndarray | None
+    weights_out: np.ndarray | None
+    bias_out: np.ndarray | None
     input_grad: np.ndarray | None = None
 
     def params(self) -> list[np.ndarray]:
         return [self.weights_in, self.bias_in, self.weights_out, self.bias_out]
 
 
-def backward(net: Mlp, trace: ForwardTrace, output_grad) -> MlpGrads:
+# What ``backward`` computes: everything, the parameter gradients only, or
+# the input gradient only.
+ALL = "all"
+PARAMS = "params"
+INPUT = "input"
+
+
+def backward(net: Mlp, trace: ForwardTrace, output_grad, *, need: str = ALL) -> MlpGrads:
     """Reverse-mode pass through both layers.
 
     ``output_grad`` is the loss gradient with respect to ``output_pre``; for a
     softmax net the caller passes the fused softmax + cross-entropy logit
     gradient (probabilities minus target). Parameter gradients are summed over
-    the batch; ``input_grad`` keeps the input's shape.
+    the batch; ``input_grad`` keeps the input's shape. ``need`` picks ALL,
+    PARAMS or INPUT; the gradients it leaves out are not computed and are None.
     """
+    if need not in (ALL, PARAMS, INPUT):
+        raise ValueError(f"unknown need {need!r}")
     g = np.asarray(output_grad, dtype=np.float64)
     if g.shape != trace.output_pre.shape:
         raise DimensionError(
@@ -170,13 +196,18 @@ def backward(net: Mlp, trace: ForwardTrace, output_grad) -> MlpGrads:
             or trace.output_pre.shape[-1] != net.output_dim:
         raise DimensionError("trace does not match network dimensions")
     x, h = trace.input, trace.hidden_act
-    d_weights_out = g.T @ h
-    d_bias_out = g.sum(axis=0)
-    d_hidden = (g @ net.weights_out) * h * (1.0 - h)
-    d_weights_in = d_hidden.T @ x
-    d_bias_in = d_hidden.sum(axis=0)
-    d_input = d_hidden @ net.weights_in
-    return MlpGrads(d_weights_in, d_bias_in, d_weights_out, d_bias_out, d_input)
+    d_hidden = g @ net.weights_out
+    d_hidden *= h
+    d_hidden *= 1.0 - h
+    grads = MlpGrads(None, None, None, None)
+    if need != INPUT:
+        grads.weights_out = g.T @ h
+        grads.bias_out = g.sum(axis=0)
+        grads.weights_in = d_hidden.T @ x
+        grads.bias_in = d_hidden.sum(axis=0)
+    if need != PARAMS:
+        grads.input_grad = d_hidden @ net.weights_in
+    return grads
 
 
 @dataclass(eq=False)
@@ -206,7 +237,13 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     """One bias-corrected Adam update, applied to ``params`` in place.
 
     Rejects non-finite gradients before touching any state, so a failed call
-    leaves parameters and moments untouched.
+    leaves parameters and moments untouched. Per block it runs the float64
+    operations of the textbook update, in its order,
+
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        p -= alpha * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + epsilon)
+
+    writing each intermediate into two scratch arrays.
     """
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise DimensionError("params/grads/state block counts differ")
@@ -214,16 +251,25 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         if p.shape != g.shape:
             raise DimensionError(f"param shape {p.shape} != grad shape {g.shape}")
     for g in grads:
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError("non-finite gradient; update not applied")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
+    correction1 = 1.0 - b1 ** t
+    correction2 = 1.0 - b2 ** t
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
         m *= b1
-        m += (1.0 - b1) * g
+        scratch = np.multiply(1.0 - b1, g)
+        m += scratch
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p -= state.alpha * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        np.multiply(1.0 - b2, g, out=scratch)
+        scratch *= g
+        v += scratch
+        step = np.divide(m, correction1)
+        step *= state.alpha
+        np.divide(v, correction2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.epsilon
+        step /= scratch
+        p -= step

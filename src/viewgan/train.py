@@ -18,7 +18,7 @@ import numpy as np
 from .data import PartitionedDataset, Views
 from .errors import ConfigError, DimensionError, NumericError
 from .model import TripartiteModel, decide_batch, discriminate, save_checkpoint
-from .nn import AdamState, MlpGrads, adam_step, backward, forward
+from .nn import INPUT, PARAMS, AdamState, MlpGrads, adam_step, backward, forward
 
 LOG_CLAMP = 1e-12
 
@@ -97,13 +97,13 @@ def clamped_class_grad(probs: np.ndarray, targets: np.ndarray, coeff: float):
     picked = probs[rows, targets]
     loss = -coeff * float(np.sum(np.log(np.maximum(picked, LOG_CLAMP))))
     live = picked > LOG_CLAMP
-    n_clamped = int(np.count_nonzero(~live))
-    if n_clamped:
-        logger.debug("log clamp active on %d of %d samples", n_clamped, probs.shape[0])
+    n_clamped = probs.shape[0] - int(np.count_nonzero(live))
     dlogits = probs.copy()
     dlogits[rows, targets] -= 1.0
     dlogits *= coeff
-    dlogits[~live] = 0.0
+    if n_clamped:
+        logger.debug("log clamp active on %d of %d samples", n_clamped, probs.shape[0])
+        dlogits[~live] = 0.0
     return loss, dlogits
 
 
@@ -139,7 +139,7 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch):
         trace = forward(model.disc, pairs)
         part, dlogits = clamped_class_grad(trace.output, targets, coeff)
         total += part
-        g = backward(model.disc, trace, dlogits)
+        g = backward(model.disc, trace, dlogits, need=PARAMS)
         if grads is None:
             grads = g
         else:
@@ -178,9 +178,10 @@ def feature_matching_penalty(model: TripartiteModel, which_view: int,
     # d penalty / d feats_gen[i] = (-delta/norm) / n_gen, then through the
     # sigmoid and the discriminator's first layer into the generated slot.
     d_feats = (-delta / norm) / n_gen
-    d_hidden_pre = d_feats * feats_gen * (1.0 - feats_gen)
+    d_hidden_pre = d_feats * feats_gen
+    d_hidden_pre *= 1.0 - feats_gen
     d_pairs = d_hidden_pre @ model.disc.weights_in
-    return norm, backward(gen, gen_trace, model.slot(which_view, d_pairs))
+    return norm, backward(gen, gen_trace, model.slot(which_view, d_pairs), need=PARAMS)
 
 
 def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
@@ -196,8 +197,9 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
 
     trace_d = forward(model.disc, pairs)
     class_loss, dlogits = clamped_class_grad(trace_d.output, np.argmax(labels, axis=1), coeff)
-    d_input = backward(model.disc, trace_d, dlogits).input_grad
-    grads = backward(model.generator(which_view), gen_trace, model.slot(which_view, d_input))
+    d_input = backward(model.disc, trace_d, dlogits, need=INPUT).input_grad
+    grads = backward(model.generator(which_view), gen_trace, model.slot(which_view, d_input),
+                     need=PARAMS)
 
     penalty, fm_grads = feature_matching_penalty(
         model, which_view, (batch.full.view1, batch.full.view2), gen_trace)

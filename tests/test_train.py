@@ -12,7 +12,7 @@ from viewgan.errors import ConfigError, DimensionError
 from viewgan.evaluate import train_singleview_baseline
 from viewgan.model import discriminate, generate, generator_input, new_model
 from viewgan.nn import forward
-from viewgan.train import (LOG_CLAMP, Minibatch, TrainConfig,
+from viewgan.train import (LOG_CLAMP, Minibatch, TrainConfig, clamped_class_grad,
                            feature_matching_penalty, loss_discriminator,
                            loss_generator, sample_minibatch, train)
 
@@ -61,6 +61,16 @@ def test_discriminator_loss_at_uniform_output():
     assert grads.params()[0].shape == model.disc.weights_in.shape
 
 
+def test_summed_gradients_carry_no_input_gradient():
+    # sums over several passes are built from parameter-only passes, so no
+    # single pass's input gradient rides along with them
+    model = new_model(2, 2, 3, np.random.default_rng(1), hidden_dim=4)
+    batch = make_batch(m_b=2, seed=2)
+    assert loss_discriminator(model, batch)[1].input_grad is None
+    for v in (1, 2):
+        assert loss_generator(model, v, batch)[1].input_grad is None
+
+
 def test_generator_class_term_at_uniform_output():
     k, m_b = 6, 1
     model = zero_model(k=k)
@@ -104,6 +114,20 @@ def test_clamped_log_saturates_and_freezes_gradient():
     class_term = -math.log(LOG_CLAMP) / 3.0
     assert loss > class_term - 1e-9
     assert np.all(np.isfinite(grads.params()[0]))
+
+
+def test_clamped_class_grad_zeroes_only_the_clamped_rows():
+    probs = np.array([[0.2, 0.5, 0.3], [1e-13, 0.6, 0.4], [0.1, 0.1, 0.8]])
+    targets = np.array([1, 0, 2])
+    coeff = 0.25
+    expect = coeff * (probs - np.eye(3)[targets])
+    loss, dlogits = clamped_class_grad(probs, targets, coeff)
+    assert loss == -coeff * float(np.sum(np.log([0.5, LOG_CLAMP, 0.8])))
+    assert np.array_equal(dlogits[1], np.zeros(3))
+    assert np.array_equal(dlogits[[0, 2]], expect[[0, 2]])
+    # with no row clamped every row keeps its gradient
+    _, live = clamped_class_grad(probs[[0, 2]], targets[[0, 2]], coeff)
+    assert np.array_equal(live, expect[[0, 2]])
 
 
 def test_feature_matching_zero_when_distributions_match():
