@@ -33,6 +33,18 @@ def label_index(label: np.ndarray) -> int:
     return int(np.argmax(label))
 
 
+def by_view(v: int, first, second):
+    """``first`` for view 1, ``second`` for view 2; any other v is an error."""
+    if v not in (1, 2):
+        raise ValueError(f"which_view must be 1 or 2, got {v}")
+    return first if v == 1 else second
+
+
+def other_view(v: int) -> int:
+    """The view that is not view ``v``."""
+    return by_view(v, 2, 1)
+
+
 @dataclass(frozen=True, eq=False)
 class Views:
     """A block of labelled examples held as rows.
@@ -54,6 +66,14 @@ class Views:
         v1, v2 = self.view1, self.view2
         return Views(None if v1 is None else v1[index], None if v2 is None else v2[index],
                      self.label[index])
+
+    def view(self, v: int) -> np.ndarray | None:
+        """View ``v`` (1 or 2) of the block; None when the block lacks it."""
+        return by_view(v, self.view1, self.view2)
+
+    def with_view(self, v: int, x: np.ndarray | None) -> "Views":
+        """This block with view ``v`` replaced by ``x``; None drops the view."""
+        return replace(self, **{by_view(v, "view1", "view2"): x})
 
 
 def _check_subset(subset: Views, d1, d2, num_classes, want1: bool, want2: bool,
@@ -105,19 +125,17 @@ class PartitionedDataset:
     def m(self) -> int:
         return len(self.s_full) + len(self.s_missing1) + len(self.s_missing2)
 
+    def lacking(self, v: int) -> Views:
+        """The subset that lacks view ``v``: s_missing1 or s_missing2."""
+        return by_view(v, self.s_missing1, self.s_missing2)
+
     def observing(self, which_view: int) -> Views:
         """Every example that observes ``which_view``, carrying that view only:
         s_full first, then the subset that lacks the other view."""
-        full = self.s_full
-        if which_view == 1:
-            other = self.s_missing2
-            return Views(np.concatenate([full.view1, other.view1]), None,
-                         np.concatenate([full.label, other.label]))
-        if which_view == 2:
-            other = self.s_missing1
-            return Views(None, np.concatenate([full.view2, other.view2]),
-                         np.concatenate([full.label, other.label]))
-        raise ValueError(f"which_view must be 1 or 2, got {which_view}")
+        blocks = (self.s_full, self.lacking(other_view(which_view)))
+        label = np.concatenate([b.label for b in blocks])
+        return Views(None, None, label).with_view(
+            which_view, np.concatenate([b.view(which_view) for b in blocks]))
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +284,13 @@ class SyntheticSpec:
             raise ConfigError("need positive dims and at least two classes")
         self.means_view1 = np.asarray(self.means_view1, dtype=np.float64)
         self.means_view2 = np.asarray(self.means_view2, dtype=np.float64)
-        if self.means_view1.shape != (self.num_classes, self.d1):
-            raise ConfigError("means_view1 must have shape (num_classes, d1)")
-        if self.means_view2.shape != (self.num_classes, self.d2):
-            raise ConfigError("means_view2 must have shape (num_classes, d2)")
-        for name, means in (("view1", self.means_view1), ("view2", self.means_view2)):
+        for v, means, dim in ((1, self.means_view1, self.d1), (2, self.means_view2, self.d2)):
+            if means.shape != (self.num_classes, dim):
+                raise ConfigError(f"means_view{v} must have shape (num_classes, d{v})")
             for j in range(self.num_classes):
                 for k in range(j + 1, self.num_classes):
                     if np.array_equal(means[j], means[k]):
-                        raise ConfigError(f"classes {j} and {k} share a {name} mean")
+                        raise ConfigError(f"classes {j} and {k} share a view{v} mean")
         if not self.noise_sigma > 0:
             raise ConfigError("noise_sigma must be positive")
         if not 0.0 <= self.view_correlation <= 1.0:
@@ -343,27 +359,32 @@ def generate_synthetic(spec: SyntheticSpec):
     """
     rng = np.random.default_rng(spec.seed)
     scale = 1.0 / math.sqrt(spec.latent_dim)
-    a1 = rng.standard_normal((spec.d1, spec.latent_dim)) * scale
-    a2 = rng.standard_normal((spec.d2, spec.latent_dim)) * scale
+    a1, a2 = (rng.standard_normal((d, spec.latent_dim)) * scale for d in (spec.d1, spec.d2))
 
     n = spec.m_full + spec.m_missing1 + spec.m_missing2 + spec.m_test
     labels = rng.integers(0, spec.num_classes, size=n)
     u = rng.standard_normal((n, spec.latent_dim))
-    rho = spec.view_correlation
-    x1 = (spec.means_view1[labels] + rho * u @ a1.T
-          + spec.noise_sigma * rng.standard_normal((n, spec.d1)))
-    x2 = (spec.means_view2[labels] + rho * u @ a2.T
-          + spec.noise_sigma * rng.standard_normal((n, spec.d2)))
+    # view 1 then view 2, each drawing its noise in turn
+    x1, x2 = (means[labels] + spec.view_correlation * u @ a.T
+              + spec.noise_sigma * rng.standard_normal((n, a.shape[0]))
+              for means, a in ((spec.means_view1, a1), (spec.means_view2, a2)))
 
-    rows = Views(x1, x2, np.eye(spec.num_classes)[labels])
-    a = spec.m_full
-    b = a + spec.m_missing1
-    c = b + spec.m_missing2
-    dataset = PartitionedDataset(rows[:a], replace(rows[a:b], view1=None),
-                                 replace(rows[b:c], view2=None),
-                                 spec.d1, spec.d2, spec.num_classes)
-    bayes = _bayes_accuracy(spec, a1, a2, rng)
-    return dataset, rows[c:], bayes
+    dataset, test = partition_rows(Views(x1, x2, np.eye(spec.num_classes)[labels]),
+                                   spec.m_full, spec.m_missing1, spec.m_missing2)
+    return dataset, test, _bayes_accuracy(spec, a1, a2, rng)
+
+
+def partition_rows(rows: Views, m_full: int, m_missing1: int, m_missing2: int):
+    """Split complete rows, in order, into s_full, s_missing1 (view 1 dropped),
+    s_missing2 (view 2 dropped) and the rest; return (PartitionedDataset, rest)."""
+    need = m_full + m_missing1 + m_missing2
+    if min(m_full, m_missing1, m_missing2) < 0 or need > len(rows):
+        raise ConfigError(f"cannot draw {need} examples from a pool of {len(rows)}")
+    b = m_full + m_missing1
+    dataset = PartitionedDataset(rows[:m_full], rows[m_full:b].with_view(1, None),
+                                 rows[b:need].with_view(2, None),
+                                 rows.view1.shape[1], rows.view2.shape[1], rows.label.shape[1])
+    return dataset, rows[need:]
 
 
 def split_for_protocol(pool: Views, m_full: int, m_missing1: int, m_missing2: int, seed: int):
@@ -376,13 +397,5 @@ def split_for_protocol(pool: Views, m_full: int, m_missing1: int, m_missing2: in
         raise ConfigError("empty pool")
     if pool.view1 is None or pool.view2 is None:
         raise ValueError("pool examples must have both views")
-    need = m_full + m_missing1 + m_missing2
-    if min(m_full, m_missing1, m_missing2) < 0 or need > len(pool):
-        raise ConfigError(f"cannot draw {need} examples from a pool of {len(pool)}")
-
-    picked = pool[np.random.default_rng(seed).permutation(len(pool))]
-    b = m_full + m_missing1
-    dataset = PartitionedDataset(picked[:m_full], replace(picked[m_full:b], view1=None),
-                                 replace(picked[b:need], view2=None),
-                                 pool.view1.shape[1], pool.view2.shape[1], pool.label.shape[1])
-    return dataset, picked[need:]
+    return partition_rows(pool[np.random.default_rng(seed).permutation(len(pool))],
+                          m_full, m_missing1, m_missing2)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (PartitionedDataset, SyntheticSpec, Views, generate_synthetic,
-                   split_for_protocol)
+                   other_view, split_for_protocol)
 from .errors import ConfigError
 from .model import TripartiteModel, decide_batch, discriminate, generate, new_model
 from .nn import (DEFAULT_HIDDEN_DIM, PARAMS, SOFTMAX, AdamState, adam_step, backward, forward,
@@ -29,6 +29,11 @@ class Scenario(enum.Enum):
     COMPLETE = "complete"
     VIEW1_GENERATED = "view1-generated"
     VIEW2_GENERATED = "view2-generated"
+
+    @property
+    def generated_view(self) -> int | None:
+        """The view this scenario drops and regenerates; None for complete pairs."""
+        return {"view1-generated": 1, "view2-generated": 2}.get(self.value)
 
 
 @dataclass(frozen=True)
@@ -96,20 +101,17 @@ def evaluate(model: TripartiteModel, test: Views, scenario: Scenario,
     """
     if len(test) == 0:
         raise ConfigError("empty test set")
-    rng = np.random.default_rng(seed)
-    x1, x2 = test.view1, test.view2
-    if scenario == Scenario.VIEW1_GENERATED:
-        x1 = None if x2 is None else generate(
-            model, 1, x2, rng.uniform(-1.0, 1.0, size=(len(test), model.d1)))
-    elif scenario == Scenario.VIEW2_GENERATED:
-        x2 = None if x1 is None else generate(
-            model, 2, x1, rng.uniform(-1.0, 1.0, size=(len(test), model.d2)))
-    elif scenario != Scenario.COMPLETE:
+    if not isinstance(scenario, Scenario):
         raise ValueError(f"unknown scenario {scenario!r}")
-    if x1 is None or x2 is None:
+    rng = np.random.default_rng(seed)
+    v = scenario.generated_view
+    if v is not None and test.view(other_view(v)) is not None:
+        noise = rng.uniform(-1.0, 1.0, size=(len(test), model.generator(v).output_dim))
+        test = test.with_view(v, generate(model, v, test.view(other_view(v)), noise))
+    if test.view1 is None or test.view2 is None:
         raise ValueError(f"scenario {scenario.value} needs a view the test set lacks")
 
-    fake, cls = decide_batch(discriminate(model, x1, x2))
+    fake, cls = decide_batch(discriminate(model, test.view1, test.view2))
     return metrics_from_predictions(np.argmax(test.label, axis=1), cls, fake,
                                     model.num_classes, seed)
 
@@ -129,7 +131,7 @@ def train_singleview_baseline(which_view: int, dataset: PartitionedDataset,
     pool = dataset.observing(which_view)
     if len(pool) == 0:
         raise ConfigError(f"no training examples observe view {which_view}")
-    x = pool.view1 if which_view == 1 else pool.view2
+    x = pool.view(which_view)
     y_idx = np.argmax(pool.label, axis=1)
     k = dataset.num_classes
 
@@ -145,8 +147,7 @@ def train_singleview_baseline(which_view: int, dataset: PartitionedDataset,
         grads = backward(net, trace, dlogits, need=PARAMS)
         adam_step(net.params(), grads.params(), adam)
 
-    x_test = test.view1 if which_view == 1 else test.view2
-    pred = np.argmax(forward(net, x_test).output, axis=1)
+    pred = np.argmax(forward(net, test.view(which_view)).output, axis=1)
     report = metrics_from_predictions(np.argmax(test.label, axis=1), pred,
                                       np.zeros(len(test), dtype=bool), k, config.seed)
     return net, report
@@ -237,17 +238,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             train(model, dataset, cfg)
             report = evaluate(model, test, spec.scenario, seed=s_eval)
 
-            b1 = b2 = None
+            baselines = [None, None]
             if spec.include_baselines:
-                _, rep1 = train_singleview_baseline(
-                    1, dataset, dataclasses.replace(spec.train_config, seed=s_b1),
-                    test, spec.hidden_dim)
-                _, rep2 = train_singleview_baseline(
-                    2, dataset, dataclasses.replace(spec.train_config, seed=s_b2),
-                    test, spec.hidden_dim)
-                b1, b2 = rep1.accuracy, rep2.accuracy
+                baselines = [train_singleview_baseline(
+                    v, dataset, dataclasses.replace(spec.train_config, seed=s_b),
+                    test, spec.hidden_dim)[1].accuracy for v, s_b in ((1, s_b1), (2, s_b2))]
             rows.append(RepeatResult(r, report.accuracy, report.macro_f1,
-                                     report.fake_rate, b1, b2, bayes,
+                                     report.fake_rate, *baselines, bayes,
                                      report.class_accuracy))
         except ValueError as e:
             # keep the type, which tells the CLI the inputs were unusable

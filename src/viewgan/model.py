@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import by_view
 from .errors import DataFormatError, DimensionError
 from .nn import DEFAULT_HIDDEN_DIM, LINEAR, SOFTMAX, Mlp, forward, init_mlp
 
@@ -51,9 +52,7 @@ class TripartiteModel:
 
     def generator(self, v: int) -> Mlp:
         """The generator that completes view ``v`` (1 or 2)."""
-        if v not in (1, 2):
-            raise ValueError(f"which_view must be 1 or 2, got {v}")
-        return self.gen1 if v == 1 else self.gen2
+        return by_view(v, self.gen1, self.gen2)
 
     def slot(self, v: int, block: np.ndarray) -> np.ndarray:
         """View ``v``'s columns of an (n, d1+d2) [view1 | view2] block."""

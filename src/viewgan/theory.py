@@ -93,6 +93,13 @@ def mixture(pg1, pg2) -> DiscreteJoint:
     return DiscreteJoint(0.5 * (a + b))
 
 
+def _share(part: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """part / (part + rest) cellwise; 0.5 on dead cells, where both are 0."""
+    _same_shape(part, rest)
+    den = part + rest
+    return np.where(den > 0, part / np.where(den > 0, den, 1.0), 0.5)
+
+
 def optimal_discriminator(p_real, pg1, pg2) -> DiscriminatorTable:
     """Best response p_real / (p_real + mixture), cellwise.
 
@@ -102,11 +109,7 @@ def optimal_discriminator(p_real, pg1, pg2) -> DiscriminatorTable:
     """
     real = _dist(p_real)
     mix = mixture(pg1, pg2).table
-    _same_shape(real, mix)
-    den = real + mix
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(den > 0, real / np.where(den > 0, den, 1.0), 0.5)
-    return DiscriminatorTable(d)
+    return DiscriminatorTable(_share(real, mix))
 
 
 def fake_response(p_real, pg1, pg2, num_classes: int) -> DiscriminatorTable:
@@ -126,11 +129,7 @@ def fake_response(p_real, pg1, pg2, num_classes: int) -> DiscriminatorTable:
         raise ValueError("num_classes must be at least 1")
     real = _dist(p_real) / (num_classes + 1)
     mix = mixture(pg1, pg2).table
-    _same_shape(real, mix)
-    den = real + mix
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(den > 0, mix / np.where(den > 0, den, 1.0), 0.5)
-    return DiscriminatorTable(d)
+    return DiscriminatorTable(_share(mix, real))
 
 
 def value_function(d, p_real, pg1, pg2) -> float:
@@ -169,6 +168,16 @@ def brute_force_discriminator(p_real, pg1, pg2, step: float = 1e-3,
     scores = real.reshape(-1, 1) * log_z + mix.reshape(-1, 1) * log_1mz
     best = grid[np.argmax(scores, axis=1)].reshape(real.shape)
     return DiscriminatorTable(best)
+
+
+def brute_force_gap(p_real, pg1, pg2) -> float:
+    """Largest |brute_force_discriminator - optimal_discriminator| on live cells.
+    A dead cell (no mass under the real joint or the mixture) is skipped: the
+    game never sees it, the closed form pins it at 0.5 and the grid at 0."""
+    live = (_dist(p_real) + mixture(pg1, pg2).table) > 0
+    gap = (brute_force_discriminator(p_real, pg1, pg2).table
+           - optimal_discriminator(p_real, pg1, pg2).table)
+    return float(np.max(np.abs(gap[live])))
 
 
 def random_joint(rng: np.random.Generator, n1: int, n2: int,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PartitionedDataset, Views
+from .data import PartitionedDataset, Views, by_view, other_view
 from .errors import ConfigError, DimensionError, NumericError
 from .model import TripartiteModel, decide_batch, discriminate, save_checkpoint
 from .nn import INPUT, PARAMS, AdamState, MlpGrads, adam_step, backward, forward
@@ -50,11 +50,8 @@ class Minibatch:
     def side(self, v: int):
         """(noise, observed other view, labels) for generator ``v``, drawn
         from the subset that lacks view v."""
-        if v == 1:
-            return self.noise_v1, self.miss1.view2, self.miss1.label
-        if v == 2:
-            return self.noise_v2, self.miss2.view1, self.miss2.label
-        raise ValueError(f"which_view must be 1 or 2, got {v}")
+        miss, noise = by_view(v, (self.miss1, self.noise_v1), (self.miss2, self.noise_v2))
+        return noise, miss.view(other_view(v)), miss.label
 
 
 @dataclass
@@ -214,16 +211,13 @@ def sample_minibatch(dataset: PartitionedDataset, m_b: int, rng: np.random.Gener
     Draw order is fixed (full, missing1, missing2 indices, then the two
     noise blocks) so a seeded generator reproduces the batch sequence.
     """
-    full, miss1, miss2 = dataset.s_full, dataset.s_missing1, dataset.s_missing2
-    for name, subset in (("s_full", full), ("s_missing1", miss1), ("s_missing2", miss2)):
+    subsets = (dataset.s_full, dataset.s_missing1, dataset.s_missing2)
+    for name, subset in zip(("s_full", "s_missing1", "s_missing2"), subsets):
         if len(subset) == 0:
             raise ConfigError(f"{name} is empty")
-    idx_full = rng.integers(0, len(full), size=m_b)
-    idx_m1 = rng.integers(0, len(miss1), size=m_b)
-    idx_m2 = rng.integers(0, len(miss2), size=m_b)
-    noise_v1 = rng.uniform(-1.0, 1.0, size=(m_b, dataset.d1))
-    noise_v2 = rng.uniform(-1.0, 1.0, size=(m_b, dataset.d2))
-    return Minibatch(full[idx_full], miss1[idx_m1], miss2[idx_m2], noise_v1, noise_v2)
+    rows = [subset[rng.integers(0, len(subset), size=m_b)] for subset in subsets]
+    noise = [rng.uniform(-1.0, 1.0, size=(m_b, d)) for d in (dataset.d1, dataset.d2)]
+    return Minibatch(*rows, *noise)
 
 
 def _heldout_accuracy(model: TripartiteModel, heldout: Views) -> tuple[float, float]:

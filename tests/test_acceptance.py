@@ -222,6 +222,7 @@ def end_to_end():
     return result, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_semisupervised_accuracy_end_to_end(end_to_end):
     # Scored on the class head (argmax over the K class outputs). The
     # pinned loss's best response puts (K+1)/(K+2) on Fake wherever the
@@ -256,6 +257,7 @@ def test_semisupervised_accuracy_end_to_end(end_to_end):
 
 # --------------------------------------------------------------------- 7
 
+@pytest.mark.slow
 def test_accuracy_on_generated_view1():
     dataset, test, _ = vg.generate_synthetic(acceptance_task(7))
     model = new_model(20, 20, 3, np.random.default_rng(77), ACCEPT_HIDDEN)

@@ -211,6 +211,21 @@ def test_theory_check_explicit_tables(tmp_path, capsys):
     assert "equilibrium_gap=" in out and "status=ok" in out
 
 
+def test_theory_check_skips_cells_empty_on_both_sides(tmp_path, capsys):
+    # the second column has no mass under the real joint or the mixture;
+    # there the closed form reads 0.5 and the grid argmax 0
+    tables = {"real": [[0.5, 0.0], [0.5, 0.0]], "g1": [[0.25, 0.0], [0.75, 0.0]],
+              "g2": [[0.5, 0.0], [0.5, 0.0]]}
+    for name, table in tables.items():
+        np.savetxt(tmp_path / f"{name}.txt", np.array(table))
+    rc = main(["theory-check", "--p-real", str(tmp_path / "real.txt"),
+               "--pg1", str(tmp_path / "g1.txt"), "--pg2", str(tmp_path / "g2.txt")])
+    out = capsys.readouterr().out
+    assert rc == 0 and "status=ok" in out
+    gap = float(out.split("brute_force_max_diff=")[1].split()[0])
+    assert gap <= 1e-3
+
+
 def test_gradcheck_command(capsys):
     rc = main(["gradcheck", "--instances", "3", "--seed", "0"])
     assert rc == 0

@@ -105,6 +105,14 @@ def test_evaluate_missing_view_rejected():
         evaluate(model, test, Scenario.VIEW2_GENERATED)
 
 
+def test_evaluate_rejects_what_is_not_a_scenario():
+    _, test, _ = vg.generate_synthetic(synth_spec(seed=3))
+    model = new_model(3, 3, 2, np.random.default_rng(0), hidden_dim=4)
+    for scenario in ("complete", "view1-generated", 1, None):
+        with pytest.raises(ValueError, match="unknown scenario"):
+            evaluate(model, test, scenario)
+
+
 def test_evaluate_empty_test_rejected():
     model = new_model(3, 3, 2, np.random.default_rng(0), hidden_dim=4)
     with pytest.raises(ConfigError):

@@ -7,7 +7,7 @@ import pytest
 
 import viewgan as vg
 import viewgan.train as train_mod
-from viewgan.data import Views, one_hot
+from viewgan.data import Views, one_hot, other_view
 from viewgan.errors import ConfigError, DimensionError
 from viewgan.evaluate import train_singleview_baseline
 from viewgan.model import discriminate, generate, generator_input, new_model
@@ -336,8 +336,15 @@ def test_train_config_validation():
     lambda m, b, ds: ds.observing(3),
     lambda m, b, ds: train_singleview_baseline(
         3, ds, TrainConfig(iterations=1, minibatch_size=2), ds.s_full),
+    lambda m, b, ds: b.side(3),
+    lambda m, b, ds: b.side(0),
+    lambda m, b, ds: ds.lacking(3),
+    lambda m, b, ds: ds.s_full.view(3),
+    lambda m, b, ds: ds.s_full.with_view(0, None),
+    lambda m, b, ds: other_view(3),
 ], ids=["generate", "generator_input", "loss_generator", "feature_matching_penalty",
-        "observing", "train_singleview_baseline"])
+        "observing", "train_singleview_baseline", "side", "side-0", "lacking", "view",
+        "with_view", "other_view"])
 def test_view_taking_entries_reject_a_third_view(call):
     ds, _, _ = small_task(d1=2, d2=2)
     model = new_model(2, 2, 2, np.random.default_rng(0), hidden_dim=4)
