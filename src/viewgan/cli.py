@@ -154,7 +154,7 @@ def cmd_experiment(args) -> int:
 
 
 def _load_table(path) -> DiscreteJoint:
-    return DiscreteJoint(np.atleast_2d(np.loadtxt(path, dtype=np.float64)))
+    return DiscreteJoint(np.loadtxt(path, dtype=np.float64, ndmin=2))
 
 
 def cmd_theory_check(args) -> int:
@@ -172,6 +172,8 @@ def cmd_theory_check(args) -> int:
         print(f"brute_force_max_diff={repr(bf_diff)}")
         ok = report.ok and bf_diff <= 1e-3
     else:
+        if args.trials < 1:
+            raise ConfigError(f"--trials must be at least 1, got {args.trials}")
         rng = np.random.default_rng(args.seed)
         worst_residual = 0.0
         for _ in range(args.trials):

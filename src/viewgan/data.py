@@ -195,9 +195,9 @@ def load_multiview_file(path) -> PartitionedDataset:
     """Parse the sparse multiview format; the partition is derived from "-" marks."""
     with open(path, "r", encoding="ascii") as f:
         lines = f.read().splitlines()
-    if not lines or not lines[0].startswith("#dims"):
+    head = lines[0].split() if lines else []
+    if head[:1] != ["#dims"]:
         raise DataFormatError("missing '#dims d1 d2 K' header", line=1)
-    head = lines[0].split()
     if len(head) != 4:
         raise DataFormatError("header must be '#dims d1 d2 K'", line=1)
     try:

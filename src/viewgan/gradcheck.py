@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Views
+from .errors import ConfigError
 from .model import new_model
 from .nn import LINEAR, SOFTMAX, backward, forward, init_mlp
 from .train import Minibatch, feature_matching_penalty, loss_discriminator, loss_generator
@@ -110,28 +111,21 @@ def _check_loss(rng, family: str) -> float:
     batch = _random_batch(rng, d1, d2, k)
 
     if family == "loss-d":
-        target_net = model.disc
-        loss_fn = lambda: loss_discriminator(model, batch)[0]
-        analytic = loss_discriminator(model, batch)[1].params()
-    elif family in ("loss-g1", "loss-g2"):
+        net, loss = model.disc, lambda: loss_discriminator(model, batch)
+    elif family == "feature-matching":  # through generator 1
+        net = model.generator(1)
+        gen_input, observed, _ = batch.side(1)
+
+        def loss():
+            trace = forward(net, gen_input)
+            pairs = model.completed_pair(1, trace.output, observed)
+            return feature_matching_penalty(model, 1, batch.real_pairs, pairs, trace)
+    else:
         v = 1 if family == "loss-g1" else 2
-        target_net = model.generator(v)
-        loss_fn = lambda: loss_generator(model, v, batch, fm_weight=1.0)[0]
-        analytic = loss_generator(model, v, batch, fm_weight=1.0)[1].params()
-    else:  # feature-matching, through generator 1
-        target_net = model.generator(1)
-        noise, observed, _ = batch.side(1)
-        gen_in = np.concatenate([noise, observed], axis=1)
-        real = (batch.full.view1, batch.full.view2)
+        net, loss = model.generator(v), lambda: loss_generator(model, v, batch, fm_weight=1.0)
 
-        def loss_fn():
-            tr = forward(target_net, gen_in)
-            return feature_matching_penalty(model, 1, real, tr)[0]
-
-        tr = forward(target_net, gen_in)
-        analytic = feature_matching_penalty(model, 1, real, tr)[1].params()
-
-    numeric = finite_difference(loss_fn, target_net.params())
+    analytic = loss()[1].params()
+    numeric = finite_difference(lambda: loss()[0], net.params())
     return max_relative_error(analytic, numeric)
 
 
@@ -147,16 +141,12 @@ def check_family(family: str, instances: int, seed: int = 0) -> GradCheckReport:
     """Run one gradient family over fresh random instances."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if instances < 1:
+        raise ConfigError(f"instances must be at least 1, got {instances}")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(instances):
-        if family == "mlp-softmax":
-            err = _check_mlp(rng, SOFTMAX)
-        elif family == "mlp-linear":
-            err = _check_mlp(rng, LINEAR)
-        else:
-            err = _check_loss(rng, family)
-        worst = max(worst, err)
+    kind = {"mlp-softmax": SOFTMAX, "mlp-linear": LINEAR}.get(family)
+    worst = max(_check_loss(rng, family) if kind is None else _check_mlp(rng, kind)
+                for _ in range(instances))
     return GradCheckReport(family, instances, worst, worst < REL_TOL)
 
 

@@ -258,10 +258,13 @@ def load_checkpoint(path) -> tuple[TripartiteModel, int, int]:
         reader = _LineReader(f.read().splitlines())
     if reader.next() != CHECKPOINT_MAGIC:
         raise DataFormatError(f"missing magic header {CHECKPOINT_MAGIC!r}", line=1)
-    if not reader.next().startswith("layout "):
-        raise DataFormatError("missing layout line", line=2)
+    if reader.next() != _LAYOUT_LINE:
+        raise DataFormatError(f"expected the layout line {_LAYOUT_LINE!r}", line=2)
     d1, d2, num_classes = _read_header(reader, "dims", 3, low=1)
     (seed,) = _read_header(reader, "seed", 1)
     (step,) = _read_header(reader, "step", 1, low=0)
     nets = [_read_net(reader, *net) for net in _nets(d1, d2, num_classes)]
+    while reader.pos < len(reader.lines):
+        if reader.next().strip():
+            raise DataFormatError("unexpected content after the last net", line=reader.pos)
     return TripartiteModel(d1, d2, num_classes, *nets), seed, step

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,9 @@ class Minibatch:
 
     full carries both views, miss1 comes from the subset whose first view
     is absent (so it carries view 2 only), miss2 is the mirror image. The
-    noise blocks complete view 1 and view 2.
+    noise blocks complete view 1 and view 2. Each network input is built
+    once: ``real_pairs`` is the [view1 | view2] block of full, and
+    ``side(v)`` hands generator v its [noise | observed] input block.
     """
 
     full: Views
@@ -39,6 +41,7 @@ class Minibatch:
     miss2: Views
     noise_v1: np.ndarray
     noise_v2: np.ndarray
+    real_pairs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = len(self.full)
@@ -46,12 +49,16 @@ class Minibatch:
                  self.noise_v1.shape[0], self.noise_v2.shape[0])
         if m < 1 or any(n != m for n in sized):
             raise DimensionError("all minibatch blocks must share one size m_b")
+        self.real_pairs = np.concatenate([self.full.view1, self.full.view2], axis=1)
+        self._sides = []
+        for v, miss, noise in ((1, self.miss1, self.noise_v1), (2, self.miss2, self.noise_v2)):
+            observed = miss.view(other_view(v))
+            self._sides.append((np.concatenate([noise, observed], axis=1), observed, miss.label))
 
     def side(self, v: int):
-        """(noise, observed other view, labels) for generator ``v``, drawn
-        from the subset that lacks view v."""
-        miss, noise = by_view(v, (self.miss1, self.noise_v1), (self.miss2, self.noise_v2))
-        return noise, miss.view(other_view(v)), miss.label
+        """(generator input [noise | observed], observed other view, labels)
+        for generator ``v``, drawn from the subset that lacks view v."""
+        return by_view(v, *self._sides)
 
 
 @dataclass
@@ -109,8 +116,8 @@ def _complete(model: TripartiteModel, v: int, batch: Minibatch):
 
     Returns (generator trace, completed [view1 | view2] pairs, labels).
     """
-    noise, observed, labels = batch.side(v)
-    trace = forward(model.generator(v), np.concatenate([noise, observed], axis=1))
+    gen_input, observed, labels = batch.side(v)
+    trace = forward(model.generator(v), gen_input)
     return trace, model.completed_pair(v, trace.output, observed), labels
 
 
@@ -122,11 +129,9 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch):
     completed by either generator (weight 1/(2*m_b) per sample each).
     Generator outputs are data here; nothing flows back into the generators.
     """
-    full = batch.full
-    m_b = len(full)
+    m_b = len(batch.full)
     k = model.num_classes
-    groups = [(np.concatenate([full.view1, full.view2], axis=1),
-               np.argmax(full.label, axis=1), 1.0 / (m_b * (k + 1)))]
+    groups = [(batch.real_pairs, np.argmax(batch.full.label, axis=1), 1.0 / (m_b * (k + 1)))]
     groups += [(_complete(model, v, batch)[1], np.full(m_b, k), 1.0 / (2.0 * m_b))
                for v in (1, 2)]
 
@@ -146,25 +151,20 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch):
 
 
 def feature_matching_penalty(model: TripartiteModel, which_view: int,
-                             real_pairs, gen_trace):
+                             real_pairs, gen_pairs, gen_trace):
     """l2 distance between mean discriminator features on real and completed pairs.
 
-    real_pairs is an (x1, x2) tuple of complete-pair batches. gen_trace is
-    the generator forward trace whose output is the completed view; the
-    observed other view is recovered from the trace input, so the penalty
-    can send exact gradients back into the generator. The discriminator is
+    real_pairs is a [view1 | view2] block of complete pairs, gen_pairs the
+    block completed by generator ``which_view``, and gen_trace the forward
+    trace whose output fills that slot of gen_pairs; through it the penalty
+    sends exact gradients back into the generator. The discriminator is
     frozen: only its first layer carries the chain.
     """
-    x1_real, x2_real = real_pairs
-    if x1_real.shape[0] < 1 or gen_trace.output.shape[0] < 1:
+    if real_pairs.shape[0] < 1 or gen_pairs.shape[0] < 1:
         raise ConfigError("feature matching needs non-empty real and generated batches")
     gen = model.generator(which_view)
-    gen_pairs = model.completed_pair(which_view, gen_trace.output,
-                                     gen_trace.input[:, gen.output_dim:])
-
-    feats_real = forward(model.disc, np.concatenate([x1_real, x2_real], axis=1)).hidden_act
-    trace_d = forward(model.disc, gen_pairs)
-    feats_gen = trace_d.hidden_act
+    feats_real = forward(model.disc, real_pairs).hidden_act
+    feats_gen = forward(model.disc, gen_pairs).hidden_act
     delta = feats_real.mean(axis=0) - feats_gen.mean(axis=0)
     norm = float(np.linalg.norm(delta))
     if norm == 0.0:
@@ -198,8 +198,8 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
     grads = backward(model.generator(which_view), gen_trace, model.slot(which_view, d_input),
                      need=PARAMS)
 
-    penalty, fm_grads = feature_matching_penalty(
-        model, which_view, (batch.full.view1, batch.full.view2), gen_trace)
+    penalty, fm_grads = feature_matching_penalty(model, which_view, batch.real_pairs,
+                                                 pairs, gen_trace)
     for acc, extra in zip(grads.params(), fm_grads.params()):
         acc += fm_weight * extra
     return class_loss + fm_weight * penalty, grads
@@ -271,10 +271,9 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
             accs = (None, None)
             if heldout is not None and config.eval_every and step % config.eval_every == 0:
                 accs = _heldout_accuracy(model, heldout)
-            rows.append((i, *losses, *accs))
+            rows.append((i, *map(float, losses), *accs))
             if out:
-                acc_s = ",".join("" if a is None else repr(a) for a in accs)
-                out.write(f"{i},{','.join(repr(float(x)) for x in losses)},{acc_s}\n")
+                out.write(",".join("" if x is None else repr(x) for x in rows[-1]) + "\n")
             if checkpoint_path and (step == config.iterations or (
                     config.checkpoint_every and step % config.checkpoint_every == 0)):
                 save_checkpoint(checkpoint_path, model, config.seed, step)

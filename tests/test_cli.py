@@ -233,6 +233,30 @@ def test_gradcheck_command(capsys):
     assert "max_rel_error=" in out and "FAILED" not in out
 
 
+def test_theory_check_rejects_a_column_against_rows(tmp_path, capsys):
+    # a 3x1 real table and 1x3 generator tables are different joints
+    np.savetxt(tmp_path / "real.txt", np.full((3, 1), 1 / 3))
+    for name in ("g1", "g2"):
+        np.savetxt(tmp_path / f"{name}.txt", np.full((1, 3), 1 / 3))
+    rc = main(["theory-check", "--p-real", str(tmp_path / "real.txt"),
+               "--pg1", str(tmp_path / "g1.txt"), "--pg2", str(tmp_path / "g2.txt")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    [cmd, flag, str(count)]
+    for cmd, flag in (("gradcheck", "--instances"), ("theory-check", "--trials"))
+    for count in (0, -3)
+], ids=lambda argv: f"{argv[0]}{argv[2]}")
+def test_oracle_commands_reject_an_empty_count(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert [line.startswith("error:") for line in captured.err.splitlines()] == [True]
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = write(tmp_path / "bad.cfg", "iterations = 5\nunknown_key = 1\n"
                 "minibatch_size = 2\n")

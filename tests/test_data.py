@@ -173,9 +173,11 @@ def test_file_errors_carry_line_numbers(tmp_path, bad_line, expect_line):
 
 def test_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.tsv"
-    path.write_text("#dims 4 3\n")
-    with pytest.raises(DataFormatError):
-        vg.load_multiview_file(path)
+    for header in ("#dims 4 3", "#dimsfoo 4 3 2"):
+        path.write_text(header + "\n")
+        with pytest.raises(DataFormatError) as err:
+            vg.load_multiview_file(path)
+        assert err.value.line == 1
 
 
 def test_block_class_means():

@@ -117,6 +117,7 @@ def test_checkpoint_reports_line_of_damage(tmp_path):
 
 
 @pytest.mark.parametrize("lineno,bad", [
+    (2, "layout generator-input=condition,noise discriminator-input=view2,view1"),
     (3, "dims 3 x 2"),
     (4, "seed"),
     (5, "step 1.5"),
@@ -131,6 +132,20 @@ def test_checkpoint_header_errors_carry_line_numbers(tmp_path, lineno, bad):
     with pytest.raises(DataFormatError) as err:
         load_checkpoint(path)
     assert err.value.line == lineno
+
+
+@pytest.mark.parametrize("appended", [["", "stray"], None],
+                         ids=["stray-line", "second-checkpoint"])
+def test_checkpoint_rejects_content_after_the_last_net(tmp_path, appended):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, small_model(), seed=0, step=0)
+    lines = path.read_text().splitlines()
+    extra = lines if appended is None else appended
+    path.write_text("\n".join(lines + extra) + "\n")
+    with pytest.raises(DataFormatError) as err:
+        load_checkpoint(path)
+    first = next(i for i, line in enumerate(extra) if line.strip())
+    assert err.value.line == len(lines) + first + 1
 
 
 @pytest.mark.parametrize("lineno,damage", [

@@ -10,7 +10,7 @@ import viewgan.train as train_mod
 from viewgan.data import Views, one_hot, other_view
 from viewgan.errors import ConfigError, DimensionError
 from viewgan.evaluate import train_singleview_baseline
-from viewgan.model import discriminate, generate, generator_input, new_model
+from viewgan.model import discriminate, generate, generator_input, new_model, pair_input
 from viewgan.nn import forward
 from viewgan.train import (LOG_CLAMP, Minibatch, TrainConfig, clamped_class_grad,
                            feature_matching_penalty, loss_discriminator,
@@ -139,7 +139,8 @@ def test_feature_matching_zero_when_distributions_match():
     trace = forward(model.gen1, generator_input(model, 1, observed, noise))
     # feed the generator's own output back as the "real" pairs: means match
     penalty, grads = feature_matching_penalty(
-        model, 1, (fake1, observed), trace)
+        model, 1, pair_input(model, fake1, observed),
+        model.completed_pair(1, trace.output, observed), trace)
     assert penalty == 0.0
     for g in grads.params():
         assert np.all(g == 0)
@@ -150,7 +151,8 @@ def test_feature_matching_positive_otherwise():
     batch = make_batch(m_b=3, k=2, seed=9)
     trace = forward(model.gen1, generator_input(model, 1, batch.miss1.view2, batch.noise_v1))
     penalty, grads = feature_matching_penalty(
-        model, 1, (batch.full.view1, batch.full.view2), trace)
+        model, 1, batch.real_pairs, model.completed_pair(1, trace.output, batch.miss1.view2),
+        trace)
     assert penalty > 0
     assert any(np.any(g != 0) for g in grads.params())
 
@@ -174,6 +176,18 @@ def test_minibatch_validation():
         Minibatch(b.full[:1], b.miss1, b.miss2, b.noise_v1, b.noise_v2)
     with pytest.raises(DimensionError):
         Minibatch(b.full, b.miss1, b.miss2, b.noise_v1, b.noise_v2[:1])
+
+
+def test_minibatch_blocks_follow_the_model_layout():
+    model = new_model(2, 3, 3, np.random.default_rng(0), hidden_dim=4)
+    b = make_batch(m_b=4, d1=2, d2=3)
+    assert b.real_pairs.tobytes() == pair_input(model, b.full.view1, b.full.view2).tobytes()
+    for v, miss, noise in ((1, b.miss1, b.noise_v1), (2, b.miss2, b.noise_v2)):
+        gen_input, observed, labels = b.side(v)
+        assert observed is miss.view(other_view(v)) and labels is miss.label
+        expect = generator_input(model, v, observed, noise)
+        assert gen_input.shape == expect.shape
+        assert gen_input.tobytes() == expect.tobytes()
 
 
 def test_sample_minibatch_draws_from_each_subset():
@@ -271,7 +285,12 @@ def test_train_rows_and_metrics_file(tmp_path):
     assert len(lines) == 10
     # unevaluated iterations leave both accuracy columns empty
     assert lines[1].endswith(",,")
-    float(lines[1].split(",")[1])  # losses parse back
+    # every line is its returned row: each number parses back, None is empty
+    for line, row in zip(lines[1:], rows):
+        fields = line.split(",")
+        assert len(fields) == len(row)
+        for field, value in zip(fields, row):
+            assert (field == "") if value is None else (float(field) == value)
     # the last step is evaluated on the final model: its class column is
     # evaluate's class-head accuracy on the same pairs
     report = vg.evaluate(model, test, vg.Scenario.COMPLETE)
@@ -331,8 +350,7 @@ def test_train_config_validation():
     lambda m, b, ds: generator_input(m, 3, b.miss1.view2, b.noise_v1),
     lambda m, b, ds: loss_generator(m, 3, b),
     lambda m, b, ds: feature_matching_penalty(
-        m, 3, (b.full.view1, b.full.view2),
-        forward(m.gen1, generator_input(m, 1, b.miss1.view2, b.noise_v1))),
+        m, 3, b.real_pairs, b.real_pairs, forward(m.gen1, b.side(1)[0])),
     lambda m, b, ds: ds.observing(3),
     lambda m, b, ds: train_singleview_baseline(
         3, ds, TrainConfig(iterations=1, minibatch_size=2), ds.s_full),
