@@ -9,7 +9,7 @@ summed over the batch; the caller owns any 1/m scaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,10 +46,10 @@ def softmax(logits):
     and strictly below 1 even for logit magnitudes up to 1e4. Works in place
     on the shifted copy; ``logits`` is not modified.
     """
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     np.maximum(z, -_SATURATION, out=z)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -138,7 +138,7 @@ def forward(net: Mlp, x) -> ForwardTrace:
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise DimensionError(
             f"input shape {x.shape} incompatible with input_dim {net.input_dim}")
-    if not np.isfinite(x).all():
+    if np.count_nonzero(np.isfinite(x)) != x.size:
         raise NumericError("non-finite input")
     hidden_pre = x @ net.weights_in.T
     hidden_pre += net.bias_in
@@ -202,9 +202,9 @@ def backward(net: Mlp, trace: ForwardTrace, output_grad, *, need: str = ALL) -> 
     grads = MlpGrads(None, None, None, None)
     if need != INPUT:
         grads.weights_out = g.T @ h
-        grads.bias_out = g.sum(axis=0)
+        grads.bias_out = np.add.reduce(g, axis=0)
         grads.weights_in = d_hidden.T @ x
-        grads.bias_in = d_hidden.sum(axis=0)
+        grads.bias_in = np.add.reduce(d_hidden, axis=0)
     if need != PARAMS:
         grads.input_grad = d_hidden @ net.weights_in
     return grads
@@ -212,15 +212,39 @@ def backward(net: Mlp, trace: ForwardTrace, output_grad, *, need: str = ALL) -> 
 
 @dataclass(eq=False)
 class AdamState:
-    """Per-parameter Adam moments plus the shared hyperparameters."""
+    """One player's Adam moments plus the shared hyperparameters.
 
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    Each moment is one flat vector over all of the player's parameter
+    blocks, in the order of ``shapes``; ``first_moment`` and
+    ``second_moment`` are per-block views into them. Two flat buffers of
+    the same length are reused by every step.
+    """
+
+    shapes: tuple[tuple[int, ...], ...]
     step_count: int
     alpha: float
     beta1: float
     beta2: float
     epsilon: float
+    first_moment: list[np.ndarray] = field(init=False, repr=False)
+    second_moment: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size = sum(math.prod(shape) for shape in self.shapes)
+        self._m, self._v = np.zeros(size), np.zeros(size)
+        self._step, self._scratch = np.empty(size), np.empty(size)
+        self.first_moment = self._blocks(self._m)
+        self.second_moment = self._blocks(self._v)
+        self._step_blocks = self._blocks(self._step)
+
+    def _blocks(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-block views of a flat vector laid out like the moments."""
+        blocks, start = [], 0
+        for shape in self.shapes:
+            stop = start + math.prod(shape)
+            blocks.append(flat[start:stop].reshape(shape))
+            start = stop
+        return blocks
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], alpha: float = 1e-4,
@@ -228,48 +252,55 @@ class AdamState:
                    epsilon: float = 1e-8) -> "AdamState":
         if alpha <= 0 or not (0 <= beta1 < 1) or not (0 <= beta2 < 1) or epsilon <= 0:
             raise ValueError("invalid Adam hyperparameters")
-        return cls([np.zeros_like(p) for p in params],
-                   [np.zeros_like(p) for p in params],
-                   0, alpha, beta1, beta2, epsilon)
+        return cls(tuple(p.shape for p in params), 0, alpha, beta1, beta2, epsilon)
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
     """One bias-corrected Adam update, applied to ``params`` in place.
 
-    Rejects non-finite gradients before touching any state, so a failed call
-    leaves parameters and moments untouched. Per block it runs the float64
-    operations of the textbook update, in its order,
+    Gathers the gradient blocks into one flat vector and rejects it if any
+    entry is non-finite, before touching any state, so a failed call leaves
+    parameters and moments untouched. Over the flat vector it runs the
+    float64 operations of the textbook update, in its order,
 
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         p -= alpha * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + epsilon)
 
-    writing each intermediate into two scratch arrays.
+    writing each intermediate into the state's two buffers, then subtracts
+    the step from each block.
     """
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
+    if len(params) != len(grads) or len(params) != len(state.shapes):
         raise DimensionError("params/grads/state block counts differ")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise DimensionError(f"param shape {p.shape} != grad shape {g.shape}")
-    for g in grads:
-        if not np.isfinite(g).all():
-            raise NumericError("non-finite gradient; update not applied")
+    for p, g, shape in zip(params, grads, state.shapes):
+        if p.shape != shape or g.shape != shape:
+            raise DimensionError(f"param shape {p.shape} and grad shape {g.shape} "
+                                 f"must both be {shape}")
+    step, scratch, m, v = state._step, state._scratch, state._m, state._v
+    g = np.concatenate([block.ravel() for block in grads], out=step)
+    if np.count_nonzero(np.isfinite(g)) != g.size:
+        raise NumericError("non-finite gradient; update not applied")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
+    m *= b1
+    np.multiply(1.0 - b1, g, out=scratch)
+    m += scratch
+    v *= b2
+    np.multiply(1.0 - b2, g, out=scratch)
+    scratch *= g
+    v += scratch
+    # g is not read again: the step takes its buffer. Once b1**t rounds
+    # 1 - b1**t to 1.0 (t >= 54 at b1 = 0.5), m / 1.0 is m, so the division
+    # is skipped.
     correction1 = 1.0 - b1 ** t
-    correction2 = 1.0 - b2 ** t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= b1
-        scratch = np.multiply(1.0 - b1, g)
-        m += scratch
-        v *= b2
-        np.multiply(1.0 - b2, g, out=scratch)
-        scratch *= g
-        v += scratch
-        step = np.divide(m, correction1)
+    if correction1 == 1.0:
+        np.multiply(m, state.alpha, out=step)
+    else:
+        np.divide(m, correction1, out=step)
         step *= state.alpha
-        np.divide(v, correction2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += state.epsilon
-        step /= scratch
-        p -= step
+    np.divide(v, 1.0 - b2 ** t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.epsilon
+    step /= scratch
+    for p, s in zip(params, state._step_blocks):
+        p -= s

@@ -10,6 +10,7 @@ through the frozen discriminator into the slot its view occupies.
 from __future__ import annotations
 
 import logging
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -98,13 +99,15 @@ def clamped_class_grad(probs: np.ndarray, targets: np.ndarray, coeff: float):
     and a zero gradient (the clamped value does not respond to the logits).
     """
     rows = np.arange(probs.shape[0])
-    picked = probs[rows, targets]
-    loss = -coeff * float(np.sum(np.log(np.maximum(picked, LOG_CLAMP))))
-    live = picked > LOG_CLAMP
-    n_clamped = probs.shape[0] - int(np.count_nonzero(live))
     dlogits = probs.copy()
-    dlogits[rows, targets] -= 1.0
+    picked = dlogits[rows, targets]
+    live = picked > LOG_CLAMP
+    dlogits[rows, targets] = picked - 1.0
     dlogits *= coeff
+    np.maximum(picked, LOG_CLAMP, out=picked)
+    np.log(picked, out=picked)
+    loss = -coeff * float(np.add.reduce(picked))
+    n_clamped = probs.shape[0] - np.count_nonzero(live)
     if n_clamped:
         logger.debug("log clamp active on %d of %d samples", n_clamped, probs.shape[0])
         dlogits[~live] = 0.0
@@ -131,9 +134,9 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch):
     """
     m_b = len(batch.full)
     k = model.num_classes
-    groups = [(batch.real_pairs, np.argmax(batch.full.label, axis=1), 1.0 / (m_b * (k + 1)))]
-    groups += [(_complete(model, v, batch)[1], np.full(m_b, k), 1.0 / (2.0 * m_b))
-               for v in (1, 2)]
+    fake = np.full(m_b, k)
+    groups = [(batch.real_pairs, batch.full.label.argmax(axis=1), 1.0 / (m_b * (k + 1)))]
+    groups += [(_complete(model, v, batch)[1], fake, 1.0 / (2.0 * m_b)) for v in (1, 2)]
 
     total = 0.0
     grads: MlpGrads | None = None
@@ -165,16 +168,24 @@ def feature_matching_penalty(model: TripartiteModel, which_view: int,
     gen = model.generator(which_view)
     feats_real = forward(model.disc, real_pairs).hidden_act
     feats_gen = forward(model.disc, gen_pairs).hidden_act
-    delta = feats_real.mean(axis=0) - feats_gen.mean(axis=0)
-    norm = float(np.linalg.norm(delta))
+    # the float64 operations of mean(real) - mean(gen) and np.linalg.norm:
+    # column sums, each divided by its row count, then sqrt(delta . delta)
+    n_gen = feats_gen.shape[0]
+    delta = np.add.reduce(feats_real, axis=0)
+    delta /= feats_real.shape[0]
+    mean_gen = np.add.reduce(feats_gen, axis=0)
+    mean_gen /= n_gen
+    delta -= mean_gen
+    norm = math.sqrt(delta.dot(delta))
     if norm == 0.0:
         zero = [np.zeros_like(p) for p in gen.params()]
         return 0.0, MlpGrads(*zero)
 
-    n_gen = feats_gen.shape[0]
     # d penalty / d feats_gen[i] = (-delta/norm) / n_gen, then through the
     # sigmoid and the discriminator's first layer into the generated slot.
-    d_feats = (-delta / norm) / n_gen
+    d_feats = np.negative(delta, out=delta)
+    d_feats /= norm
+    d_feats /= n_gen
     d_hidden_pre = d_feats * feats_gen
     d_hidden_pre *= 1.0 - feats_gen
     d_pairs = d_hidden_pre @ model.disc.weights_in
@@ -193,7 +204,7 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
     gen_trace, pairs, labels = _complete(model, which_view, batch)
 
     trace_d = forward(model.disc, pairs)
-    class_loss, dlogits = clamped_class_grad(trace_d.output, np.argmax(labels, axis=1), coeff)
+    class_loss, dlogits = clamped_class_grad(trace_d.output, labels.argmax(axis=1), coeff)
     d_input = backward(model.disc, trace_d, dlogits, need=INPUT).input_grad
     grads = backward(model.generator(which_view), gen_trace, model.slot(which_view, d_input),
                      need=PARAMS)
@@ -201,7 +212,8 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
     penalty, fm_grads = feature_matching_penalty(model, which_view, batch.real_pairs,
                                                  pairs, gen_trace)
     for acc, extra in zip(grads.params(), fm_grads.params()):
-        acc += fm_weight * extra
+        # x * 1.0 is x, so the default weight skips the product
+        acc += extra if fm_weight == 1.0 else fm_weight * extra
     return class_loss + fm_weight * penalty, grads
 
 

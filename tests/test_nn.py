@@ -321,6 +321,64 @@ def test_adam_state_shape_mismatch():
         adam_step([p], [np.zeros(3)], state)
 
 
+def test_adam_matches_the_textbook_update_once_the_first_correction_is_one():
+    # at b1 = 0.5, 1 - b1**t rounds to 1.0 from t = 54 on, where the update
+    # skips the division by it; the bits must not change there either
+    rng = np.random.default_rng(19)
+    params = [p * 1e-4 for p in four_blocks(rng)]
+    ref = [p.copy() for p in params]
+    ref_m = [np.zeros_like(p) for p in params]
+    ref_v = [np.zeros_like(p) for p in params]
+    state = AdamState.for_params(params)
+    for t in range(1, 61):
+        grads = four_blocks(rng)
+        adam_step(params, grads, state)
+        reference_adam(ref, grads, ref_m, ref_v, t)
+    assert 1.0 - 0.5 ** 53 != 1.0 and 1.0 - 0.5 ** 54 == 1.0
+    for got, want in zip(params + state.first_moment + state.second_moment,
+                         ref + ref_m + ref_v):
+        assert np.array_equal(got, want)
+
+
+def test_adam_moments_are_views_of_one_flat_vector_each():
+    params = four_blocks(np.random.default_rng(20))
+    state = AdamState.for_params(params)
+    for moments in (state.first_moment, state.second_moment):
+        assert [b.shape for b in moments] == [p.shape for p in params]
+        flat = moments[0].base
+        assert flat.ndim == 1 and flat.size == sum(p.size for p in params)
+        assert all(b.base is flat for b in moments)
+        # writing through the flat vector shows in the block views, in block order
+        flat[:] = np.arange(flat.size)
+        assert np.array_equal(np.concatenate([b.ravel() for b in moments]), flat)
+    assert not np.shares_memory(state.first_moment[0], state.second_moment[0])
+
+
+@pytest.mark.parametrize("case", ["fewer grads", "fewer params", "grad shape", "param shape"])
+def test_adam_rejects_a_layout_mismatch_before_touching_any(case):
+    rng = np.random.default_rng(21)
+    params = four_blocks(rng)
+    state = AdamState.for_params(params)
+    adam_step(params, four_blocks(rng), state)  # nonzero moments to guard
+    saved = [a.copy() for a in params + state.first_moment + state.second_moment]
+    call_params, grads = list(params), four_blocks(rng)
+    if case == "fewer grads":
+        grads.pop()
+    elif case == "fewer params":
+        call_params.pop()
+        grads.pop()
+    elif case == "grad shape":
+        grads[0] = grads[0].T.copy()
+    else:
+        call_params[2] = np.zeros((7, 3))
+        grads[2] = np.zeros((7, 3))
+    with pytest.raises(DimensionError):
+        adam_step(call_params, grads, state)
+    for got, want in zip(params + state.first_moment + state.second_moment, saved):
+        assert np.array_equal(got, want)
+    assert state.step_count == 1
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_forward_is_deterministic(seed):

@@ -1,17 +1,23 @@
 """Tests for minibatch assembly, the three losses and the training loop."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_nn import reference_adam, reference_sigmoid, reference_softmax
 
 import viewgan as vg
+import viewgan.nn as nn_mod
 import viewgan.train as train_mod
 from viewgan.data import Views, one_hot, other_view
 from viewgan.errors import ConfigError, DimensionError
 from viewgan.evaluate import train_singleview_baseline
 from viewgan.model import discriminate, generate, generator_input, new_model, pair_input
-from viewgan.nn import forward
+from viewgan.nn import ALL, INPUT, PARAMS, MlpGrads, forward
 from viewgan.train import (LOG_CLAMP, Minibatch, TrainConfig, clamped_class_grad,
                            feature_matching_penalty, loss_discriminator,
                            loss_generator, sample_minibatch, train)
@@ -368,3 +374,156 @@ def test_view_taking_entries_reject_a_third_view(call):
     model = new_model(2, 2, 2, np.random.default_rng(0), hidden_dim=4)
     with pytest.raises(ValueError, match="which_view must be 1 or 2"):
         call(model, make_batch(m_b=2, k=2), ds)
+
+
+# ---------------------------------------------------------------- same bits
+#
+# The plain expressions the training step's kernels must reproduce bit for
+# bit: numpy's mean and norm, fancy-index arithmetic, whole-array sums and
+# one Adam update per block.
+
+def plain_clamped_class_grad(probs, targets, coeff):
+    rows = np.arange(probs.shape[0])
+    picked = probs[rows, targets]
+    loss = -coeff * float(np.sum(np.log(np.maximum(picked, LOG_CLAMP))))
+    dlogits = probs.copy()
+    dlogits[rows, targets] -= 1.0
+    dlogits *= coeff
+    dlogits[picked <= LOG_CLAMP] = 0.0
+    return loss, dlogits
+
+
+def plain_backward(net, trace, output_grad, *, need=ALL):
+    h = trace.hidden_act
+    d_hidden = output_grad @ net.weights_out * h * (1.0 - h)
+    grads = MlpGrads(None, None, None, None)
+    if need != INPUT:
+        grads.weights_out = output_grad.T @ h
+        grads.bias_out = output_grad.sum(axis=0)
+        grads.weights_in = d_hidden.T @ trace.input
+        grads.bias_in = d_hidden.sum(axis=0)
+    if need != PARAMS:
+        grads.input_grad = d_hidden @ net.weights_in
+    return grads
+
+
+def plain_feature_matching(model, which_view, real_pairs, gen_pairs, gen_trace):
+    feats_real = forward(model.disc, real_pairs).hidden_act
+    feats_gen = forward(model.disc, gen_pairs).hidden_act
+    delta = np.mean(feats_real, axis=0) - np.mean(feats_gen, axis=0)
+    norm = float(np.linalg.norm(delta))
+    d_hidden_pre = (-delta / norm) / feats_gen.shape[0] * feats_gen * (1.0 - feats_gen)
+    d_pairs = d_hidden_pre @ model.disc.weights_in
+    return norm, plain_backward(model.generator(which_view), gen_trace,
+                                model.slot(which_view, d_pairs), need=PARAMS)
+
+
+def textbook_adam_step(params, grads, state):
+    """Per-block textbook Adam, kept in the state's block views."""
+    state.step_count += 1
+    new, m, v = ([a.copy() for a in blocks]
+                 for blocks in (params, state.first_moment, state.second_moment))
+    reference_adam(new, grads, m, v, state.step_count, state.alpha, state.beta1,
+                   state.beta2, state.epsilon)
+    for live, value in zip(params + state.first_moment + state.second_moment, new + m + v):
+        live[...] = value
+
+
+def acceptance_shaped_task(seed, d=20, m_missing=100):
+    return vg.generate_synthetic(vg.SyntheticSpec(
+        num_classes=3, d1=d, d2=d,
+        means_view1=vg.block_class_means(3, d, 1.6),
+        means_view2=vg.block_class_means(3, d, 0.8),
+        noise_sigma=1.0, view_correlation=0.0,
+        m_full=50, m_missing1=m_missing, m_missing2=m_missing, m_test=10, seed=seed))
+
+
+def test_clamped_class_grad_matches_the_plain_expression_bit_for_bit():
+    rng = np.random.default_rng(30)
+    logits = rng.normal(scale=3.0, size=(32, 4))
+    logits[[3, 17], 0] = -80.0  # two rows whose target probability is clamped
+    probs = reference_softmax(logits)
+    targets = rng.integers(0, 4, size=32)
+    targets[[3, 17]] = 0
+    assert np.count_nonzero(probs[np.arange(32), targets] <= LOG_CLAMP) == 2
+    for rows in (slice(None), [0, 1, 2, 4]):
+        got = clamped_class_grad(probs[rows], targets[rows], 1.0 / 128)
+        want = plain_clamped_class_grad(probs[rows], targets[rows], 1.0 / 128)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+
+
+def test_feature_matching_matches_the_plain_expression_bit_for_bit():
+    dataset, _, _ = acceptance_shaped_task(31)
+    model = new_model(20, 20, 3, np.random.default_rng(32), hidden_dim=200)
+    batch = sample_minibatch(dataset, 32, np.random.default_rng(33))
+    for v in (1, 2):
+        gen_input, observed, _ = batch.side(v)
+        trace = forward(model.generator(v), gen_input)
+        pairs = model.completed_pair(v, trace.output, observed)
+        got, got_grads = feature_matching_penalty(model, v, batch.real_pairs, pairs, trace)
+        want, want_grads = plain_feature_matching(model, v, batch.real_pairs, pairs, trace)
+        assert got == want > 0
+        for a, b in zip(got_grads.params(), want_grads.params()):
+            assert np.array_equal(a, b)
+
+
+def test_training_matches_the_textbook_step_bit_for_bit(monkeypatch):
+    # 60 steps at the acceptance shapes; from step 54 on, Adam skips its
+    # division by 1 - beta1**t, which has rounded to 1.0
+    dataset, _, _ = acceptance_shaped_task(34)
+    init = new_model(20, 20, 3, np.random.default_rng(35), hidden_dim=200)
+    config = TrainConfig(iterations=60, minibatch_size=32, seed=36)
+    shipped, shipped_rows = train(init.copy(), dataset, config)
+
+    monkeypatch.setattr(nn_mod, "sigmoid", reference_sigmoid)
+    monkeypatch.setattr(nn_mod, "softmax", reference_softmax)
+    monkeypatch.setattr(train_mod, "backward", plain_backward)
+    monkeypatch.setattr(train_mod, "clamped_class_grad", plain_clamped_class_grad)
+    monkeypatch.setattr(train_mod, "feature_matching_penalty", plain_feature_matching)
+    monkeypatch.setattr(train_mod, "adam_step", textbook_adam_step)
+    textbook, textbook_rows = train(init.copy(), dataset, config)
+
+    assert shipped_rows == textbook_rows
+    for name in ("gen1", "gen2", "disc"):
+        for a, b in zip(getattr(shipped, name).params(), getattr(textbook, name).params()):
+            assert a.tobytes() == b.tobytes()
+    assert not np.array_equal(shipped.disc.weights_in, init.disc.weights_in)
+
+
+# One short wide-shape training in a fresh process with one BLAS thread,
+# writing the model's parameter bytes to argv[1].
+_WIDE_RUN = """
+import sys
+import numpy as np
+from test_train import acceptance_shaped_task
+from viewgan.model import new_model
+from viewgan.train import TrainConfig, train
+
+dataset, _, _ = acceptance_shaped_task(37, d=400, m_missing=64)
+model = new_model(400, 400, 3, np.random.default_rng(38), hidden_dim=200)
+train(model, dataset, TrainConfig(iterations=5, minibatch_size=32, seed=39))
+with open(sys.argv[1], "wb") as f:
+    for net in (model.gen1, model.gen2, model.disc):
+        for block in net.params():
+            f.write(block.tobytes())
+"""
+
+
+def test_wide_training_is_bitwise_identical_across_fresh_processes(tmp_path):
+    # the determinism contract: one numpy/BLAS build and one BLAS thread
+    # count give the same bits; the thread count is fixed before numpy loads
+    src = Path(vg.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(src), str(Path(__file__).resolve().parent),
+                            os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    outputs = []
+    for tag in ("a", "b"):
+        out = tmp_path / f"model_{tag}.bin"
+        subprocess.run([sys.executable, "-c", _WIDE_RUN, str(out)], env=env, check=True,
+                       timeout=300)
+        outputs.append(out.read_bytes())
+    assert len(outputs[0]) == 8 * (2 * (200 * 800 + 200 + 400 * 200 + 400)
+                                   + 200 * 800 + 200 + 4 * 200 + 4)
+    assert outputs[0] == outputs[1]
