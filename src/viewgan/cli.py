@@ -64,6 +64,10 @@ def _print_report(report: MetricsReport) -> None:
     for k, c in enumerate(report.per_class):
         print(f"class {k}: precision={repr(c.precision)} "
               f"recall={repr(c.recall)} f1={repr(c.f1)}")
+    classes = " ".join(map(str, range(len(report.confusion))))
+    print(f"confusion rows=true class, columns=predicted {classes} fake")
+    for k, row in enumerate(report.confusion):
+        print(f"confusion {k}: {' '.join(map(str, row))}")
 
 
 def cmd_train(args) -> int:

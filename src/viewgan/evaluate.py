@@ -52,6 +52,7 @@ class MetricsReport:
     n_test: int
     seed: int
     class_accuracy: float
+    confusion: tuple  # K rows of K+1 counts: true class by predicted class, then Fake
 
 
 def metrics_from_predictions(true_labels, predicted, fake, num_classes: int,
@@ -89,7 +90,8 @@ def metrics_from_predictions(true_labels, predicted, fake, num_classes: int,
         per_class.append(ClassScores(precision, recall, f1))
     macro_f1 = float(np.mean([c.f1 for c in per_class]))
     return MetricsReport(accuracy, tuple(per_class), macro_f1,
-                         float(np.mean(fake)), n, seed, float(np.mean(pred == y)))
+                         float(np.mean(fake)), n, seed, float(np.mean(pred == y)),
+                         tuple(map(tuple, confusion.tolist())))
 
 
 def evaluate(model: TripartiteModel, test: Views, scenario: Scenario,

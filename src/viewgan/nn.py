@@ -138,6 +138,7 @@ def forward(net: Mlp, x) -> ForwardTrace:
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise DimensionError(
             f"input shape {x.shape} incompatible with input_dim {net.input_dim}")
+    # counting is cheaper than ndarray.all()'s Python-level wrapper on small blocks
     if np.count_nonzero(np.isfinite(x)) != x.size:
         raise NumericError("non-finite input")
     hidden_pre = x @ net.weights_in.T

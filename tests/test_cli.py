@@ -103,6 +103,27 @@ def test_eval_generated_scenario(tmp_path, synth_files, capsys):
     assert "scenario=view1-generated" in capsys.readouterr().out
 
 
+def test_eval_prints_the_confusion_matrix_with_its_fake_column(tmp_path, synth_files, capsys):
+    train_f, test_f = synth_files
+    ckpt = str(tmp_path / "model.ckpt")
+    assert main(["train", "--config", write(tmp_path / "train.cfg", TRAIN_CFG),
+                 "--data", train_f, "--out-checkpoint", ckpt]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ckpt, "--data", test_f,
+                 "--scenario", "complete"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the benchmark reads the report's accuracy= and fake_rate= lines
+    assert sum(line.startswith(("accuracy=", "fake_rate=")) for line in lines) == 2
+    report = dict(line.split("=", 1) for line in lines if "=" in line and ":" not in line)
+    head = lines.index("confusion rows=true class, columns=predicted 0 1 fake")
+    rows = [lines[head + 1 + k].split(": ") for k in range(2)]
+    assert [label for label, _ in rows] == ["confusion 0", "confusion 1"]
+    counts = np.array([[int(c) for c in cells.split()] for _, cells in rows])
+    assert counts.shape == (2, 3) and counts.sum() == int(report["n_test"]) == 10
+    assert np.trace(counts[:, :2]) / 10 == float(report["accuracy"])
+    assert counts[:, 2].sum() / 10 == float(report["fake_rate"])
+
+
 def test_cli_train_is_bitwise_deterministic(tmp_path, synth_files):
     train_f, _ = synth_files
     cfg = write(tmp_path / "train.cfg", TRAIN_CFG)

@@ -39,6 +39,8 @@ def test_metrics_hand_confusion():
     # ignoring the gate, the first fake call (label 0, argmax 0) is right
     assert rep.class_accuracy == pytest.approx(3 / 6)
     assert rep.n_test == 6 and rep.seed == 9
+    # rows: true class; columns: predicted class 0, 1, then Fake
+    assert rep.confusion == ((1, 1, 1), (1, 1, 1))
     # class 0: tp=1, predicted 0 twice (one true one from class 1), 3 true
     c0 = rep.per_class[0]
     assert c0.precision == pytest.approx(1 / 2)
