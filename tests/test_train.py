@@ -446,17 +446,20 @@ def test_clamped_class_grad_matches_the_plain_expression_bit_for_bit():
     targets = rng.integers(0, 4, size=32)
     targets[[3, 17]] = 0
     assert np.count_nonzero(probs[np.arange(32), targets] <= LOG_CLAMP) == 2
+    # 1/96 is not a power of two, so scaling by it rounds
     for rows in (slice(None), [0, 1, 2, 4]):
-        got = clamped_class_grad(probs[rows], targets[rows], 1.0 / 128)
-        want = plain_clamped_class_grad(probs[rows], targets[rows], 1.0 / 128)
+        got = clamped_class_grad(probs[rows], targets[rows], 1.0 / 96)
+        want = plain_clamped_class_grad(probs[rows], targets[rows], 1.0 / 96)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
 
 
-def test_feature_matching_matches_the_plain_expression_bit_for_bit():
+# m_b = 32 is the acceptance batch; at 24 the 1/m_b scalings round
+@pytest.mark.parametrize("m_b", [32, 24])
+def test_feature_matching_matches_the_plain_expression_bit_for_bit(m_b):
     dataset, _, _ = acceptance_shaped_task(31)
     model = new_model(20, 20, 3, np.random.default_rng(32), hidden_dim=200)
-    batch = sample_minibatch(dataset, 32, np.random.default_rng(33))
+    batch = sample_minibatch(dataset, m_b, np.random.default_rng(33))
     for v in (1, 2):
         gen_input, observed, _ = batch.side(v)
         trace = forward(model.generator(v), gen_input)
@@ -468,12 +471,14 @@ def test_feature_matching_matches_the_plain_expression_bit_for_bit():
             assert np.array_equal(a, b)
 
 
-def test_training_matches_the_textbook_step_bit_for_bit(monkeypatch):
-    # 60 steps at the acceptance shapes; from step 54 on, Adam skips its
+@pytest.mark.parametrize("m_b", [32, 24])
+def test_training_matches_the_textbook_step_bit_for_bit(monkeypatch, m_b):
+    # 60 steps at the acceptance shapes, and at a batch size whose loss
+    # weights are not powers of two; from step 54 on, Adam skips its
     # division by 1 - beta1**t, which has rounded to 1.0
     dataset, _, _ = acceptance_shaped_task(34)
     init = new_model(20, 20, 3, np.random.default_rng(35), hidden_dim=200)
-    config = TrainConfig(iterations=60, minibatch_size=32, seed=36)
+    config = TrainConfig(iterations=60, minibatch_size=m_b, seed=36)
     shipped, shipped_rows = train(init.copy(), dataset, config)
 
     monkeypatch.setattr(nn_mod, "sigmoid", reference_sigmoid)
