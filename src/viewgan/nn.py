@@ -290,15 +290,9 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     np.multiply(1.0 - b2, g, out=scratch)
     scratch *= g
     v += scratch
-    # g is not read again: the step takes its buffer. Once b1**t rounds
-    # 1 - b1**t to 1.0 (t >= 54 at b1 = 0.5), m / 1.0 is m, so the division
-    # is skipped.
-    correction1 = 1.0 - b1 ** t
-    if correction1 == 1.0:
-        np.multiply(m, state.alpha, out=step)
-    else:
-        np.divide(m, correction1, out=step)
-        step *= state.alpha
+    # g is not read again: the step takes its buffer
+    np.divide(m, 1.0 - b1 ** t, out=step)
+    step *= state.alpha
     np.divide(v, 1.0 - b2 ** t, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += state.epsilon

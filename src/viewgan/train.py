@@ -212,8 +212,7 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
     penalty, fm_grads = feature_matching_penalty(model, which_view, batch.real_pairs,
                                                  pairs, gen_trace)
     for acc, extra in zip(grads.params(), fm_grads.params()):
-        # x * 1.0 is x, so the default weight skips the product
-        acc += extra if fm_weight == 1.0 else fm_weight * extra
+        acc += fm_weight * extra
     return class_loss + fm_weight * penalty, grads
 
 
