@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .config import ConfigMap, load_kv_file
 from .data import (SyntheticSpec, block_class_means, generate_synthetic, load_multiview_file,
                    other_view, partition_rows, save_multiview_file)
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .evaluate import (ExperimentSpec, MetricsReport, Scenario, evaluate,
                        run_experiment, write_experiment_csv)
 from .gradcheck import run_all
@@ -55,6 +56,22 @@ def _synthetic_spec(cfg: ConfigMap) -> SyntheticSpec:
     )
 
 
+def _check_output_path(path) -> None:
+    """Reject an output path that cannot be written, before any work is done."""
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path} is a directory")
+    directory = os.path.dirname(path) or "."
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise ConfigError(f"output path {path}: {directory} is not a writable directory")
+
+
+def _check_dims(path, dataset, reference, name: str) -> None:
+    """Reject a data file whose header (d1, d2, K) differs from ``reference``'s."""
+    got, want = ((x.d1, x.d2, x.num_classes) for x in (dataset, reference))
+    if got != want:
+        raise DimensionError(f"{path} has (d1, d2, K) = {got}, but {name} has {want}")
+
+
 def _print_report(report: MetricsReport) -> None:
     print(f"accuracy={repr(report.accuracy)}")
     print(f"class_accuracy={repr(report.class_accuracy)}")
@@ -71,6 +88,7 @@ def _print_report(report: MetricsReport) -> None:
 
 
 def cmd_train(args) -> int:
+    _check_output_path(args.out_checkpoint)
     cfg = load_kv_file(args.config)
     tc = _train_config(cfg)
     hidden = cfg.get_int("hidden_dim", DEFAULT_HIDDEN_DIM)
@@ -78,7 +96,9 @@ def cmd_train(args) -> int:
     dataset = load_multiview_file(args.data)
     heldout = None
     if args.heldout:
-        heldout = load_multiview_file(args.heldout).s_full
+        held = load_multiview_file(args.heldout)
+        _check_dims(args.heldout, held, dataset, f"training data {args.data}")
+        heldout = held.s_full
         if not heldout:
             raise ConfigError("heldout file has no complete pairs")
 
@@ -99,6 +119,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, _, _ = load_checkpoint(args.checkpoint)
     dataset = load_multiview_file(args.data)
+    _check_dims(args.data, dataset, model, f"checkpoint {args.checkpoint}")
     scenario = Scenario(args.scenario)
     v = scenario.generated_view
     test = dataset.s_full if v is None else dataset.observing(other_view(v))
@@ -121,6 +142,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _check_output_path(args.out)
     cfg = load_kv_file(args.config)
     tc = _train_config(cfg)
     n_repeats = cfg.get_int("n_repeats")

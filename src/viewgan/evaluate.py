@@ -18,10 +18,9 @@ import numpy as np
 
 from .data import (PartitionedDataset, SyntheticSpec, Views, generate_synthetic,
                    other_view, split_for_protocol)
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .model import TripartiteModel, decide_batch, discriminate, generate, new_model
-from .nn import (DEFAULT_HIDDEN_DIM, PARAMS, SOFTMAX, AdamState, adam_step, backward, forward,
-                 init_mlp)
+from .nn import DEFAULT_HIDDEN_DIM, SOFTMAX, AdamState, adam_step, backward, forward, init_mlp
 from .train import TrainConfig, clamped_class_grad, train
 
 
@@ -99,12 +98,16 @@ def evaluate(model: TripartiteModel, test: Views, scenario: Scenario,
     """Apply the decide rule to the test set under the given scenario.
 
     For the generated scenarios the target view is dropped and recompleted
-    with one fresh noise draw per item before scoring.
+    with one fresh noise draw per item before scoring. Test labels must
+    have the model's K columns.
     """
     if len(test) == 0:
         raise ConfigError("empty test set")
     if not isinstance(scenario, Scenario):
         raise ValueError(f"unknown scenario {scenario!r}")
+    if test.label.shape[1] != model.num_classes:
+        raise DimensionError(f"test labels have {test.label.shape[1]} classes, "
+                             f"but the model has {model.num_classes}")
     rng = np.random.default_rng(seed)
     v = scenario.generated_view
     if v is not None and test.view(other_view(v)) is not None:
@@ -146,8 +149,7 @@ def train_singleview_baseline(which_view: int, dataset: PartitionedDataset,
         idx = rng.integers(0, len(pool), size=m_b)
         trace = forward(net, x[idx])
         _, dlogits = clamped_class_grad(trace.output, y_idx[idx], 1.0 / m_b)
-        grads = backward(net, trace, dlogits, need=PARAMS)
-        adam_step(net.params(), grads.params(), adam)
+        adam_step(net.params(), backward(net, trace, dlogits), adam)
 
     pred = np.argmax(forward(net, test.view(which_view)).output, axis=1)
     report = metrics_from_predictions(np.argmax(test.label, axis=1), pred,

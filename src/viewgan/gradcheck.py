@@ -15,7 +15,7 @@ import numpy as np
 from .data import Views
 from .errors import ConfigError
 from .model import new_model
-from .nn import LINEAR, SOFTMAX, backward, forward, init_mlp
+from .nn import INPUT, LINEAR, SOFTMAX, backward, forward, init_mlp
 from .train import Minibatch, feature_matching_penalty, loss_discriminator, loss_generator
 
 FD_STEP = 1e-5
@@ -96,8 +96,7 @@ def _check_mlp(rng, kind: str) -> float:
         trace = forward(net, x)
         out_grad = trace.output - target
 
-    grads = backward(net, trace, out_grad)
-    analytic = list(grads.params()) + [grads.input_grad]
+    analytic = backward(net, trace, out_grad) + [backward(net, trace, out_grad, need=INPUT)]
     numeric = finite_difference(loss_fn, net.params() + [x])
     return max_relative_error(analytic, numeric)
 
@@ -124,7 +123,7 @@ def _check_loss(rng, family: str) -> float:
         v = 1 if family == "loss-g1" else 2
         net, loss = model.generator(v), lambda: loss_generator(model, v, batch, fm_weight=1.0)
 
-    analytic = loss()[1].params()
+    analytic = loss()[1]
     numeric = finite_difference(lambda: loss()[0], net.params())
     return max_relative_error(analytic, numeric)
 

@@ -3,7 +3,8 @@ manual backprop, and the Adam optimizer.
 
 All arithmetic is float64; gradient checks depend on it. Forward and backward
 take a batch of shape (n, d) with one sample per row. Parameter gradients are
-summed over the batch; the caller owns any 1/m scaling.
+summed over the batch; the caller owns any 1/m scaling. They travel as plain
+lists of arrays in ``Mlp.params()`` order.
 """
 
 from __future__ import annotations
@@ -150,44 +151,21 @@ def forward(net: Mlp, x) -> ForwardTrace:
     return ForwardTrace(x, hidden_act, output_pre, output)
 
 
-@dataclass(eq=False)
-class MlpGrads:
-    """Gradients for the four parameter blocks plus the input gradient.
-
-    Each field holds what ``backward`` was asked for and None otherwise: a
-    PARAMS pass leaves ``input_grad`` None, an INPUT pass the four blocks.
-    Sums over several passes (``loss_discriminator``, the generator losses)
-    are built from PARAMS passes, so they carry ``input_grad=None`` too, as
-    do zero gradients built without a pass.
-    """
-
-    weights_in: np.ndarray | None
-    bias_in: np.ndarray | None
-    weights_out: np.ndarray | None
-    bias_out: np.ndarray | None
-    input_grad: np.ndarray | None = None
-
-    def params(self) -> list[np.ndarray]:
-        return [self.weights_in, self.bias_in, self.weights_out, self.bias_out]
-
-
-# What ``backward`` computes: everything, the parameter gradients only, or
-# the input gradient only.
-ALL = "all"
+# What ``backward`` computes: the parameter gradients or the input gradient.
 PARAMS = "params"
 INPUT = "input"
 
 
-def backward(net: Mlp, trace: ForwardTrace, output_grad, *, need: str = ALL) -> MlpGrads:
-    """Reverse-mode pass through both layers.
+def backward(net: Mlp, trace: ForwardTrace, output_grad, *, need: str = PARAMS):
+    """Reverse-mode pass through both layers; computes only what ``need`` asks for.
 
     ``output_grad`` is the loss gradient with respect to ``output_pre``; for a
     softmax net the caller passes the fused softmax + cross-entropy logit
-    gradient (probabilities minus target). Parameter gradients are summed over
-    the batch; ``input_grad`` keeps the input's shape. ``need`` picks ALL,
-    PARAMS or INPUT; the gradients it leaves out are not computed and are None.
+    gradient (probabilities minus target). ``need=PARAMS`` returns the four
+    parameter gradients, summed over the batch, as a list in ``net.params()``
+    order; ``need=INPUT`` returns the input gradient, shaped like the input.
     """
-    if need not in (ALL, PARAMS, INPUT):
+    if need not in (PARAMS, INPUT):
         raise ValueError(f"unknown need {need!r}")
     g = np.asarray(output_grad, dtype=np.float64)
     if g.shape != trace.output_pre.shape:
@@ -200,15 +178,9 @@ def backward(net: Mlp, trace: ForwardTrace, output_grad, *, need: str = ALL) -> 
     d_hidden = g @ net.weights_out
     d_hidden *= h
     d_hidden *= 1.0 - h
-    grads = MlpGrads(None, None, None, None)
-    if need != INPUT:
-        grads.weights_out = g.T @ h
-        grads.bias_out = np.add.reduce(g, axis=0)
-        grads.weights_in = d_hidden.T @ x
-        grads.bias_in = np.add.reduce(d_hidden, axis=0)
-    if need != PARAMS:
-        grads.input_grad = d_hidden @ net.weights_in
-    return grads
+    if need == INPUT:
+        return d_hidden @ net.weights_in
+    return [d_hidden.T @ x, np.add.reduce(d_hidden, axis=0), g.T @ h, np.add.reduce(g, axis=0)]
 
 
 @dataclass(eq=False)

@@ -19,7 +19,7 @@ import numpy as np
 from .data import PartitionedDataset, Views, by_view, other_view
 from .errors import ConfigError, DimensionError, NumericError
 from .model import TripartiteModel, decide_batch, discriminate, save_checkpoint
-from .nn import INPUT, PARAMS, AdamState, MlpGrads, adam_step, backward, forward
+from .nn import INPUT, AdamState, adam_step, backward, forward
 
 LOG_CLAMP = 1e-12
 
@@ -131,6 +131,7 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch):
     1/(m_b*(K+1)) per sample) and the fake-class assignment of pairs
     completed by either generator (weight 1/(2*m_b) per sample each).
     Generator outputs are data here; nothing flows back into the generators.
+    The gradients are a list in ``model.disc.params()`` order.
     """
     m_b = len(batch.full)
     k = model.num_classes
@@ -138,17 +139,16 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch):
     groups = [(batch.real_pairs, batch.full.label.argmax(axis=1), 1.0 / (m_b * (k + 1)))]
     groups += [(_complete(model, v, batch)[1], fake, 1.0 / (2.0 * m_b)) for v in (1, 2)]
 
-    total = 0.0
-    grads: MlpGrads | None = None
+    total, grads = 0.0, None
     for pairs, targets, coeff in groups:
         trace = forward(model.disc, pairs)
         part, dlogits = clamped_class_grad(trace.output, targets, coeff)
         total += part
-        g = backward(model.disc, trace, dlogits, need=PARAMS)
+        g = backward(model.disc, trace, dlogits)
         if grads is None:
             grads = g
         else:
-            for acc, extra in zip(grads.params(), g.params()):
+            for acc, extra in zip(grads, g):
                 acc += extra
     return total, grads
 
@@ -161,7 +161,9 @@ def feature_matching_penalty(model: TripartiteModel, which_view: int,
     block completed by generator ``which_view``, and gen_trace the forward
     trace whose output fills that slot of gen_pairs; through it the penalty
     sends exact gradients back into the generator. The discriminator is
-    frozen: only its first layer carries the chain.
+    frozen: only its first layer carries the chain. Returns (penalty,
+    gradients), the gradients a list in the generator's ``params()`` order,
+    all zero when the penalty is 0.
     """
     if real_pairs.shape[0] < 1 or gen_pairs.shape[0] < 1:
         raise ConfigError("feature matching needs non-empty real and generated batches")
@@ -178,8 +180,7 @@ def feature_matching_penalty(model: TripartiteModel, which_view: int,
     delta -= mean_gen
     norm = math.sqrt(delta.dot(delta))
     if norm == 0.0:
-        zero = [np.zeros_like(p) for p in gen.params()]
-        return 0.0, MlpGrads(*zero)
+        return 0.0, [np.zeros_like(p) for p in gen.params()]
 
     # d penalty / d feats_gen[i] = (-delta/norm) / n_gen, then through the
     # sigmoid and the discriminator's first layer into the generated slot.
@@ -189,7 +190,7 @@ def feature_matching_penalty(model: TripartiteModel, which_view: int,
     d_hidden_pre = d_feats * feats_gen
     d_hidden_pre *= 1.0 - feats_gen
     d_pairs = d_hidden_pre @ model.disc.weights_in
-    return norm, backward(gen, gen_trace, model.slot(which_view, d_pairs), need=PARAMS)
+    return norm, backward(gen, gen_trace, model.slot(which_view, d_pairs))
 
 
 def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
@@ -197,7 +198,8 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
     """Generator loss: class assignment of completed pairs plus feature matching.
 
     Gradients reach the generator by backpropagating through the frozen
-    discriminator into the input slot the generated view occupies.
+    discriminator into the input slot the generated view occupies. Returns
+    (loss, gradients), the gradients a list in the generator's ``params()`` order.
     """
     m_b = len(batch.full)
     coeff = 1.0 / (m_b * (model.num_classes + 1))
@@ -205,13 +207,12 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
 
     trace_d = forward(model.disc, pairs)
     class_loss, dlogits = clamped_class_grad(trace_d.output, labels.argmax(axis=1), coeff)
-    d_input = backward(model.disc, trace_d, dlogits, need=INPUT).input_grad
-    grads = backward(model.generator(which_view), gen_trace, model.slot(which_view, d_input),
-                     need=PARAMS)
+    d_input = backward(model.disc, trace_d, dlogits, need=INPUT)
+    grads = backward(model.generator(which_view), gen_trace, model.slot(which_view, d_input))
 
     penalty, fm_grads = feature_matching_penalty(model, which_view, batch.real_pairs,
                                                  pairs, gen_trace)
-    for acc, extra in zip(grads.params(), fm_grads.params()):
+    for acc, extra in zip(grads, fm_grads):
         acc += fm_weight * extra
     return class_loss + fm_weight * penalty, grads
 
@@ -252,8 +253,16 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
     CSV with header ``iter,loss_d,loss_g1,loss_g2,heldout_acc,heldout_class_acc``.
     When checkpoint_path is given, the model is saved there, with
     config.seed, after every checkpoint_every-th step and after the last one
-    (before any step if there are none), each step at most once.
+    (before any step if there are none), each step at most once. Held-out
+    pairs whose (d1, d2, K) differ from the training data's are rejected
+    before the first step.
     """
+    if heldout is not None:
+        got = (heldout.view1.shape[1], heldout.view2.shape[1], heldout.label.shape[1])
+        want = (dataset.d1, dataset.d2, dataset.num_classes)
+        if got != want:
+            raise DimensionError(f"held-out pairs have (d1, d2, K) = {got}, "
+                                 f"but the training data has {want}")
     rng = np.random.default_rng(config.seed)
     adam = [AdamState.for_params(net.params(), config.alpha, config.beta1,
                                  config.beta2, config.epsilon)
@@ -269,11 +278,11 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
             try:
                 batch = sample_minibatch(dataset, config.minibatch_size, rng)
                 loss_d, grads = loss_discriminator(model, batch)
-                adam_step(model.disc.params(), grads.params(), adam[0])
+                adam_step(model.disc.params(), grads, adam[0])
                 losses = [loss_d]
                 for v in (1, 2):
                     loss, grads = loss_generator(model, v, batch, config.fm_weight)
-                    adam_step(model.generator(v).params(), grads.params(), adam[v])
+                    adam_step(model.generator(v).params(), grads, adam[v])
                     losses.append(loss)
             except NumericError as e:
                 raise NumericError(f"iteration {i}: {e}") from e

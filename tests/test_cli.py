@@ -1,10 +1,13 @@
 """End-to-end tests of the command line interface."""
 
+import re
 import sys
 
 import numpy as np
 import pytest
 
+import viewgan.cli as cli_mod
+import viewgan.train as train_mod
 from viewgan.cli import main
 
 SYNTH_CFG = """
@@ -198,13 +201,8 @@ scenario = complete
 def test_experiment_on_an_impossible_split_exits_2(tmp_path, synth_files, capsys,
                                                    sizes, message):
     _, test_f = synth_files  # a pool of 10 complete pairs
-    m_full, m_missing1, m_missing2 = sizes
-    cfg = write(tmp_path / "exp.cfg",
-                f"data = {test_f}\nm_full = {m_full}\nm_missing1 = {m_missing1}\n"
-                f"m_missing2 = {m_missing2}\niterations = 2\nminibatch_size = 2\n"
-                "hidden_dim = 4\nn_repeats = 2\n")
     capsys.readouterr()
-    rc = main(["experiment", "--config", cfg, "--out", str(tmp_path / "exp.csv")])
+    rc = main(experiment_case(tmp_path, test_f, sizes))
     assert rc == 2
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: repeat 0: {message}"]
@@ -255,12 +253,7 @@ def test_gradcheck_command(capsys):
 
 
 def test_theory_check_rejects_a_column_against_rows(tmp_path, capsys):
-    # a 3x1 real table and 1x3 generator tables are different joints
-    np.savetxt(tmp_path / "real.txt", np.full((3, 1), 1 / 3))
-    for name in ("g1", "g2"):
-        np.savetxt(tmp_path / f"{name}.txt", np.full((1, 3), 1 / 3))
-    rc = main(["theory-check", "--p-real", str(tmp_path / "real.txt"),
-               "--pg1", str(tmp_path / "g1.txt"), "--pg2", str(tmp_path / "g2.txt")])
+    rc = main(theory_tables(tmp_path))
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 
@@ -293,3 +286,104 @@ def test_missing_file_exits_2(tmp_path, capsys):
                "--out-checkpoint", str(tmp_path / "x.ckpt")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------ bad inputs
+
+def synth_test_file(tmp_path, name, **settings):
+    """The test file of SYNTH_CFG's task with some of its settings replaced."""
+    text = SYNTH_CFG
+    for key, value in settings.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    test_f = str(tmp_path / f"{name}.tsv")
+    assert main(["synth", "--config", write(tmp_path / f"{name}.cfg", text),
+                 "--out-train", str(tmp_path / f"{name}-train.tsv"), "--out-test", test_f]) == 0
+    return test_f
+
+
+def train_argv(tmp_path, train_f, ckpt="model.ckpt", *extra):
+    return ["train", "--config", write(tmp_path / "train.cfg", TRAIN_CFG), "--data", train_f,
+            "--out-checkpoint", str(tmp_path / ckpt), *extra]
+
+
+def heldout_case(tmp_path, train_f, test_f, want, **settings):
+    other = synth_test_file(tmp_path, "other", **settings)
+    return train_argv(tmp_path, train_f, "model.ckpt", "--heldout", other), [other, "(3, 3, 2)", want]
+
+
+def eval_case(tmp_path, train_f, test_f, scenario, want, **settings):
+    assert main(train_argv(tmp_path, train_f)) == 0
+    other = synth_test_file(tmp_path, "other", **settings)
+    return (["eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", other,
+             "--scenario", scenario], [other, "(3, 3, 2)", want])
+
+
+def experiment_case(tmp_path, test_f, sizes, out="exp.csv"):
+    """argv of an experiment that splits the test file of SYNTH_CFG into these sizes."""
+    m_full, m_missing1, m_missing2 = sizes
+    cfg = write(tmp_path / "exp.cfg",
+                f"data = {test_f}\nm_full = {m_full}\nm_missing1 = {m_missing1}\n"
+                f"m_missing2 = {m_missing2}\niterations = 2\nminibatch_size = 2\n"
+                "hidden_dim = 4\nn_repeats = 2\n")
+    return ["experiment", "--config", cfg, "--out", str(tmp_path / out)]
+
+
+def theory_tables(tmp_path):
+    # a 3x1 real table and 1x3 generator tables are different joints
+    np.savetxt(tmp_path / "real.txt", np.full((3, 1), 1 / 3))
+    for name in ("g1", "g2"):
+        np.savetxt(tmp_path / f"{name}.txt", np.full((1, 3), 1 / 3))
+    return ["theory-check", "--p-real", str(tmp_path / "real.txt"),
+            "--pg1", str(tmp_path / "g1.txt"), "--pg2", str(tmp_path / "g2.txt")]
+
+
+# Each case builds its files in (tmp_path, train file, test file of SYNTH_CFG)
+# and returns the argv and the fragments its one error line must contain.
+BAD_INPUTS = {
+    "heldout-view-width": lambda t, tr, te: heldout_case(t, tr, te, "(4, 3, 2)", d1=4),
+    "heldout-classes": lambda t, tr, te: heldout_case(t, tr, te, "(3, 3, 3)", num_classes=3),
+    "eval-classes": lambda t, tr, te: eval_case(t, tr, te, "complete", "(3, 3, 3)",
+                                                num_classes=3),
+    "eval-generated-view-width": lambda t, tr, te: eval_case(t, tr, te, "view1-generated",
+                                                             "(4, 3, 2)", d1=4),
+    "train-output-dir": lambda t, tr, te: (
+        train_argv(t, tr, "nodir/m.ckpt"),
+        [str(t / "nodir" / "m.ckpt") + ":", "not a writable directory"]),
+    "experiment-output-dir": lambda t, tr, te: (
+        experiment_case(t, te, (2, 2, 2), "nodir/o.csv"),
+        [str(t / "nodir" / "o.csv") + ":", "not a writable directory"]),
+    "unknown-config-key": lambda t, tr, te: (
+        ["train", "--config", write(t / "bad.cfg", "iterations = 5\nunknown_key = 1\n"
+                                    "minibatch_size = 2\n"),
+         "--data", tr, "--out-checkpoint", str(t / "x.ckpt")], ["unknown_key"]),
+    "missing-data-file": lambda t, tr, te: (
+        train_argv(t, str(t / "absent.tsv")), [str(t / "absent.tsv")]),
+    "theory-table-shapes": lambda t, tr, te: (theory_tables(t), []),
+    "experiment-pool-too-small": lambda t, tr, te: (
+        experiment_case(t, te, (40, 3, 3)), ["cannot draw 46 examples from a pool of 10"]),
+    "experiment-no-test-left": lambda t, tr, te: (
+        experiment_case(t, te, (4, 3, 3)), ["split left no test examples"]),
+    "gradcheck-no-instances": lambda t, tr, te: (["gradcheck", "--instances", "0"], []),
+    "theory-check-no-trials": lambda t, tr, te: (["theory-check", "--trials", "0"], []),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_2_with_one_error_line_before_any_work(case, tmp_path, synth_files,
+                                                               capsys, monkeypatch):
+    argv, fragments = BAD_INPUTS[case](tmp_path, *synth_files)
+    work = []
+    original_sample, original_evaluate = train_mod.sample_minibatch, cli_mod.evaluate
+    monkeypatch.setattr(train_mod, "sample_minibatch",
+                        lambda *a: work.append("step") or original_sample(*a))
+    monkeypatch.setattr(cli_mod, "evaluate",
+                        lambda *a, **k: work.append("eval") or original_evaluate(*a, **k))
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+    assert work == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import viewgan as vg
-from viewgan.errors import ConfigError
+from viewgan.errors import ConfigError, DimensionError
 from viewgan.evaluate import (ExperimentSpec, Scenario, evaluate,
                               metrics_from_predictions, run_experiment,
                               train_singleview_baseline, write_experiment_csv)
@@ -112,6 +112,14 @@ def test_evaluate_rejects_what_is_not_a_scenario():
     model = new_model(3, 3, 2, np.random.default_rng(0), hidden_dim=4)
     for scenario in ("complete", "view1-generated", 1, None):
         with pytest.raises(ValueError, match="unknown scenario"):
+            evaluate(model, test, scenario)
+
+
+def test_evaluate_rejects_labels_of_another_class_count():
+    _, test, _ = vg.generate_synthetic(synth_spec(seed=3, k=3))
+    model = new_model(3, 3, 2, np.random.default_rng(0), hidden_dim=4)
+    for scenario in Scenario:
+        with pytest.raises(DimensionError, match="3 classes"):
             evaluate(model, test, scenario)
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viewgan.errors import DimensionError, NumericError
-from viewgan.nn import (ALL, INPUT, PARAMS, AdamState, Mlp, adam_step, backward, forward,
-                        init_mlp, sigmoid, softmax, xavier_init)
+from viewgan.nn import (INPUT, PARAMS, AdamState, Mlp, adam_step, backward, forward, init_mlp,
+                        sigmoid, softmax, xavier_init)
 
 
 def tiny_net(kind, seed=0, din=3, dh=4, dout=2):
@@ -153,11 +153,8 @@ def test_backward_matches_finite_differences_linear():
 
     trace = forward(net, x)
     grads = backward(net, trace, trace.output - t)
-    for arr, name in [(net.weights_in, "w_in"), (net.bias_in, "b_h"),
-                      (net.weights_out, "w_out"), (net.bias_out, "b_o")]:
+    for arr, ana, name in zip(net.params(), grads, ["w_in", "b_h", "w_out", "b_o"]):
         num = fd_grad(loss, arr)
-        ana = {"w_in": grads.weights_in, "b_h": grads.bias_in,
-               "w_out": grads.weights_out, "b_o": grads.bias_out}[name]
         assert np.allclose(ana, num, rtol=1e-5, atol=1e-8), name
 
 
@@ -175,11 +172,11 @@ def test_backward_matches_finite_differences_softmax():
     onehot = np.zeros((4, 2))
     onehot[np.arange(4), labels] = 1.0
     # fused softmax + cross-entropy gradient at the logits
-    grads = backward(net, trace, trace.output - onehot)
+    w_in, _, _, b_out = backward(net, trace, trace.output - onehot)
     num = fd_grad(loss, net.weights_in)
-    assert np.allclose(grads.weights_in, num, rtol=1e-5, atol=1e-8)
+    assert np.allclose(w_in, num, rtol=1e-5, atol=1e-8)
     num_b = fd_grad(loss, net.bias_out)
-    assert np.allclose(grads.bias_out, num_b, rtol=1e-5, atol=1e-8)
+    assert np.allclose(b_out, num_b, rtol=1e-5, atol=1e-8)
 
 
 def test_backward_input_grad():
@@ -188,13 +185,13 @@ def test_backward_input_grad():
     x = rng.normal(size=(2, 3))
     t = rng.normal(size=(2, 2))
     trace = forward(net, x)
-    grads = backward(net, trace, trace.output - t)
+    input_grad = backward(net, trace, trace.output - t, need=INPUT)
 
     def loss():
         return 0.5 * float(np.sum((forward(net, x).output - t) ** 2))
 
     num = fd_grad(loss, x)
-    assert np.allclose(grads.input_grad, num, rtol=1e-5, atol=1e-8)
+    assert np.allclose(input_grad, num, rtol=1e-5, atol=1e-8)
 
 
 @pytest.mark.parametrize("kind", ["linear", "softmax"])
@@ -211,30 +208,33 @@ def test_forward_and_backward_match_the_textbook_bit_for_bit(kind):
     assert np.array_equal(trace.output_pre, out_pre)
     out = reference_softmax(out_pre) if kind == "softmax" else out_pre
     assert np.array_equal(trace.output, out)
-    grads = backward(net, trace, out_grad)
-    expect = [d_hidden.T @ x, d_hidden.sum(axis=0), out_grad.T @ h, out_grad.sum(axis=0),
-              d_hidden @ net.weights_in]
-    for got, want in zip(grads.params() + [grads.input_grad], expect):
+    expect = [d_hidden.T @ x, d_hidden.sum(axis=0), out_grad.T @ h, out_grad.sum(axis=0)]
+    grads = backward(net, trace, out_grad, need=PARAMS)
+    assert len(grads) == len(expect)
+    for got, want in zip(grads, expect):
         assert np.array_equal(got, want)
+    assert np.array_equal(backward(net, trace, out_grad, need=INPUT), d_hidden @ net.weights_in)
 
 
 @pytest.mark.parametrize("kind", ["linear", "softmax"])
-def test_partial_backward_matches_the_full_result(kind):
+def test_backward_returns_what_need_asks_for(kind):
     rng = np.random.default_rng(14)
     net = tiny_net(kind, seed=15, din=5, dh=7, dout=3)
-    trace = forward(net, rng.normal(size=(4, 5)))
+    x = rng.normal(size=(4, 5))
+    trace = forward(net, x)
     out_grad = rng.normal(size=(4, 3))
-    full = backward(net, trace, out_grad)
-    assert np.array_equal(backward(net, trace, out_grad, need=ALL).input_grad, full.input_grad)
+    # PARAMS, the default: a list of the four blocks in net.params() order
     params = backward(net, trace, out_grad, need=PARAMS)
-    assert params.input_grad is None
-    for got, want in zip(params.params(), full.params()):
+    assert isinstance(params, list)
+    assert [g.shape for g in params] == [p.shape for p in net.params()]
+    for got, want in zip(backward(net, trace, out_grad), params):
         assert np.array_equal(got, want)
-    only_input = backward(net, trace, out_grad, need=INPUT)
-    assert only_input.params() == [None] * 4
-    assert np.array_equal(only_input.input_grad, full.input_grad)
-    with pytest.raises(ValueError):
-        backward(net, trace, out_grad, need="weights")
+    # INPUT: one array shaped like the input
+    input_grad = backward(net, trace, out_grad, need=INPUT)
+    assert isinstance(input_grad, np.ndarray) and input_grad.shape == x.shape
+    for need in ("all", "weights"):
+        with pytest.raises(ValueError):
+            backward(net, trace, out_grad, need=need)
 
 
 def reference_adam(params, grads, m, v, t, alpha=1e-4, b1=0.5, b2=0.999, eps=1e-8):

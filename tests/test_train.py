@@ -17,7 +17,7 @@ from viewgan.data import Views, one_hot, other_view
 from viewgan.errors import ConfigError, DimensionError
 from viewgan.evaluate import train_singleview_baseline
 from viewgan.model import discriminate, generate, generator_input, new_model, pair_input
-from viewgan.nn import ALL, INPUT, PARAMS, MlpGrads, forward
+from viewgan.nn import INPUT, PARAMS, forward
 from viewgan.train import (LOG_CLAMP, Minibatch, TrainConfig, clamped_class_grad,
                            feature_matching_penalty, loss_discriminator,
                            loss_generator, sample_minibatch, train)
@@ -64,17 +64,19 @@ def test_discriminator_loss_at_uniform_output():
     loss, grads = loss_discriminator(model, batch)
     expect = (k + 2) / (k + 1) * math.log(k + 1)
     assert abs(loss - expect) < 1e-12
-    assert grads.params()[0].shape == model.disc.weights_in.shape
+    assert grads[0].shape == model.disc.weights_in.shape
 
 
 def test_summed_gradients_carry_no_input_gradient():
-    # sums over several passes are built from parameter-only passes, so no
-    # single pass's input gradient rides along with them
+    # each loss returns exactly one gradient per parameter block of its
+    # player, shaped like it: no pass's input gradient rides along
     model = new_model(2, 2, 3, np.random.default_rng(1), hidden_dim=4)
     batch = make_batch(m_b=2, seed=2)
-    assert loss_discriminator(model, batch)[1].input_grad is None
-    for v in (1, 2):
-        assert loss_generator(model, v, batch)[1].input_grad is None
+    results = [(model.disc, loss_discriminator(model, batch)[1])]
+    results += [(model.generator(v), loss_generator(model, v, batch)[1]) for v in (1, 2)]
+    for net, grads in results:
+        assert isinstance(grads, list)
+        assert [g.shape for g in grads] == [p.shape for p in net.params()]
 
 
 def test_generator_class_term_at_uniform_output():
@@ -119,7 +121,7 @@ def test_clamped_log_saturates_and_freezes_gradient():
     # finite and the class term contributes exactly -log(clamp)/3
     class_term = -math.log(LOG_CLAMP) / 3.0
     assert loss > class_term - 1e-9
-    assert np.all(np.isfinite(grads.params()[0]))
+    assert np.all(np.isfinite(grads[0]))
 
 
 def test_clamped_class_grad_zeroes_only_the_clamped_rows():
@@ -148,7 +150,8 @@ def test_feature_matching_zero_when_distributions_match():
         model, 1, pair_input(model, fake1, observed),
         model.completed_pair(1, trace.output, observed), trace)
     assert penalty == 0.0
-    for g in grads.params():
+    assert [g.shape for g in grads] == [p.shape for p in model.gen1.params()]
+    for g in grads:
         assert np.all(g == 0)
 
 
@@ -160,7 +163,7 @@ def test_feature_matching_positive_otherwise():
         model, 1, batch.real_pairs, model.completed_pair(1, trace.output, batch.miss1.view2),
         trace)
     assert penalty > 0
-    assert any(np.any(g != 0) for g in grads.params())
+    assert any(np.any(g != 0) for g in grads)
 
 
 def test_generator_loss_includes_weighted_penalty():
@@ -259,6 +262,18 @@ def test_train_zero_iterations_is_a_no_op():
     after = [b for n in (out.gen1, out.gen2, out.disc) for b in n.params()]
     for a, b in zip(before, after):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [{"d1": 4}, {"k": 3}], ids=["view-width", "classes"])
+def test_train_rejects_heldout_pairs_of_another_shape_before_any_step(tmp_path, shape):
+    ds, _, _ = small_task()
+    _, other, _ = small_task(**shape)
+    model = new_model(3, 3, 2, np.random.default_rng(0), hidden_dim=4)
+    metrics = tmp_path / "metrics.csv"
+    with pytest.raises(DimensionError, match=r"\(3, 3, 2\)"):
+        train(model, ds, TrainConfig(iterations=4, minibatch_size=2, eval_every=2),
+              heldout=other, metrics_path=metrics)
+    assert not metrics.exists()
 
 
 def test_train_is_deterministic():
@@ -393,18 +408,13 @@ def plain_clamped_class_grad(probs, targets, coeff):
     return loss, dlogits
 
 
-def plain_backward(net, trace, output_grad, *, need=ALL):
+def plain_backward(net, trace, output_grad, *, need=PARAMS):
     h = trace.hidden_act
     d_hidden = output_grad @ net.weights_out * h * (1.0 - h)
-    grads = MlpGrads(None, None, None, None)
-    if need != INPUT:
-        grads.weights_out = output_grad.T @ h
-        grads.bias_out = output_grad.sum(axis=0)
-        grads.weights_in = d_hidden.T @ trace.input
-        grads.bias_in = d_hidden.sum(axis=0)
-    if need != PARAMS:
-        grads.input_grad = d_hidden @ net.weights_in
-    return grads
+    if need == INPUT:
+        return d_hidden @ net.weights_in
+    return [d_hidden.T @ trace.input, d_hidden.sum(axis=0), output_grad.T @ h,
+            output_grad.sum(axis=0)]
 
 
 def plain_feature_matching(model, which_view, real_pairs, gen_pairs, gen_trace):
@@ -415,7 +425,7 @@ def plain_feature_matching(model, which_view, real_pairs, gen_pairs, gen_trace):
     d_hidden_pre = (-delta / norm) / feats_gen.shape[0] * feats_gen * (1.0 - feats_gen)
     d_pairs = d_hidden_pre @ model.disc.weights_in
     return norm, plain_backward(model.generator(which_view), gen_trace,
-                                model.slot(which_view, d_pairs), need=PARAMS)
+                                model.slot(which_view, d_pairs))
 
 
 def textbook_adam_step(params, grads, state):
@@ -467,7 +477,7 @@ def test_feature_matching_matches_the_plain_expression_bit_for_bit(m_b):
         got, got_grads = feature_matching_penalty(model, v, batch.real_pairs, pairs, trace)
         want, want_grads = plain_feature_matching(model, v, batch.real_pairs, pairs, trace)
         assert got == want > 0
-        for a, b in zip(got_grads.params(), want_grads.params()):
+        for a, b in zip(got_grads, want_grads):
             assert np.array_equal(a, b)
 
 
