@@ -1,13 +1,18 @@
 """Finite-difference verification of every analytic gradient in the package.
 
-Central differences with h=1e-5 on float64. The checker never calls the
-backward pass it is judging: it only needs a scalar loss closure and the
-live parameter arrays, so it stays an independent oracle. Used both by the
-test suite and the gradcheck CLI subcommand.
+Central differences with h=1e-5 on float64. The finite differences never
+call a backward pass: they need only a scalar loss closure and the live
+parameter arrays, so the checker stays an independent oracle. The losses
+are evaluated with ``grads=False``, which runs their forward passes and
+value arithmetic alone; the one analytic call per instance is the only
+one that runs the backward code being judged. Any non-finite entry on
+either side fails the check. Used both by the test suite and the
+gradcheck CLI subcommand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +51,12 @@ def finite_difference(loss_fn, arrays):
 
 
 def max_relative_error(analytic, numeric) -> float:
-    """Worst per-entry |a-n| / max(|a|+|n|, floor) across all arrays."""
+    """Worst per-entry |a-n| / max(|a|+|n|, floor) across all arrays;
+    inf if any entry on either side is NaN or infinite."""
     worst = 0.0
     for a, n in zip(analytic, numeric):
+        if not (np.isfinite(a).all() and np.isfinite(n).all()):
+            return math.inf
         denom = np.maximum(np.abs(a) + np.abs(n), _DENOM_FLOOR)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
@@ -110,21 +118,28 @@ def _check_loss(rng, family: str) -> float:
     batch = _random_batch(rng, d1, d2, k)
 
     if family == "loss-d":
-        net, loss = model.disc, lambda: loss_discriminator(model, batch)
+        net = model.disc
+
+        def loss(grads):
+            return loss_discriminator(model, batch, grads=grads)
     elif family == "feature-matching":  # through generator 1
         net = model.generator(1)
         gen_input, observed, _ = batch.side(1)
 
-        def loss():
+        def loss(grads):
             trace = forward(net, gen_input)
             pairs = model.completed_pair(1, trace.output, observed)
-            return feature_matching_penalty(model, 1, batch.real_pairs, pairs, trace)
+            return feature_matching_penalty(model, 1, batch.real_pairs, pairs, trace,
+                                            grads=grads)
     else:
         v = 1 if family == "loss-g1" else 2
-        net, loss = model.generator(v), lambda: loss_generator(model, v, batch, fm_weight=1.0)
+        net = model.generator(v)
 
-    analytic = loss()[1]
-    numeric = finite_difference(lambda: loss()[0], net.params())
+        def loss(grads):
+            return loss_generator(model, v, batch, fm_weight=1.0, grads=grads)
+
+    analytic = loss(grads=True)[1]
+    numeric = finite_difference(lambda: loss(grads=False)[0], net.params())
     return max_relative_error(analytic, numeric)
 
 

@@ -124,14 +124,16 @@ def _complete(model: TripartiteModel, v: int, batch: Minibatch):
     return trace, model.completed_pair(v, trace.output, observed), labels
 
 
-def loss_discriminator(model: TripartiteModel, batch: Minibatch):
+def loss_discriminator(model: TripartiteModel, batch: Minibatch, *, grads: bool = True):
     """Empirical discriminator loss and its parameter gradients.
 
     Three terms: the class assignment of real complete pairs (weight
     1/(m_b*(K+1)) per sample) and the fake-class assignment of pairs
     completed by either generator (weight 1/(2*m_b) per sample each).
     Generator outputs are data here; nothing flows back into the generators.
-    The gradients are a list in ``model.disc.params()`` order.
+    The gradients are a list in ``model.disc.params()`` order. With
+    ``grads=False`` the same forward passes and float64 value arithmetic
+    run, no backward pass does, and the result is (loss, None).
     """
     m_b = len(batch.full)
     k = model.num_classes
@@ -139,22 +141,24 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch):
     groups = [(batch.real_pairs, batch.full.label.argmax(axis=1), 1.0 / (m_b * (k + 1)))]
     groups += [(_complete(model, v, batch)[1], fake, 1.0 / (2.0 * m_b)) for v in (1, 2)]
 
-    total, grads = 0.0, None
+    total, sums = 0.0, None
     for pairs, targets, coeff in groups:
         trace = forward(model.disc, pairs)
         part, dlogits = clamped_class_grad(trace.output, targets, coeff)
         total += part
+        if not grads:
+            continue
         g = backward(model.disc, trace, dlogits)
-        if grads is None:
-            grads = g
+        if sums is None:
+            sums = g
         else:
-            for acc, extra in zip(grads, g):
+            for acc, extra in zip(sums, g):
                 acc += extra
-    return total, grads
+    return total, sums
 
 
 def feature_matching_penalty(model: TripartiteModel, which_view: int,
-                             real_pairs, gen_pairs, gen_trace):
+                             real_pairs, gen_pairs, gen_trace, *, grads: bool = True):
     """l2 distance between mean discriminator features on real and completed pairs.
 
     real_pairs is a [view1 | view2] block of complete pairs, gen_pairs the
@@ -163,11 +167,12 @@ def feature_matching_penalty(model: TripartiteModel, which_view: int,
     sends exact gradients back into the generator. The discriminator is
     frozen: only its first layer carries the chain. Returns (penalty,
     gradients), the gradients a list in the generator's ``params()`` order,
-    all zero when the penalty is 0.
+    all zero when the penalty is 0. With ``grads=False`` the same forward
+    passes, sums and norm run, no backward pass does, and the result is
+    (penalty, None).
     """
     if real_pairs.shape[0] < 1 or gen_pairs.shape[0] < 1:
         raise ConfigError("feature matching needs non-empty real and generated batches")
-    gen = model.generator(which_view)
     feats_real = forward(model.disc, real_pairs).hidden_act
     feats_gen = forward(model.disc, gen_pairs).hidden_act
     # the float64 operations of mean(real) - mean(gen) and np.linalg.norm:
@@ -179,6 +184,9 @@ def feature_matching_penalty(model: TripartiteModel, which_view: int,
     mean_gen /= n_gen
     delta -= mean_gen
     norm = math.sqrt(delta.dot(delta))
+    if not grads:
+        return norm, None
+    gen = model.generator(which_view)
     if norm == 0.0:
         return 0.0, [np.zeros_like(p) for p in gen.params()]
 
@@ -194,12 +202,14 @@ def feature_matching_penalty(model: TripartiteModel, which_view: int,
 
 
 def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
-                   fm_weight: float = 1.0):
+                   fm_weight: float = 1.0, *, grads: bool = True):
     """Generator loss: class assignment of completed pairs plus feature matching.
 
     Gradients reach the generator by backpropagating through the frozen
     discriminator into the input slot the generated view occupies. Returns
     (loss, gradients), the gradients a list in the generator's ``params()`` order.
+    With ``grads=False`` the same forward passes and float64 value
+    arithmetic run, no backward pass does, and the result is (loss, None).
     """
     m_b = len(batch.full)
     coeff = 1.0 / (m_b * (model.num_classes + 1))
@@ -207,14 +217,16 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
 
     trace_d = forward(model.disc, pairs)
     class_loss, dlogits = clamped_class_grad(trace_d.output, labels.argmax(axis=1), coeff)
+    penalty, fm_grads = feature_matching_penalty(model, which_view, batch.real_pairs, pairs,
+                                                 gen_trace, grads=grads)
+    loss = class_loss + fm_weight * penalty
+    if not grads:
+        return loss, None
     d_input = backward(model.disc, trace_d, dlogits, need=INPUT)
-    grads = backward(model.generator(which_view), gen_trace, model.slot(which_view, d_input))
-
-    penalty, fm_grads = feature_matching_penalty(model, which_view, batch.real_pairs,
-                                                 pairs, gen_trace)
-    for acc, extra in zip(grads, fm_grads):
+    gen_grads = backward(model.generator(which_view), gen_trace, model.slot(which_view, d_input))
+    for acc, extra in zip(gen_grads, fm_grads):
         acc += fm_weight * extra
-    return class_loss + fm_weight * penalty, grads
+    return loss, gen_grads
 
 
 def sample_minibatch(dataset: PartitionedDataset, m_b: int, rng: np.random.Generator) -> Minibatch:

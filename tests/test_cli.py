@@ -365,6 +365,9 @@ BAD_INPUTS = {
         experiment_case(t, te, (4, 3, 3)), ["split left no test examples"]),
     "gradcheck-no-instances": lambda t, tr, te: (["gradcheck", "--instances", "0"], []),
     "theory-check-no-trials": lambda t, tr, te: (["theory-check", "--trials", "0"], []),
+    "theory-check-zero-tol": lambda t, tr, te: (["theory-check", "--tol", "0"], ["--tol"]),
+    "theory-check-negative-tol": lambda t, tr, te: (["theory-check", "--tol", "-1"], ["--tol"]),
+    "theory-check-nan-tol": lambda t, tr, te: (["theory-check", "--tol", "nan"], ["--tol"]),
 }
 
 

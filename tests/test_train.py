@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,44 @@ def test_generator_loss_includes_weighted_penalty():
     fm = light - plain
     assert fm > 0
     assert abs((heavy - plain) - 5.0 * fm) < 1e-9
+
+
+def loss_calls(model, batch):
+    """Each loss on this batch, at both views and both fm_weight settings."""
+    calls = [partial(loss_discriminator, model, batch)]
+    for v in (1, 2):
+        gen_input, observed, _ = batch.side(v)
+        trace = forward(model.generator(v), gen_input)
+        pairs = model.completed_pair(v, trace.output, observed)
+        calls.append(partial(feature_matching_penalty, model, v, batch.real_pairs, pairs, trace))
+        calls += [partial(loss_generator, model, v, batch, fm_weight=w) for w in (0.0, 1.0)]
+    return calls
+
+
+def gradcheck_shaped(seed):
+    return new_model(4, 5, 3, np.random.default_rng(seed), hidden_dim=6), \
+        make_batch(m_b=2, d1=4, d2=5, k=3, seed=seed + 1)
+
+
+def acceptance_shaped(seed):
+    dataset, _, _ = acceptance_shaped_task(seed)
+    return new_model(20, 20, 3, np.random.default_rng(seed + 1), hidden_dim=200), \
+        sample_minibatch(dataset, 32, np.random.default_rng(seed + 2))
+
+
+@pytest.mark.parametrize("shaped", [gradcheck_shaped, acceptance_shaped])
+def test_value_mode_gives_the_same_loss_bits_without_a_backward_pass(monkeypatch, shaped):
+    model, batch = shaped(40)
+    calls = loss_calls(model, batch)
+    want = [call()[0] for call in calls]
+
+    def no_backward(*args, **kwargs):
+        raise AssertionError("backward called with grads=False")
+
+    monkeypatch.setattr(train_mod, "backward", no_backward)
+    got = [call(grads=False) for call in calls]
+    assert [g for _, g in got] == [None] * len(calls)
+    assert [float(loss).hex() for loss, _ in got] == [float(w).hex() for w in want]
 
 
 # ---------------------------------------------------------------- batches
@@ -417,7 +456,8 @@ def plain_backward(net, trace, output_grad, *, need=PARAMS):
             output_grad.sum(axis=0)]
 
 
-def plain_feature_matching(model, which_view, real_pairs, gen_pairs, gen_trace):
+def plain_feature_matching(model, which_view, real_pairs, gen_pairs, gen_trace, *, grads=True):
+    assert grads
     feats_real = forward(model.disc, real_pairs).hidden_act
     feats_gen = forward(model.disc, gen_pairs).hidden_act
     delta = np.mean(feats_real, axis=0) - np.mean(feats_gen, axis=0)
