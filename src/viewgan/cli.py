@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -184,8 +185,8 @@ def _load_table(path) -> DiscreteJoint:
 
 
 def cmd_theory_check(args) -> int:
-    if not args.tol > 0:  # NaN fails this too
-        raise ConfigError(f"--tol must be positive, got {args.tol}")
+    if not 0 < args.tol < math.inf:  # NaN fails this too
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
     ok = True
     if args.p_real or args.pg1 or args.pg2:
         if not (args.p_real and args.pg1 and args.pg2):

@@ -368,6 +368,7 @@ BAD_INPUTS = {
     "theory-check-zero-tol": lambda t, tr, te: (["theory-check", "--tol", "0"], ["--tol"]),
     "theory-check-negative-tol": lambda t, tr, te: (["theory-check", "--tol", "-1"], ["--tol"]),
     "theory-check-nan-tol": lambda t, tr, te: (["theory-check", "--tol", "nan"], ["--tol"]),
+    "theory-check-infinite-tol": lambda t, tr, te: (["theory-check", "--tol", "inf"], ["--tol"]),
 }
 
 
