@@ -191,14 +191,14 @@ def loss_calls(model, batch):
 
 
 def gradcheck_shaped(seed):
-    return new_model(4, 5, 3, np.random.default_rng(seed), hidden_dim=6), \
-        make_batch(m_b=2, d1=4, d2=5, k=3, seed=seed + 1)
+    model = new_model(4, 5, 3, np.random.default_rng(seed), hidden_dim=6)
+    return model, make_batch(m_b=2, d1=4, d2=5, k=3, seed=seed + 1)
 
 
 def acceptance_shaped(seed):
     dataset, _, _ = acceptance_shaped_task(seed)
-    return new_model(20, 20, 3, np.random.default_rng(seed + 1), hidden_dim=200), \
-        sample_minibatch(dataset, 32, np.random.default_rng(seed + 2))
+    model = new_model(20, 20, 3, np.random.default_rng(seed + 1), hidden_dim=200)
+    return model, sample_minibatch(dataset, 32, np.random.default_rng(seed + 2))
 
 
 @pytest.mark.parametrize("shaped", [gradcheck_shaped, acceptance_shaped])
