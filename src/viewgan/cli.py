@@ -301,7 +301,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:  # every viewgan.errors type is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

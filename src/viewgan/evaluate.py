@@ -142,8 +142,7 @@ def train_singleview_baseline(which_view: int, dataset: PartitionedDataset,
 
     rng = np.random.default_rng(config.seed)
     net = init_mlp(x.shape[1], hidden_dim, k, SOFTMAX, rng)
-    adam = AdamState.for_params(net.params(), config.alpha, config.beta1,
-                                config.beta2, config.epsilon)
+    adam = AdamState(net.params(), config.alpha, config.beta1, config.beta2, config.epsilon)
     m_b = min(config.minibatch_size, len(pool))
     for _ in range(config.iterations):
         idx = rng.integers(0, len(pool), size=m_b)

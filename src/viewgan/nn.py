@@ -4,17 +4,19 @@ manual backprop, and the Adam optimizer.
 All arithmetic is float64; gradient checks depend on it. Forward and backward
 take a batch of shape (n, d) with one sample per row. Parameter gradients are
 summed over the batch; the caller owns any 1/m scaling. They travel as plain
-lists of arrays in ``Mlp.params()`` order.
+lists of arrays in ``Mlp.params()`` order. ``check_adam_hyperparameters`` is
+the one rule for Adam's hyperparameters; ``AdamState`` and ``TrainConfig``
+both apply it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import ConfigError, DimensionError, NumericError
 
 LINEAR = "linear"
 SOFTMAX = "softmax"
@@ -125,11 +127,12 @@ class ForwardTrace:
     """Activations cached by ``forward`` for the backward pass.
 
     ``hidden_act`` doubles as the feature map used by feature matching.
+    ``output`` is the softmax of the logits for a SOFTMAX net and the logits
+    themselves for a LINEAR one.
     """
 
     input: np.ndarray
     hidden_act: np.ndarray
-    output_pre: np.ndarray
     output: np.ndarray
 
 
@@ -145,10 +148,9 @@ def forward(net: Mlp, x) -> ForwardTrace:
     hidden_pre = x @ net.weights_in.T
     hidden_pre += net.bias_in
     hidden_act = sigmoid(hidden_pre)
-    output_pre = hidden_act @ net.weights_out.T
-    output_pre += net.bias_out
-    output = softmax(output_pre) if net.output_kind == SOFTMAX else output_pre
-    return ForwardTrace(x, hidden_act, output_pre, output)
+    logits = hidden_act @ net.weights_out.T
+    logits += net.bias_out
+    return ForwardTrace(x, hidden_act, softmax(logits) if net.output_kind == SOFTMAX else logits)
 
 
 # What ``backward`` computes: the parameter gradients or the input gradient.
@@ -159,20 +161,21 @@ INPUT = "input"
 def backward(net: Mlp, trace: ForwardTrace, output_grad, *, need: str = PARAMS):
     """Reverse-mode pass through both layers; computes only what ``need`` asks for.
 
-    ``output_grad`` is the loss gradient with respect to ``output_pre``; for a
-    softmax net the caller passes the fused softmax + cross-entropy logit
-    gradient (probabilities minus target). ``need=PARAMS`` returns the four
-    parameter gradients, summed over the batch, as a list in ``net.params()``
-    order; ``need=INPUT`` returns the input gradient, shaped like the input.
+    ``output_grad`` is the loss gradient with respect to the logits, shaped
+    like ``trace.output``; for a softmax net the caller passes the fused
+    softmax + cross-entropy logit gradient (probabilities minus target).
+    ``need=PARAMS`` returns the four parameter gradients, summed over the
+    batch, as a list in ``net.params()`` order; ``need=INPUT`` returns the
+    input gradient, shaped like the input.
     """
     if need not in (PARAMS, INPUT):
         raise ValueError(f"unknown need {need!r}")
     g = np.asarray(output_grad, dtype=np.float64)
-    if g.shape != trace.output_pre.shape:
+    if g.shape != trace.output.shape:
         raise DimensionError(
-            f"output_grad shape {g.shape} != output_pre shape {trace.output_pre.shape}")
+            f"output_grad shape {g.shape} != output shape {trace.output.shape}")
     if trace.input.shape[-1] != net.input_dim or trace.hidden_act.shape[-1] != net.hidden_dim \
-            or trace.output_pre.shape[-1] != net.output_dim:
+            or trace.output.shape[-1] != net.output_dim:
         raise DimensionError("trace does not match network dimensions")
     x, h = trace.input, trace.hidden_act
     d_hidden = g @ net.weights_out
@@ -183,49 +186,41 @@ def backward(net: Mlp, trace: ForwardTrace, output_grad, *, need: str = PARAMS):
     return [d_hidden.T @ x, np.add.reduce(d_hidden, axis=0), g.T @ h, np.add.reduce(g, axis=0)]
 
 
-@dataclass(eq=False)
-class AdamState:
-    """One player's Adam moments plus the shared hyperparameters.
+def check_adam_hyperparameters(alpha: float, beta1: float, beta2: float,
+                               epsilon: float) -> None:
+    """Raise ConfigError unless alpha and epsilon are finite and positive and
+    beta1 and beta2 lie in [0, 1); NaN fails every test."""
+    for name, value in (("alpha", alpha), ("epsilon", epsilon)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    for name, value in (("beta1", beta1), ("beta2", beta2)):
+        if not 0.0 <= value < 1.0:
+            raise ConfigError(f"{name} must lie in [0, 1), got {value!r}")
 
-    Each moment is one flat vector over all of the player's parameter
-    blocks, in the order of ``shapes``; ``first_moment`` and
-    ``second_moment`` are per-block views into them. Two flat buffers of
-    the same length are reused by every step.
+
+class AdamState:
+    """One player's Adam state: the hyperparameters, the step count and the
+    two moments.
+
+    ``m`` and ``v`` are one flat float64 vector each over all of the
+    player's parameter blocks, in ``params()`` order, zero before the first
+    step. Two private flat buffers of the same length, the gradient/step
+    buffer and a scratch buffer, are reused by every step; the step buffer's
+    per-block views carry the block shapes ``adam_step`` checks against.
     """
 
-    shapes: tuple[tuple[int, ...], ...]
-    step_count: int
-    alpha: float
-    beta1: float
-    beta2: float
-    epsilon: float
-    first_moment: list[np.ndarray] = field(init=False, repr=False)
-    second_moment: list[np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        size = sum(math.prod(shape) for shape in self.shapes)
-        self._m, self._v = np.zeros(size), np.zeros(size)
+    def __init__(self, params: list[np.ndarray], alpha: float, beta1: float,
+                 beta2: float, epsilon: float):
+        check_adam_hyperparameters(alpha, beta1, beta2, epsilon)
+        self.alpha, self.beta1, self.beta2, self.epsilon = alpha, beta1, beta2, epsilon
+        self.step_count = 0
+        size = sum(p.size for p in params)
+        self.m, self.v = np.zeros(size), np.zeros(size)
         self._step, self._scratch = np.empty(size), np.empty(size)
-        self.first_moment = self._blocks(self._m)
-        self.second_moment = self._blocks(self._v)
-        self._step_blocks = self._blocks(self._step)
-
-    def _blocks(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Per-block views of a flat vector laid out like the moments."""
-        blocks, start = [], 0
-        for shape in self.shapes:
-            stop = start + math.prod(shape)
-            blocks.append(flat[start:stop].reshape(shape))
-            start = stop
-        return blocks
-
-    @classmethod
-    def for_params(cls, params: list[np.ndarray], alpha: float = 1e-4,
-                   beta1: float = 0.5, beta2: float = 0.999,
-                   epsilon: float = 1e-8) -> "AdamState":
-        if alpha <= 0 or not (0 <= beta1 < 1) or not (0 <= beta2 < 1) or epsilon <= 0:
-            raise ValueError("invalid Adam hyperparameters")
-        return cls(tuple(p.shape for p in params), 0, alpha, beta1, beta2, epsilon)
+        self._step_blocks, start = [], 0
+        for p in params:
+            self._step_blocks.append(self._step[start:start + p.size].reshape(p.shape))
+            start += p.size
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
@@ -242,13 +237,14 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     writing each intermediate into the state's two buffers, then subtracts
     the step from each block.
     """
-    if len(params) != len(grads) or len(params) != len(state.shapes):
+    blocks = state._step_blocks
+    if len(params) != len(grads) or len(params) != len(blocks):
         raise DimensionError("params/grads/state block counts differ")
-    for p, g, shape in zip(params, grads, state.shapes):
-        if p.shape != shape or g.shape != shape:
+    for p, g, s in zip(params, grads, blocks):
+        if p.shape != s.shape or g.shape != s.shape:
             raise DimensionError(f"param shape {p.shape} and grad shape {g.shape} "
-                                 f"must both be {shape}")
-    step, scratch, m, v = state._step, state._scratch, state._m, state._v
+                                 f"must both be {s.shape}")
+    step, scratch, m, v = state._step, state._scratch, state.m, state.v
     g = np.concatenate([block.ravel() for block in grads], out=step)
     if np.count_nonzero(np.isfinite(g)) != g.size:
         raise NumericError("non-finite gradient; update not applied")
@@ -269,5 +265,5 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     np.sqrt(scratch, out=scratch)
     scratch += state.epsilon
     step /= scratch
-    for p, s in zip(params, state._step_blocks):
+    for p, s in zip(params, blocks):
         p -= s

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 _LOG_FLOOR = 1e-300
 _SUM_TOL = 1e-12
@@ -233,8 +233,11 @@ def check_theorem(p_real, pg1, pg2, tol: float = 1e-10) -> TheoremReport:
     The value sits at its global minimum -log 4 exactly when the mixture
     equals the real joint; the gap above -log 4 is twice the divergence.
     ok requires the identity residual below tol and agreement between
-    "gap below tol" and "divergence below tol/2".
+    "gap below tol" and "divergence below tol/2"; tol must be positive and
+    finite (ConfigError otherwise).
     """
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol!r}")
     d_star = optimal_discriminator(p_real, pg1, pg2)
     v = value_function(d_star, p_real, pg1, pg2)
     div = jsd(p_real, mixture(pg1, pg2))

@@ -19,7 +19,7 @@ import numpy as np
 from .data import PartitionedDataset, Views, by_view, other_view
 from .errors import ConfigError, DimensionError, NumericError
 from .model import TripartiteModel, decide_batch, discriminate, save_checkpoint
-from .nn import INPUT, AdamState, adam_step, backward, forward
+from .nn import INPUT, AdamState, adam_step, backward, check_adam_hyperparameters, forward
 
 LOG_CLAMP = 1e-12
 
@@ -80,14 +80,9 @@ class TrainConfig:
             raise ConfigError("iterations must be nonnegative")
         if self.minibatch_size < 1:
             raise ConfigError("minibatch_size must be positive")
-        if not self.alpha > 0:
-            raise ConfigError("alpha must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if not self.epsilon > 0:
-            raise ConfigError("epsilon must be positive")
-        if self.fm_weight < 0:
-            raise ConfigError("fm_weight must be nonnegative")
+        check_adam_hyperparameters(self.alpha, self.beta1, self.beta2, self.epsilon)
+        if not 0.0 <= self.fm_weight < math.inf:
+            raise ConfigError(f"fm_weight must be finite and nonnegative, got {self.fm_weight!r}")
         if self.eval_every < 0 or self.checkpoint_every < 0:
             raise ConfigError("eval_every and checkpoint_every must be nonnegative")
 
@@ -265,19 +260,20 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
     CSV with header ``iter,loss_d,loss_g1,loss_g2,heldout_acc,heldout_class_acc``.
     When checkpoint_path is given, the model is saved there, with
     config.seed, after every checkpoint_every-th step and after the last one
-    (before any step if there are none), each step at most once. Held-out
-    pairs whose (d1, d2, K) differ from the training data's are rejected
-    before the first step.
+    (before any step if there are none), each step at most once. A model or
+    held-out pairs whose (d1, d2, K) differ from the training data's are
+    rejected before the first step and before the metrics file is opened.
     """
+    want = (dataset.d1, dataset.d2, dataset.num_classes)
+    shapes = [("the model has", (model.d1, model.d2, model.num_classes))]
     if heldout is not None:
-        got = (heldout.view1.shape[1], heldout.view2.shape[1], heldout.label.shape[1])
-        want = (dataset.d1, dataset.d2, dataset.num_classes)
+        shapes.append(("held-out pairs have", (heldout.view1.shape[1], heldout.view2.shape[1],
+                                               heldout.label.shape[1])))
+    for what, got in shapes:
         if got != want:
-            raise DimensionError(f"held-out pairs have (d1, d2, K) = {got}, "
-                                 f"but the training data has {want}")
+            raise DimensionError(f"{what} (d1, d2, K) = {got}, but the training data has {want}")
     rng = np.random.default_rng(config.seed)
-    adam = [AdamState.for_params(net.params(), config.alpha, config.beta1,
-                                 config.beta2, config.epsilon)
+    adam = [AdamState(net.params(), config.alpha, config.beta1, config.beta2, config.epsilon)
             for net in (model.disc, model.generator(1), model.generator(2))]
 
     rows = []

@@ -1,11 +1,15 @@
 """End-to-end tests of the command line interface."""
 
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import viewgan
 import viewgan.cli as cli_mod
 import viewgan.train as train_mod
 from viewgan.cli import main
@@ -306,6 +310,14 @@ def train_argv(tmp_path, train_f, ckpt="model.ckpt", *extra):
             "--out-checkpoint", str(tmp_path / ckpt), *extra]
 
 
+def train_config_case(tmp_path, train_f, key, value):
+    """A train run, with a metrics file, whose config sets ``key`` to ``value``."""
+    text = re.sub(rf"^{key} = .*\n", "", TRAIN_CFG, flags=re.M) + f"{key} = {value}\n"
+    return (["train", "--config", write(tmp_path / "bad.cfg", text), "--data", train_f,
+             "--out-checkpoint", str(tmp_path / "x.ckpt"),
+             "--metrics", str(tmp_path / "metrics.csv")], [key])
+
+
 def heldout_case(tmp_path, train_f, test_f, want, **settings):
     other = synth_test_file(tmp_path, "other", **settings)
     return train_argv(tmp_path, train_f, "model.ckpt", "--heldout", other), [other, "(3, 3, 2)", want]
@@ -369,6 +381,11 @@ BAD_INPUTS = {
     "theory-check-negative-tol": lambda t, tr, te: (["theory-check", "--tol", "-1"], ["--tol"]),
     "theory-check-nan-tol": lambda t, tr, te: (["theory-check", "--tol", "nan"], ["--tol"]),
     "theory-check-infinite-tol": lambda t, tr, te: (["theory-check", "--tol", "inf"], ["--tol"]),
+    "fm-weight-nan": lambda t, tr, te: train_config_case(t, tr, "fm_weight", "nan"),
+    "fm-weight-inf": lambda t, tr, te: train_config_case(t, tr, "fm_weight", "inf"),
+    "alpha-inf": lambda t, tr, te: train_config_case(t, tr, "alpha", "inf"),
+    "epsilon-inf": lambda t, tr, te: train_config_case(t, tr, "epsilon", "inf"),
+    "beta1-one": lambda t, tr, te: train_config_case(t, tr, "beta1", "1.0"),
 }
 
 
@@ -391,3 +408,14 @@ def test_bad_input_exits_2_with_one_error_line_before_any_work(case, tmp_path, s
     for fragment in fragments:
         assert fragment in err
     assert work == []
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(viewgan.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "viewgan", "gradcheck", "--instances", "1"],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 6 and all(line.endswith(" ok") for line in lines), run.stdout

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viewgan.errors import DimensionError, NumericError
+from viewgan.errors import ConfigError, DimensionError, NumericError
 from viewgan.nn import (INPUT, PARAMS, AdamState, Mlp, adam_step, backward, forward, init_mlp,
                         sigmoid, softmax, xavier_init)
+from viewgan.train import TrainConfig
 
 
 def tiny_net(kind, seed=0, din=3, dh=4, dout=2):
@@ -103,8 +104,6 @@ def test_forward_shapes_and_kinds():
     assert np.allclose(soft.output.sum(axis=1), 1.0)
     lin = forward(tiny_net("linear"), x)
     assert lin.output.shape == (5, 2)
-    # linear head passes the pre-activation through unchanged
-    assert np.array_equal(lin.output, lin.output_pre)
 
 
 def test_forward_rejects_wrong_input_width():
@@ -115,15 +114,11 @@ def test_forward_rejects_wrong_input_width():
             forward(tiny_net("linear"), x)
 
 
-def test_forward_leaves_input_and_logits_alone():
+def test_forward_leaves_its_input_alone():
     x = np.random.default_rng(13).normal(size=(5, 3))
     saved = x.copy()
-    trace = forward(tiny_net("softmax"), x)
+    forward(tiny_net("softmax"), x)
     assert np.array_equal(x, saved)
-    # the softmax works on a copy: the logits survive next to the output
-    assert trace.output is not trace.output_pre
-    assert not np.shares_memory(trace.output, trace.output_pre)
-    assert np.array_equal(trace.output, reference_softmax(trace.output_pre))
 
 
 def fd_grad(f, arr, h=1e-6):
@@ -205,7 +200,6 @@ def test_forward_and_backward_match_the_textbook_bit_for_bit(kind):
     d_hidden = (out_grad @ net.weights_out) * h * (1.0 - h)
     trace = forward(net, x)
     assert np.array_equal(trace.hidden_act, h)
-    assert np.array_equal(trace.output_pre, out_pre)
     out = reference_softmax(out_pre) if kind == "softmax" else out_pre
     assert np.array_equal(trace.output, out)
     expect = [d_hidden.T @ x, d_hidden.sum(axis=0), out_grad.T @ h, out_grad.sum(axis=0)]
@@ -247,8 +241,16 @@ def reference_adam(params, grads, m, v, t, alpha=1e-4, b1=0.5, b2=0.999, eps=1e-
         params[i] = params[i] - alpha * m_hat / (np.sqrt(v_hat) + eps)
 
 
+# reference_adam's defaults: alpha, beta1, beta2, epsilon
+ADAM = (1e-4, 0.5, 0.999, 1e-8)
+
+
 def four_blocks(rng):
     return [rng.normal(size=shape) for shape in ((7, 5), (7,), (3, 7), (3,))]
+
+
+def flat(blocks):
+    return np.concatenate([b.ravel() for b in blocks])
 
 
 def test_adam_matches_the_textbook_update_bit_for_bit():
@@ -259,21 +261,22 @@ def test_adam_matches_the_textbook_update_bit_for_bit():
     ref = [p.copy() for p in params]
     ref_m = [np.zeros_like(p) for p in params]
     ref_v = [np.zeros_like(p) for p in params]
-    state = AdamState.for_params(params)
+    state = AdamState(params, *ADAM)
     for t in (1, 2, 3):
         grads = [g * 10.0 ** (t - 2) for g in four_blocks(rng)]
         adam_step(params, grads, state)
         reference_adam(ref, grads, ref_m, ref_v, t)
-        for got, want in zip(params + state.first_moment + state.second_moment,
-                             ref + ref_m + ref_v):
+        for got, want in zip(params, ref):
             assert np.array_equal(got, want)
+        assert np.array_equal(state.m, flat(ref_m))
+        assert np.array_equal(state.v, flat(ref_v))
     assert state.step_count == 3
 
 
 def test_adam_first_step_is_signed_alpha():
     p = np.array([1.0, 1.0, 1.0])
     g = np.array([0.5, -2.0, 1e-3])
-    state = AdamState.for_params([p], alpha=1e-4)
+    state = AdamState([p], *ADAM)
     adam_step([p], [g], state)
     # bias correction makes the first update alpha * g/|g| up to epsilon
     expect = 1.0 - 1e-4 * np.sign(g)
@@ -283,7 +286,7 @@ def test_adam_first_step_is_signed_alpha():
 
 def test_adam_zero_gradient_keeps_params():
     p = np.array([2.0, -3.0])
-    state = AdamState.for_params([p])
+    state = AdamState([p], *ADAM)
     adam_step([p], [np.zeros(2)], state)
     assert np.array_equal(p, np.array([2.0, -3.0]))
 
@@ -291,7 +294,7 @@ def test_adam_zero_gradient_keeps_params():
 def test_adam_rejects_nonfinite_gradients_before_mutating():
     p = np.array([1.0, 2.0])
     saved = p.copy()
-    state = AdamState.for_params([p])
+    state = AdamState([p], *ADAM)
     with pytest.raises(NumericError):
         adam_step([p], [np.array([np.nan, 0.0])], state)
     assert np.array_equal(p, saved)
@@ -302,46 +305,64 @@ def test_adam_rejects_nonfinite_gradients_before_mutating():
 def test_adam_rejects_a_bad_last_block_before_touching_any(bad):
     rng = np.random.default_rng(17)
     params = four_blocks(rng)
-    state = AdamState.for_params(params)
+    state = AdamState(params, *ADAM)
     adam_step(params, four_blocks(rng), state)  # nonzero moments to guard
-    saved = [a.copy() for a in params + state.first_moment + state.second_moment]
+    saved = [a.copy() for a in params + [state.m, state.v]]
     grads = four_blocks(rng)
     grads[-1][-1] = bad
     with pytest.raises(NumericError):
         adam_step(params, grads, state)
-    for got, want in zip(params + state.first_moment + state.second_moment, saved):
+    for got, want in zip(params + [state.m, state.v], saved):
         assert np.array_equal(got, want)
     assert state.step_count == 1
 
 
 def test_adam_state_shape_mismatch():
     p = np.array([1.0, 2.0])
-    state = AdamState.for_params([p])
+    state = AdamState([p], *ADAM)
     with pytest.raises(DimensionError):
         adam_step([p], [np.zeros(3)], state)
 
 
-def test_adam_moments_are_views_of_one_flat_vector_each():
-    params = four_blocks(np.random.default_rng(20))
-    state = AdamState.for_params(params)
-    for moments in (state.first_moment, state.second_moment):
-        assert [b.shape for b in moments] == [p.shape for p in params]
-        flat = moments[0].base
-        assert flat.ndim == 1 and flat.size == sum(p.size for p in params)
-        assert all(b.base is flat for b in moments)
-        # writing through the flat vector shows in the block views, in block order
-        flat[:] = np.arange(flat.size)
-        assert np.array_equal(np.concatenate([b.ravel() for b in moments]), flat)
-    assert not np.shares_memory(state.first_moment[0], state.second_moment[0])
+def test_adam_moments_are_one_flat_vector_each():
+    rng = np.random.default_rng(20)
+    params = four_blocks(rng)
+    state = AdamState(params, *ADAM)
+    size = sum(p.size for p in params)
+    for moment in (state.m, state.v):
+        assert moment.dtype == np.float64 and moment.shape == (size,)
+        assert not moment.any()
+        assert not any(np.shares_memory(moment, p) for p in params)
+    assert not np.shares_memory(state.m, state.v)
+    # after one step the first moment is (1 - beta1) * g, in params() order
+    grads = four_blocks(rng)
+    adam_step(params, grads, state)
+    assert np.array_equal(state.m, (1.0 - ADAM[1]) * flat(grads))
+
+
+BAD_HYPERPARAMETERS = ([(name, value) for name in ("alpha", "epsilon")
+                        for value in (0.0, -1.0, np.nan, np.inf)]
+                       + [(name, value) for name in ("beta1", "beta2")
+                          for value in (-0.1, 1.0, np.nan)])
+
+
+@pytest.mark.parametrize("name,value", BAD_HYPERPARAMETERS,
+                         ids=[f"{n}={v}" for n, v in BAD_HYPERPARAMETERS])
+def test_adam_and_train_config_share_one_hyperparameter_rule(name, value):
+    settings = dict(zip(("alpha", "beta1", "beta2", "epsilon"), ADAM), **{name: value})
+    with pytest.raises(ConfigError, match=name):
+        AdamState([np.zeros(2)], **settings)
+    with pytest.raises(ConfigError, match=name):
+        TrainConfig(iterations=1, minibatch_size=1, **settings)
 
 
 @pytest.mark.parametrize("case", ["fewer grads", "fewer params", "grad shape", "param shape"])
 def test_adam_rejects_a_layout_mismatch_before_touching_any(case):
     rng = np.random.default_rng(21)
     params = four_blocks(rng)
-    state = AdamState.for_params(params)
+    state = AdamState(params, *ADAM)
     adam_step(params, four_blocks(rng), state)  # nonzero moments to guard
-    saved = [a.copy() for a in params + state.first_moment + state.second_moment]
+    saved = [a.copy() for a in params + [state.m, state.v]]
     call_params, grads = list(params), four_blocks(rng)
     if case == "fewer grads":
         grads.pop()
@@ -355,7 +376,7 @@ def test_adam_rejects_a_layout_mismatch_before_touching_any(case):
         grads[2] = np.zeros((7, 3))
     with pytest.raises(DimensionError):
         adam_step(call_params, grads, state)
-    for got, want in zip(params + state.first_moment + state.second_moment, saved):
+    for got, want in zip(params + [state.m, state.v], saved):
         assert np.array_equal(got, want)
     assert state.step_count == 1
 

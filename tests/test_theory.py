@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viewgan.errors import DimensionError
+from viewgan.errors import ConfigError, DimensionError
 from viewgan.theory import (LOG4, DiscreteJoint, DiscriminatorTable,
                             augmented_value, brute_force_discriminator,
                             check_theorem, fake_response, jsd, kl, mixture,
@@ -210,6 +210,15 @@ def test_identity_on_random_triples():
         rep = check_theorem(real, g1, g2)
         assert rep.identity_residual < 1e-10
         assert rep.ok
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_check_theorem_rejects_a_tolerance_outside_zero_to_inf(tol):
+    rng = np.random.default_rng(0)
+    real, g1, g2 = (random_joint(rng, 3, 3) for _ in range(3))
+    assert check_theorem(real, g1, g2, tol=1e-10).ok
+    with pytest.raises(ConfigError, match="tol"):
+        check_theorem(real, g1, g2, tol=tol)
 
 
 def test_equilibrium_value_when_mixture_matches():

@@ -315,6 +315,21 @@ def test_train_rejects_heldout_pairs_of_another_shape_before_any_step(tmp_path, 
     assert not metrics.exists()
 
 
+@pytest.mark.parametrize("data,model_dims", [
+    ((3, 3, 2), (4, 3, 2)), ((3, 3, 2), (3, 4, 2)), ((3, 3, 2), (3, 3, 3)),
+    ((3, 4, 2), (4, 3, 2)),
+], ids=["d1", "d2", "classes", "swapped-widths"])
+def test_train_rejects_a_model_of_another_shape_before_any_step(tmp_path, data, model_dims):
+    d1, d2, k = data
+    ds, _, _ = small_task(k=k, d1=d1, d2=d2)
+    model = new_model(*model_dims, np.random.default_rng(0), hidden_dim=4)
+    metrics = tmp_path / "metrics.csv"
+    with pytest.raises(DimensionError) as err:
+        train(model, ds, TrainConfig(iterations=4, minibatch_size=2), metrics_path=metrics)
+    assert str(data) in str(err.value) and str(model_dims) in str(err.value)
+    assert not metrics.exists()
+
+
 def test_train_is_deterministic():
     ds, test, _ = small_task()
     cfg = TrainConfig(iterations=12, minibatch_size=3, seed=42, eval_every=6)
@@ -403,6 +418,13 @@ def test_train_config_validation():
         TrainConfig(iterations=1, minibatch_size=2, alpha=-1.0)
 
 
+@pytest.mark.parametrize("fm_weight", [-1.0, math.nan, math.inf])
+def test_train_config_requires_a_finite_nonnegative_fm_weight(fm_weight):
+    with pytest.raises(ConfigError, match="fm_weight"):
+        TrainConfig(iterations=1, minibatch_size=2, fm_weight=fm_weight)
+    TrainConfig(iterations=1, minibatch_size=2, fm_weight=0.0)
+
+
 # ---------------------------------------------------------------- views
 
 @pytest.mark.parametrize("call", [
@@ -469,13 +491,15 @@ def plain_feature_matching(model, which_view, real_pairs, gen_pairs, gen_trace, 
 
 
 def textbook_adam_step(params, grads, state):
-    """Per-block textbook Adam, kept in the state's block views."""
+    """Per-block textbook Adam, kept in per-block views of the state's flat moments."""
     state.step_count += 1
-    new, m, v = ([a.copy() for a in blocks]
-                 for blocks in (params, state.first_moment, state.second_moment))
+    cuts = np.cumsum([p.size for p in params])[:-1]
+    views = [[b.reshape(p.shape) for b, p in zip(np.split(moment, cuts), params)]
+             for moment in (state.m, state.v)]
+    new, m, v = ([a.copy() for a in blocks] for blocks in (params, *views))
     reference_adam(new, grads, m, v, state.step_count, state.alpha, state.beta1,
                    state.beta2, state.epsilon)
-    for live, value in zip(params + state.first_moment + state.second_moment, new + m + v):
+    for live, value in zip(params + views[0] + views[1], new + m + v):
         live[...] = value
 
 
