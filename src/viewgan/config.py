@@ -7,6 +7,7 @@ finish(), so a misspelled key is an error instead of a silent default.
 
 from __future__ import annotations
 
+from .data import read_text
 from .errors import ConfigError, DataFormatError
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -37,7 +38,8 @@ class ConfigMap:
             raise ConfigError(f"{self._source}: missing required key {key!r}")
         return v
 
-    def _typed(self, key: str, default, convert, needs: str):
+    def typed(self, key: str, default, convert, needs: str):
+        """``convert`` of key's value; its ValueError names file, line, key and ``needs``."""
         v = self.get_str(key, None if default is None else str(default))
         try:
             return convert(v)
@@ -46,13 +48,13 @@ class ConfigMap:
                               f"key {key!r} needs {needs}, got {v!r}") from None
 
     def get_int(self, key: str, default=None) -> int:
-        return self._typed(key, default, int, "an integer")
+        return self.typed(key, default, int, "an integer")
 
     def get_float(self, key: str, default=None) -> float:
-        return self._typed(key, default, float, "a number")
+        return self.typed(key, default, float, "a number")
 
     def get_bool(self, key: str, default=None) -> bool:
-        return self._typed(key, default, _to_bool, "true/false")
+        return self.typed(key, default, _to_bool, "true/false")
 
     def has(self, key: str) -> bool:
         return key in self._pairs
@@ -82,5 +84,4 @@ def parse_kv_text(text: str, source: str = "<config>") -> ConfigMap:
 
 
 def load_kv_file(path) -> ConfigMap:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_kv_text(f.read(), source=str(path))
+    return parse_kv_text(read_text(path, "utf-8"), source=str(path))

@@ -33,6 +33,17 @@ def label_index(label: np.ndarray) -> int:
     return int(np.argmax(label))
 
 
+def read_text(path, encoding: str) -> str:
+    """The text of file ``path``; a byte that does not decode names the file and line."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode(encoding)
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"byte {raw[e.start]:#04x} is not {encoding} text",
+                              line=raw.count(b"\n", 0, e.start) + 1, path=path) from None
+
+
 def by_view(v: int, first, second):
     """``first`` for view 1, ``second`` for view 2; any other v is an error."""
     if v not in (1, 2):
@@ -193,8 +204,7 @@ def save_multiview_file(path, dataset: PartitionedDataset) -> None:
 
 def load_multiview_file(path) -> PartitionedDataset:
     """Parse the sparse multiview format; the partition is derived from "-" marks."""
-    with open(path, "r", encoding="ascii") as f:
-        lines = f.read().splitlines()
+    lines = read_text(path, "ascii").splitlines()
     head = lines[0].split() if lines else []
     if head[:1] != ["#dims"]:
         raise DataFormatError("missing '#dims d1 d2 K' header", line=1)

@@ -16,9 +16,11 @@ class ConfigError(ValueError):
 class DataFormatError(ValueError):
     """Malformed data file; carries the 1-based line number when known."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

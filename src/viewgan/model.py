@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import by_view
+from .data import by_view, read_text
 from .errors import DataFormatError, DimensionError
 from .nn import DEFAULT_HIDDEN_DIM, LINEAR, SOFTMAX, Mlp, forward, init_mlp
 
@@ -254,8 +254,7 @@ def load_checkpoint(path) -> tuple[TripartiteModel, int, int]:
 
     Returns (model, seed, step).
     """
-    with open(path, "r", encoding="ascii") as f:
-        reader = _LineReader(f.read().splitlines())
+    reader = _LineReader(read_text(path, "ascii").splitlines())
     if reader.next() != CHECKPOINT_MAGIC:
         raise DataFormatError(f"missing magic header {CHECKPOINT_MAGIC!r}", line=1)
     if reader.next() != _LAYOUT_LINE:

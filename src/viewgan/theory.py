@@ -22,11 +22,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 
 _LOG_FLOOR = 1e-300
 _SUM_TOL = 1e-12
 LOG4 = math.log(4.0)
+THEOREM_TOL = 1e-10  # check_theorem's bound on the identity residual
+GRID_STEP = 1e-3  # brute_force_discriminator's grid, and its gap bound on live cells
+
+
+def _table(table, message: str, upper: float | None = None) -> np.ndarray:
+    """table as a nonempty 2-D float64 array of finite entries in [0, upper]."""
+    t = np.asarray(table, dtype=np.float64)
+    if t.ndim != 2 or t.size == 0:
+        raise DimensionError("table must be a nonempty 2-D array")
+    if not np.all(np.isfinite(t)) or np.any(t < 0) or (upper is not None and np.any(t > upper)):
+        raise ValueError(message)
+    return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,22 +48,10 @@ class DiscreteJoint:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64)
-        if t.ndim != 2 or t.size == 0:
-            raise DimensionError("table must be a nonempty 2-D array")
-        if not np.all(np.isfinite(t)) or np.any(t < 0):
-            raise ValueError("table entries must be finite and nonnegative")
+        t = _table(self.table, "table entries must be finite and nonnegative")
         if abs(float(t.sum()) - 1.0) > _SUM_TOL:
             raise ValueError(f"table sums to {t.sum()!r}, not 1")
         object.__setattr__(self, "table", t)
-
-    @property
-    def n1(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def n2(self) -> int:
-        return self.table.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,12 +61,8 @@ class DiscriminatorTable:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64)
-        if t.ndim != 2 or t.size == 0:
-            raise DimensionError("table must be a nonempty 2-D array")
-        if not np.all(np.isfinite(t)) or np.any(t < 0) or np.any(t > 1):
-            raise ValueError("discriminator entries must lie in [0, 1]")
-        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table",
+                           _table(self.table, "discriminator entries must lie in [0, 1]", 1.0))
 
 
 def _dist(x) -> np.ndarray:
@@ -146,7 +142,7 @@ def value_function(d, p_real, pg1, pg2) -> float:
     return float(np.sum(real * log_d) + 0.5 * np.sum(a * log_1md) + 0.5 * np.sum(b * log_1md))
 
 
-def brute_force_discriminator(p_real, pg1, pg2, step: float = 1e-3,
+def brute_force_discriminator(p_real, pg1, pg2, step: float = GRID_STEP,
                               real_weight: float = 1.0) -> DiscriminatorTable:
     """Grid-search best response, the slow road to the closed form.
 
@@ -227,23 +223,20 @@ class TheoremReport:
     ok: bool
 
 
-def check_theorem(p_real, pg1, pg2, tol: float = 1e-10) -> TheoremReport:
+def check_theorem(p_real, pg1, pg2) -> TheoremReport:
     """Verify V(D*) = -log4 + 2*JSD(p_real, mixture) on one triple.
 
     The value sits at its global minimum -log 4 exactly when the mixture
     equals the real joint; the gap above -log 4 is twice the divergence.
-    ok requires the identity residual below tol and agreement between
-    "gap below tol" and "divergence below tol/2"; tol must be positive and
-    finite (ConfigError otherwise).
+    ok requires the identity residual below THEOREM_TOL and agreement
+    between "gap below THEOREM_TOL" and "divergence below THEOREM_TOL/2".
     """
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(f"tol must be positive and finite, got {tol!r}")
     d_star = optimal_discriminator(p_real, pg1, pg2)
     v = value_function(d_star, p_real, pg1, pg2)
     div = jsd(p_real, mixture(pg1, pg2))
     residual = abs(v - (-LOG4 + 2.0 * div))
     gap = v + LOG4
-    ok = residual < tol and ((abs(gap) < tol) == (2.0 * div < tol))
+    ok = residual < THEOREM_TOL and ((abs(gap) < THEOREM_TOL) == (2.0 * div < THEOREM_TOL))
     return TheoremReport(v, div, residual, gap, ok)
 
 

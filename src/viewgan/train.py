@@ -224,17 +224,22 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
     return loss, gen_grads
 
 
+def _check_subsets(dataset: PartitionedDataset):
+    """The three subsets, in draw order; a minibatch needs rows from each."""
+    subsets = (dataset.s_full, dataset.s_missing1, dataset.s_missing2)
+    for name, subset in zip(("s_full", "s_missing1", "s_missing2"), subsets):
+        if len(subset) == 0:
+            raise ConfigError(f"{name} is empty")
+    return subsets
+
+
 def sample_minibatch(dataset: PartitionedDataset, m_b: int, rng: np.random.Generator) -> Minibatch:
     """Uniform with-replacement draw of m_b examples per subset, plus fresh noise.
 
     Draw order is fixed (full, missing1, missing2 indices, then the two
     noise blocks) so a seeded generator reproduces the batch sequence.
     """
-    subsets = (dataset.s_full, dataset.s_missing1, dataset.s_missing2)
-    for name, subset in zip(("s_full", "s_missing1", "s_missing2"), subsets):
-        if len(subset) == 0:
-            raise ConfigError(f"{name} is empty")
-    rows = [subset[rng.integers(0, len(subset), size=m_b)] for subset in subsets]
+    rows = [subset[rng.integers(0, len(subset), size=m_b)] for subset in _check_subsets(dataset)]
     noise = [rng.uniform(-1.0, 1.0, size=(m_b, d)) for d in (dataset.d1, dataset.d2)]
     return Minibatch(*rows, *noise)
 
@@ -261,8 +266,9 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
     When checkpoint_path is given, the model is saved there, with
     config.seed, after every checkpoint_every-th step and after the last one
     (before any step if there are none), each step at most once. A model or
-    held-out pairs whose (d1, d2, K) differ from the training data's are
-    rejected before the first step and before the metrics file is opened.
+    held-out pairs whose (d1, d2, K) differ from the training data's, and
+    training data with an empty subset, are rejected before the first step
+    and before the metrics file is opened.
     """
     want = (dataset.d1, dataset.d2, dataset.num_classes)
     shapes = [("the model has", (model.d1, model.d2, model.num_classes))]
@@ -272,6 +278,7 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
     for what, got in shapes:
         if got != want:
             raise DimensionError(f"{what} (d1, d2, K) = {got}, but the training data has {want}")
+    _check_subsets(dataset)
     rng = np.random.default_rng(config.seed)
     adam = [AdamState(net.params(), config.alpha, config.beta1, config.beta2, config.epsilon)
             for net in (model.disc, model.generator(1), model.generator(2))]

@@ -330,23 +330,49 @@ def eval_case(tmp_path, train_f, test_f, scenario, want, **settings):
              "--scenario", scenario], [other, "(3, 3, 2)", want])
 
 
-def experiment_case(tmp_path, test_f, sizes, out="exp.csv"):
-    """argv of an experiment that splits the test file of SYNTH_CFG into these sizes."""
+def experiment_case(tmp_path, test_f, sizes, out="exp.csv", extra=""):
+    """argv of an experiment that splits the test file of SYNTH_CFG into these sizes;
+    ``extra`` lines follow the config's eight."""
     m_full, m_missing1, m_missing2 = sizes
     cfg = write(tmp_path / "exp.cfg",
                 f"data = {test_f}\nm_full = {m_full}\nm_missing1 = {m_missing1}\n"
                 f"m_missing2 = {m_missing2}\niterations = 2\nminibatch_size = 2\n"
-                "hidden_dim = 4\nn_repeats = 2\n")
+                "hidden_dim = 4\nn_repeats = 2\n" + extra)
     return ["experiment", "--config", cfg, "--out", str(tmp_path / out)]
 
 
-def theory_tables(tmp_path):
+def theory_tables(tmp_path, real_rows=3):
     # a 3x1 real table and 1x3 generator tables are different joints
-    np.savetxt(tmp_path / "real.txt", np.full((3, 1), 1 / 3))
+    np.savetxt(tmp_path / "real.txt", np.full((real_rows, 1), 1 / 3))
     for name in ("g1", "g2"):
         np.savetxt(tmp_path / f"{name}.txt", np.full((1, 3), 1 / 3))
     return ["theory-check", "--p-real", str(tmp_path / "real.txt"),
             "--pg1", str(tmp_path / "g1.txt"), "--pg2", str(tmp_path / "g2.txt")]
+
+
+def empty_subset_case(tmp_path):
+    """A train run, with a metrics file, on data without rows missing view 1."""
+    synth_test_file(tmp_path, "nomiss", m_missing1=0)
+    return (train_argv(tmp_path, str(tmp_path / "nomiss-train.tsv"), "model.ckpt",
+                       "--metrics", str(tmp_path / "metrics.csv")), ["s_missing1 is empty"])
+
+
+def latin1_config_case(tmp_path, train_f):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes((TRAIN_CFG + "# caf\u00e9\n").encode("latin-1"))
+    line = len(TRAIN_CFG.splitlines()) + 1
+    return (["train", "--config", str(cfg), "--data", train_f,
+             "--out-checkpoint", str(tmp_path / "x.ckpt")], [f"{cfg}: line {line}:", "utf-8"])
+
+
+def non_ascii_checkpoint_case(tmp_path, train_f, test_f):
+    assert main(train_argv(tmp_path, train_f)) == 0
+    ckpt = tmp_path / "model.ckpt"
+    lines = ckpt.read_text().splitlines()
+    lines[4] = "step \u00e9"
+    write(ckpt, "\n".join(lines) + "\n")
+    return (["eval", "--checkpoint", str(ckpt), "--data", test_f],
+            [f"{ckpt}: line 5:", "ascii"])
 
 
 # Each case builds its files in (tmp_path, train file, test file of SYNTH_CFG)
@@ -371,16 +397,34 @@ BAD_INPUTS = {
     "missing-data-file": lambda t, tr, te: (
         train_argv(t, str(t / "absent.tsv")), [str(t / "absent.tsv")]),
     "theory-table-shapes": lambda t, tr, te: (theory_tables(t), []),
+    "theory-table-empty": lambda t, tr, te: (
+        theory_tables(t, real_rows=0), [str(t / "real.txt") + ": table must be a nonempty"]),
+    "theory-check-some-tables": lambda t, tr, te: (
+        theory_tables(t)[:3], ["provide all three of --p-real, --pg1, --pg2 or none"]),
+    "train-output-is-a-directory": lambda t, tr, te: (
+        (t / "ckdir").mkdir() or train_argv(t, tr, "ckdir"),
+        [str(t / "ckdir"), "is a directory"]),
+    "heldout-no-complete-pairs": lambda t, tr, te: (
+        train_argv(t, tr, "model.ckpt", "--heldout",
+                   write(t / "half.tsv", "#dims 3 3 2\n0\t-\t0:1.0\n1\t0:1.0\t-\n")),
+        [str(t / "half.tsv"), "no complete pairs"]),
+    "empty-subset": lambda t, tr, te: empty_subset_case(t),
+    "experiment-unknown-scenario": lambda t, tr, te: (
+        experiment_case(t, te, (2, 2, 2), extra="scenario = bogus\n"),
+        [f"{t / 'exp.cfg'}: line 9:", "'scenario'", "'bogus'",
+         "one of complete, view1-generated, view2-generated"]),
+    "data-not-ascii": lambda t, tr, te: (
+        train_argv(t, write(t / "utf8.tsv", "#dims 3 3 2\n0\t0:1.0\t0:1.0\n1\t0:\u00e9\t-\n"),
+                   "model.ckpt", "--metrics", str(t / "metrics.csv")),
+        [f"{t / 'utf8.tsv'}: line 3:", "ascii"]),
+    "config-not-utf8": lambda t, tr, te: latin1_config_case(t, tr),
+    "checkpoint-not-ascii": lambda t, tr, te: non_ascii_checkpoint_case(t, tr, te),
     "experiment-pool-too-small": lambda t, tr, te: (
         experiment_case(t, te, (40, 3, 3)), ["cannot draw 46 examples from a pool of 10"]),
     "experiment-no-test-left": lambda t, tr, te: (
         experiment_case(t, te, (4, 3, 3)), ["split left no test examples"]),
     "gradcheck-no-instances": lambda t, tr, te: (["gradcheck", "--instances", "0"], []),
     "theory-check-no-trials": lambda t, tr, te: (["theory-check", "--trials", "0"], []),
-    "theory-check-zero-tol": lambda t, tr, te: (["theory-check", "--tol", "0"], ["--tol"]),
-    "theory-check-negative-tol": lambda t, tr, te: (["theory-check", "--tol", "-1"], ["--tol"]),
-    "theory-check-nan-tol": lambda t, tr, te: (["theory-check", "--tol", "nan"], ["--tol"]),
-    "theory-check-infinite-tol": lambda t, tr, te: (["theory-check", "--tol", "inf"], ["--tol"]),
     "fm-weight-nan": lambda t, tr, te: train_config_case(t, tr, "fm_weight", "nan"),
     "fm-weight-inf": lambda t, tr, te: train_config_case(t, tr, "fm_weight", "inf"),
     "alpha-inf": lambda t, tr, te: train_config_case(t, tr, "alpha", "inf"),

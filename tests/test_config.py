@@ -2,7 +2,7 @@
 
 import pytest
 
-from viewgan.config import parse_kv_text
+from viewgan.config import load_kv_file, parse_kv_text
 from viewgan.errors import ConfigError, DataFormatError
 
 
@@ -51,10 +51,15 @@ def test_finish_rejects_stray_keys():
     assert "line 3:" in str(err.value)
 
 
-def test_malformed_lines_carry_line_numbers():
+def test_malformed_lines_carry_line_numbers(tmp_path):
     with pytest.raises(DataFormatError) as err:
         parse_kv_text("a = 1\nno separator here\n")
     assert err.value.line == 2
     with pytest.raises(DataFormatError) as err:
         parse_kv_text("a = 1\n\na = 2\n")
     assert err.value.line == 3
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("a = 1\nname = caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(DataFormatError, match="not utf-8") as err:
+        load_kv_file(path)
+    assert err.value.line == 2 and str(path) in str(err.value)

@@ -162,10 +162,16 @@ def test_file_format_example(tmp_path):
     ("5\t0:1.0\t0:1.0", 2),         # label out of range
     ("0\t-\t-", 2),                 # both views missing
     ("0\tnot-a-pair\t0:1.0", 2),    # malformed pair
+    ("0\t0:abc\t0:1.0", 2),         # non-numeric value
+    ("0\t0:nan\t0:1.0", 2),         # non-finite value
+    ("\n0\t-\t-", 3),               # blank lines count
+    ("0\t0:1.0", 2),                # a field short
+    ("x\t0:1.0\t0:1.0", 2),         # malformed label
+    ("0\t0:1.0\t0:1.0\n1\t0:\u00e9\t-", 3),  # not ASCII
 ])
 def test_file_errors_carry_line_numbers(tmp_path, bad_line, expect_line):
     path = tmp_path / "bad.tsv"
-    path.write_text("#dims 4 3 2\n" + bad_line + "\n")
+    path.write_bytes(("#dims 4 3 2\n" + bad_line + "\n").encode("utf-8"))
     with pytest.raises(DataFormatError) as err:
         vg.load_multiview_file(path)
     assert err.value.line == expect_line
@@ -173,7 +179,7 @@ def test_file_errors_carry_line_numbers(tmp_path, bad_line, expect_line):
 
 def test_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.tsv"
-    for header in ("#dims 4 3", "#dimsfoo 4 3 2"):
+    for header in ("#dims 4 3", "#dimsfoo 4 3 2", "#dims 4 x 2", "#dims 4 0 2"):
         path.write_text(header + "\n")
         with pytest.raises(DataFormatError) as err:
             vg.load_multiview_file(path)

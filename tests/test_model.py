@@ -122,13 +122,19 @@ def test_checkpoint_reports_line_of_damage(tmp_path):
     (4, "seed"),
     (5, "step 1.5"),
     (6, "net gen1 linear 7 five 3"),
+    (3, "dims 0 3 2"),
+    (4, None),
+    (5, "step \u00e9"),
 ])
 def test_checkpoint_header_errors_carry_line_numbers(tmp_path, lineno, bad):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, small_model(), seed=0, step=0)
     lines = path.read_text().splitlines()
-    lines[lineno - 1] = bad
-    path.write_text("\n".join(lines) + "\n")
+    if bad is None:  # the file ends before this line
+        del lines[lineno - 1:]
+    else:
+        lines[lineno - 1] = bad
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     with pytest.raises(DataFormatError) as err:
         load_checkpoint(path)
     assert err.value.line == lineno
