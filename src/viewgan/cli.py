@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -38,7 +37,20 @@ def _train_config(cfg: ConfigMap) -> TrainConfig:
         for f in dataclasses.fields(TrainConfig)})
 
 
-def _synthetic_spec(cfg: ConfigMap) -> SyntheticSpec:
+# the training subsets' sizes, in the order of ExperimentSpec and SyntheticSpec
+_SUBSET_SIZES = ("m_full", "m_missing1", "m_missing2")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def _synthetic_spec(cfg: ConfigMap, sizes: dict) -> SyntheticSpec:
+    """The synthetic task of the config, whose subset sizes ``sizes`` the
+    caller has read."""
     k = cfg.get_int("num_classes")
     d1 = cfg.get_int("d1")
     d2 = cfg.get_int("d2")
@@ -49,9 +61,7 @@ def _synthetic_spec(cfg: ConfigMap) -> SyntheticSpec:
         means_view2=block_class_means(k, d2, cfg.get_float("mean_scale_view2", 1.0)),
         noise_sigma=cfg.get_float("noise_sigma", 1.0),
         view_correlation=cfg.get_float("view_correlation", 0.0),
-        m_full=cfg.get_int("m_full"),
-        m_missing1=cfg.get_int("m_missing1"),
-        m_missing2=cfg.get_int("m_missing2"),
+        **sizes,
         m_test=cfg.get_int("m_test"),
         seed=cfg.get_int("seed", 0),
         latent_dim=latent,
@@ -133,7 +143,7 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = load_kv_file(args.config)
-    spec = _synthetic_spec(cfg)
+    spec = _synthetic_spec(cfg, {key: cfg.get_int(key) for key in _SUBSET_SIZES})
     cfg.finish()
     dataset, test, bayes = generate_synthetic(spec)
     save_multiview_file(args.out_train, dataset)
@@ -153,25 +163,21 @@ def cmd_experiment(args) -> int:
     master_seed = cfg.get_int("master_seed", 0)
     include_baselines = cfg.get_bool("include_baselines", True)
     hidden = cfg.get_int("hidden_dim", DEFAULT_HIDDEN_DIM)
+    # every repeat trains on all three subsets, so none may be empty
+    sizes = {key: cfg.typed(key, None, _positive_int, "an integer of at least 1")
+             for key in _SUBSET_SIZES}
 
     pool = None
     synth = None
     if cfg.has("data"):
         pool_file = cfg.get_str("data")
-        m_full = cfg.get_int("m_full")
-        m_missing1 = cfg.get_int("m_missing1")
-        m_missing2 = cfg.get_int("m_missing2")
         cfg.finish()
         pool = load_multiview_file(pool_file).s_full
     else:
-        # the synthetic spec owns the split sizes; lift them to the
-        # experiment level so both sources carry them the same way
-        synth = _synthetic_spec(cfg)
+        synth = _synthetic_spec(cfg, sizes)
         cfg.finish()
-        m_full, m_missing1, m_missing2 = synth.m_full, synth.m_missing1, synth.m_missing2
 
-    spec = ExperimentSpec(n_repeats=n_repeats, scenario=scenario, train_config=tc,
-                          m_full=m_full, m_missing1=m_missing1, m_missing2=m_missing2,
+    spec = ExperimentSpec(n_repeats=n_repeats, scenario=scenario, train_config=tc, **sizes,
                           data_pool=pool, synthetic=synth, hidden_dim=hidden,
                           include_baselines=include_baselines, master_seed=master_seed)
     result = run_experiment(spec)
@@ -183,12 +189,22 @@ def cmd_experiment(args) -> int:
 
 
 def _load_table(path) -> DiscreteJoint:
-    """The table in file ``path``; a table that cannot be used names the file."""
-    lines = read_text(path, "utf-8").splitlines()
+    """The table in file ``path``: one row of numbers per line, ``#`` starts a
+    comment. A table that cannot be used names the file, and a bad row its line."""
+    rows = []
+    for lineno, line in enumerate(read_text(path, "utf-8").splitlines(), start=1):
+        fields = line.partition("#")[0].split()
+        if not fields:
+            continue
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError as e:
+            raise DataFormatError(str(e), line=lineno, path=path) from None
+        if len(fields) != len(rows[0]):
+            raise DataFormatError(f"expected {len(rows[0])} values as on the first row, "
+                                  f"got {len(fields)}", line=lineno, path=path)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an empty file is rejected below, once
-            return DiscreteJoint(np.loadtxt(lines, dtype=np.float64, ndmin=2))
+        return DiscreteJoint(np.array(rows, dtype=np.float64, ndmin=2))
     except ValueError as e:
         raise DataFormatError(str(e), path=path) from None
 

@@ -74,10 +74,11 @@ def parse_kv_text(text: str, source: str = "<config>") -> ConfigMap:
             continue
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
-            raise DataFormatError(f"expected 'key = value', got {raw!r}", line=lineno)
+            raise DataFormatError(f"expected 'key = value', got {raw!r}", line=lineno,
+                                  path=source)
         key = key.strip()
         if key in pairs:
-            raise DataFormatError(f"duplicate key {key!r}", line=lineno)
+            raise DataFormatError(f"duplicate key {key!r}", line=lineno, path=source)
         pairs[key] = value.strip()
         lines[key] = lineno
     return ConfigMap(pairs, lines, source)

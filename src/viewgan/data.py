@@ -165,7 +165,8 @@ def _format_view(v: np.ndarray | None) -> str:
     return " ".join(f"{int(i)}:{repr(float(v[i]))}" for i in idx)
 
 
-def _parse_view(text: str, dim: int, lineno: int) -> np.ndarray | None:
+def _parse_view(text: str, dim: int) -> np.ndarray | None:
+    """One view field; a malformed field raises ValueError."""
     if text == "-":
         return None
     v = np.zeros(dim, dtype=np.float64)
@@ -175,18 +176,18 @@ def _parse_view(text: str, dim: int, lineno: int) -> np.ndarray | None:
     for pair in text.split(" "):
         idx_s, sep, val_s = pair.partition(":")
         if not sep:
-            raise DataFormatError(f"malformed pair {pair!r}", line=lineno)
+            raise ValueError(f"malformed pair {pair!r}")
         try:
             idx = int(idx_s)
             val = float(val_s)
         except ValueError:
-            raise DataFormatError(f"malformed pair {pair!r}", line=lineno) from None
+            raise ValueError(f"malformed pair {pair!r}") from None
         if idx >= dim or idx < 0:
-            raise DataFormatError(f"index {idx} outside [0, {dim})", line=lineno)
+            raise ValueError(f"index {idx} outside [0, {dim})")
         if idx <= prev:
-            raise DataFormatError("indices must be strictly increasing", line=lineno)
+            raise ValueError("indices must be strictly increasing")
         if not math.isfinite(val):
-            raise DataFormatError(f"non-finite value {val_s!r}", line=lineno)
+            raise ValueError(f"non-finite value {val_s!r}")
         prev = idx
         v[idx] = val
     return v
@@ -203,41 +204,47 @@ def save_multiview_file(path, dataset: PartitionedDataset) -> None:
 
 
 def load_multiview_file(path) -> PartitionedDataset:
-    """Parse the sparse multiview format; the partition is derived from "-" marks."""
-    lines = read_text(path, "ascii").splitlines()
-    head = lines[0].split() if lines else []
-    if head[:1] != ["#dims"]:
-        raise DataFormatError("missing '#dims d1 d2 K' header", line=1)
-    if len(head) != 4:
-        raise DataFormatError("header must be '#dims d1 d2 K'", line=1)
-    try:
-        d1, d2, num_classes = (int(p) for p in head[1:])
-    except ValueError:
-        raise DataFormatError("non-integer dimensions in header", line=1) from None
-    if min(d1, d2, num_classes) < 1:
-        raise DataFormatError("dimensions must be positive", line=1)
+    """Parse the sparse multiview format; the partition is derived from "-" marks.
 
+    A malformed line raises DataFormatError naming the file and the line.
+    """
+    lines = read_text(path, "ascii").splitlines()
     # one (view1s, view2s, labels) column triple per subset
     full, missing1, missing2 = ([], [], []), ([], [], []), ([], [], [])
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataFormatError("expected 'label<TAB>view1<TAB>view2'", line=lineno)
+    lineno = 1
+    try:
+        head = lines[0].split() if lines else []
+        if head[:1] != ["#dims"]:
+            raise ValueError("missing '#dims d1 d2 K' header")
+        if len(head) != 4:
+            raise ValueError("header must be '#dims d1 d2 K'")
         try:
-            label = int(fields[0])
+            d1, d2, num_classes = (int(p) for p in head[1:])
         except ValueError:
-            raise DataFormatError(f"malformed label {fields[0]!r}", line=lineno) from None
-        if not 0 <= label < num_classes:
-            raise DataFormatError(f"label {label} outside [0, {num_classes})", line=lineno)
-        v1 = _parse_view(fields[1], d1, lineno)
-        v2 = _parse_view(fields[2], d2, lineno)
-        if v1 is None and v2 is None:
-            raise DataFormatError("both views missing", line=lineno)
-        columns = missing1 if v1 is None else missing2 if v2 is None else full
-        for column, value in zip(columns, (v1, v2, one_hot(label, num_classes))):
-            column.append(value)
+            raise ValueError("non-integer dimensions in header") from None
+        if min(d1, d2, num_classes) < 1:
+            raise ValueError("dimensions must be positive")
+
+        for lineno, line in enumerate(lines[1:], start=2):
+            if line == "":
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ValueError("expected 'label<TAB>view1<TAB>view2'")
+            try:
+                label = int(fields[0])
+            except ValueError:
+                raise ValueError(f"malformed label {fields[0]!r}") from None
+            y = one_hot(label, num_classes)
+            v1 = _parse_view(fields[1], d1)
+            v2 = _parse_view(fields[2], d2)
+            if v1 is None and v2 is None:
+                raise ValueError("both views missing")
+            columns = missing1 if v1 is None else missing2 if v2 is None else full
+            for column, value in zip(columns, (v1, v2, y)):
+                column.append(value)
+    except ValueError as e:
+        raise DataFormatError(str(e), line=lineno, path=path) from None
 
     def block(columns, widths):
         return Views(*(None if w is None else np.array(c, dtype=np.float64).reshape(len(c), w)

@@ -13,6 +13,7 @@ Canonical layouts (also recorded in checkpoint headers):
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -152,18 +153,14 @@ def decide_batch(probabilities) -> tuple[np.ndarray, np.ndarray]:
 # Checkpoints: a plain-text container with a versioned magic header. Floats
 # are written with repr() so a save/load round trip is exact.
 
-def _write_vector(f, vec):
-    f.write(" ".join(repr(float(v)) for v in vec) + "\n")
-
-
 def _write_net(f, name: str, net: Mlp):
-    f.write(f"net {name} {net.output_kind} {net.input_dim} {net.hidden_dim} {net.output_dim}\n")
-    for row in net.weights_in:
-        _write_vector(f, row)
-    _write_vector(f, net.bias_in)
-    for row in net.weights_out:
-        _write_vector(f, row)
-    _write_vector(f, net.bias_out)
+    """The net's header, then one line per row of each block (a bias is one
+    row), in one write."""
+    lines = [f"net {name} {net.output_kind} {net.input_dim} {net.hidden_dim} {net.output_dim}"]
+    for block in net.params():
+        lines.extend(" ".join(map(repr, row)) for row in np.atleast_2d(block).tolist())
+    lines.append("")
+    f.write("\n".join(lines))
 
 
 def save_checkpoint(path, model: TripartiteModel, seed: int, step: int) -> None:
@@ -190,37 +187,49 @@ def save_checkpoint(path, model: TripartiteModel, seed: int, step: int) -> None:
 
 
 class _LineReader:
-    def __init__(self, lines):
-        self.lines = lines
+    """The lines of a checkpoint file, read in order; errors name the file
+    and the line read last."""
+
+    def __init__(self, path):
+        self.path = path
+        self.lines = read_text(path, "ascii").splitlines()
         self.pos = 0
+
+    def error(self, message: str) -> DataFormatError:
+        return DataFormatError(message, line=self.pos, path=self.path)
 
     def next(self) -> str:
         if self.pos >= len(self.lines):
-            raise DataFormatError("unexpected end of checkpoint", line=self.pos + 1)
+            raise DataFormatError("unexpected end of checkpoint", line=self.pos + 1,
+                                  path=self.path)
         self.pos += 1
         return self.lines[self.pos - 1]
 
 
-def _read_vector(reader: _LineReader, size: int) -> np.ndarray:
-    parts = reader.next().split()
-    if len(parts) != size:
-        raise DataFormatError(f"expected {size} values, got {len(parts)}", line=reader.pos)
-    try:
-        vec = np.array([float(p) for p in parts], dtype=np.float64)
-    except ValueError:
-        raise DataFormatError("values must be numbers", line=reader.pos) from None
-    if not np.all(np.isfinite(vec)):
-        raise DataFormatError("values must be finite", line=reader.pos)
-    return vec
+def _read_rows(reader: _LineReader, count: int, size: int) -> np.ndarray:
+    """``count`` lines of ``size`` finite numbers each, as a (count, size) block."""
+    rows = []
+    for _ in range(count):
+        parts = reader.next().split()
+        if len(parts) != size:
+            raise reader.error(f"expected {size} values, got {len(parts)}")
+        try:
+            row = list(map(float, parts))
+        except ValueError:
+            raise reader.error("values must be numbers") from None
+        if not all(map(math.isfinite, row)):
+            raise reader.error("values must be finite")
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
 
 
-def _int_fields(fields, line: int, what: str, low: int | None = None) -> list[int]:
+def _int_fields(reader: _LineReader, fields, what: str, low: int | None = None) -> list[int]:
     try:
         values = [int(f) for f in fields]
     except ValueError:
-        raise DataFormatError(f"{what} must be integers", line=line) from None
+        raise reader.error(f"{what} must be integers") from None
     if low is not None and min(values) < low:
-        raise DataFormatError(f"{what} must be at least {low}", line=line)
+        raise reader.error(f"{what} must be at least {low}")
     return values
 
 
@@ -228,8 +237,8 @@ def _read_header(reader: _LineReader, key: str, count: int, low: int | None = No
     """Parse a '<key> <int> ...' line holding ``count`` integers."""
     parts = reader.next().split()
     if len(parts) != count + 1 or parts[0] != key:
-        raise DataFormatError(f"expected a '{key}' line with {count} integer(s)", line=reader.pos)
-    return _int_fields(parts[1:], reader.pos, key, low)
+        raise reader.error(f"expected a '{key}' line with {count} integer(s)")
+    return _int_fields(reader, parts[1:], key, low)
 
 
 def _read_net(reader: _LineReader, name: str, kind: str,
@@ -237,15 +246,15 @@ def _read_net(reader: _LineReader, name: str, kind: str,
     """Read net ``name``, whose header must agree with its entry in ``_nets``."""
     parts = reader.next().split()
     if len(parts) != 6 or parts[:3] != ["net", name, kind]:
-        raise DataFormatError(f"expected a 'net {name} {kind} ...' header", line=reader.pos)
-    got_in, hidden_dim, got_out = _int_fields(parts[3:6], reader.pos, "net sizes", low=1)
+        raise reader.error(f"expected a 'net {name} {kind} ...' header")
+    got_in, hidden_dim, got_out = _int_fields(reader, parts[3:6], "net sizes", low=1)
     if (got_in, got_out) != (input_dim, output_dim):
-        raise DataFormatError(f"net {name} must map {input_dim} inputs to {output_dim} "
-                              f"outputs, as dims says", line=reader.pos)
-    w_in = np.stack([_read_vector(reader, input_dim) for _ in range(hidden_dim)])
-    b_in = _read_vector(reader, hidden_dim)
-    w_out = np.stack([_read_vector(reader, hidden_dim) for _ in range(output_dim)])
-    b_out = _read_vector(reader, output_dim)
+        raise reader.error(f"net {name} must map {input_dim} inputs to {output_dim} "
+                           f"outputs, as dims says")
+    w_in = _read_rows(reader, hidden_dim, input_dim)
+    b_in = _read_rows(reader, 1, hidden_dim)[0]
+    w_out = _read_rows(reader, output_dim, hidden_dim)
+    b_out = _read_rows(reader, 1, output_dim)[0]
     return Mlp(w_in, b_in, w_out, b_out, kind)
 
 
@@ -254,16 +263,16 @@ def load_checkpoint(path) -> tuple[TripartiteModel, int, int]:
 
     Returns (model, seed, step).
     """
-    reader = _LineReader(read_text(path, "ascii").splitlines())
+    reader = _LineReader(path)
     if reader.next() != CHECKPOINT_MAGIC:
-        raise DataFormatError(f"missing magic header {CHECKPOINT_MAGIC!r}", line=1)
+        raise reader.error(f"missing magic header {CHECKPOINT_MAGIC!r}")
     if reader.next() != _LAYOUT_LINE:
-        raise DataFormatError(f"expected the layout line {_LAYOUT_LINE!r}", line=2)
+        raise reader.error(f"expected the layout line {_LAYOUT_LINE!r}")
     d1, d2, num_classes = _read_header(reader, "dims", 3, low=1)
     (seed,) = _read_header(reader, "seed", 1)
     (step,) = _read_header(reader, "step", 1, low=0)
     nets = [_read_net(reader, *net) for net in _nets(d1, d2, num_classes)]
     while reader.pos < len(reader.lines):
         if reader.next().strip():
-            raise DataFormatError("unexpected content after the last net", line=reader.pos)
+            raise reader.error("unexpected content after the last net")
     return TripartiteModel(d1, d2, num_classes, *nets), seed, step

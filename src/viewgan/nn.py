@@ -28,13 +28,14 @@ DEFAULT_HIDDEN_DIM = 200
 _SATURATION = 36.0
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Elementwise logistic function, saturation-clipped so outputs stay in (0, 1).
 
     Same operations as 1 / (1 + exp(-clip(x, -36, 36))), run in place on one
-    fresh buffer; ``x`` is not modified.
+    buffer: ``out`` when given (it may be ``x`` itself), else a fresh one.
+    With ``out=None``, ``x`` is not modified.
     """
-    z = np.maximum(x, -_SATURATION)
+    z = np.maximum(x, -_SATURATION, out=out)
     np.minimum(z, _SATURATION, out=z)
     np.negative(z, out=z)
     np.exp(z, out=z)
@@ -42,14 +43,16 @@ def sigmoid(x):
     return np.divide(1.0, z, out=z)
 
 
-def softmax(logits):
+def softmax(logits, out=None):
     """Softmax over the last axis, stabilized by max-subtraction.
 
     Shifted logits are floored at -36 so every output is strictly positive
     and strictly below 1 even for logit magnitudes up to 1e4. Works in place
-    on the shifted copy; ``logits`` is not modified.
+    on the shifted logits, held in ``out`` when given (it may be ``logits``
+    itself), else in a fresh buffer. With ``out=None``, ``logits`` is not
+    modified.
     """
-    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    z = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
     np.maximum(z, -_SATURATION, out=z)
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis=-1, keepdims=True)
@@ -145,12 +148,15 @@ def forward(net: Mlp, x) -> ForwardTrace:
     # counting is cheaper than ndarray.all()'s Python-level wrapper on small blocks
     if np.count_nonzero(np.isfinite(x)) != x.size:
         raise NumericError("non-finite input")
+    # each activation overwrites the buffer it is computed from: a large
+    # block then allocates one (n, hidden) array, not two
     hidden_pre = x @ net.weights_in.T
     hidden_pre += net.bias_in
-    hidden_act = sigmoid(hidden_pre)
+    hidden_act = sigmoid(hidden_pre, out=hidden_pre)
     logits = hidden_act @ net.weights_out.T
     logits += net.bias_out
-    return ForwardTrace(x, hidden_act, softmax(logits) if net.output_kind == SOFTMAX else logits)
+    output = softmax(logits, out=logits) if net.output_kind == SOFTMAX else logits
+    return ForwardTrace(x, hidden_act, output)
 
 
 # What ``backward`` computes: the parameter gradients or the input gradient.

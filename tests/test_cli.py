@@ -350,6 +350,22 @@ def theory_tables(tmp_path, real_rows=3):
             "--pg1", str(tmp_path / "g1.txt"), "--pg2", str(tmp_path / "g2.txt")]
 
 
+def bad_table_case(tmp_path):
+    """theory-check with a --p-real file whose first row, on line 2, holds a word."""
+    argv = theory_tables(tmp_path)
+    write(tmp_path / "real.txt", "# p_real\n0.5 abc\n")
+    return argv, [f"{tmp_path / 'real.txt'}: line 2:", "'abc'"]
+
+
+def zero_subset_case(tmp_path, test_f, index):
+    """An experiment whose config, on line index + 2, sets one subset size to 0."""
+    sizes = [2, 2, 2]
+    sizes[index] = 0
+    key = ("m_full", "m_missing1", "m_missing2")[index]
+    return (experiment_case(tmp_path, test_f, sizes),
+            [f"{tmp_path / 'exp.cfg'}: line {index + 2}:", f"'{key}'", "'0'"])
+
+
 def empty_subset_case(tmp_path):
     """A train run, with a metrics file, on data without rows missing view 1."""
     synth_test_file(tmp_path, "nomiss", m_missing1=0)
@@ -365,14 +381,15 @@ def latin1_config_case(tmp_path, train_f):
              "--out-checkpoint", str(tmp_path / "x.ckpt")], [f"{cfg}: line {line}:", "utf-8"])
 
 
-def non_ascii_checkpoint_case(tmp_path, train_f, test_f):
+def damaged_checkpoint_case(tmp_path, train_f, test_f, lineno, text, want):
+    """An eval of a trained checkpoint whose line ``lineno`` reads ``text``."""
     assert main(train_argv(tmp_path, train_f)) == 0
     ckpt = tmp_path / "model.ckpt"
     lines = ckpt.read_text().splitlines()
-    lines[4] = "step \u00e9"
+    lines[lineno - 1] = text
     write(ckpt, "\n".join(lines) + "\n")
     return (["eval", "--checkpoint", str(ckpt), "--data", test_f],
-            [f"{ckpt}: line 5:", "ascii"])
+            [f"{ckpt}: line {lineno}:", want])
 
 
 # Each case builds its files in (tmp_path, train file, test file of SYNTH_CFG)
@@ -418,7 +435,22 @@ BAD_INPUTS = {
                    "model.ckpt", "--metrics", str(t / "metrics.csv")),
         [f"{t / 'utf8.tsv'}: line 3:", "ascii"]),
     "config-not-utf8": lambda t, tr, te: latin1_config_case(t, tr),
-    "checkpoint-not-ascii": lambda t, tr, te: non_ascii_checkpoint_case(t, tr, te),
+    "checkpoint-not-ascii": lambda t, tr, te: damaged_checkpoint_case(
+        t, tr, te, 5, "step \u00e9", "ascii"),
+    # line 7 is the first weight row of gen1
+    "checkpoint-line": lambda t, tr, te: damaged_checkpoint_case(
+        t, tr, te, 7, "abc", "expected 6 values, got 1"),
+    "data-line": lambda t, tr, te: (
+        train_argv(t, write(t / "bad.tsv", "#dims 3 3 2\n0\tx\t0:1.0\n")),
+        [f"{t / 'bad.tsv'}: line 2:", "malformed pair 'x'"]),
+    "config-line": lambda t, tr, te: (
+        ["train", "--config", write(t / "bad.cfg", "iterations = 6\nno separator\n"),
+         "--data", tr, "--out-checkpoint", str(t / "x.ckpt")],
+        [f"{t / 'bad.cfg'}: line 2:", "expected 'key = value'"]),
+    "theory-table-line": lambda t, tr, te: bad_table_case(t),
+    "experiment-zero-m_full": lambda t, tr, te: zero_subset_case(t, te, 0),
+    "experiment-zero-m_missing1": lambda t, tr, te: zero_subset_case(t, te, 1),
+    "experiment-zero-m_missing2": lambda t, tr, te: zero_subset_case(t, te, 2),
     "experiment-pool-too-small": lambda t, tr, te: (
         experiment_case(t, te, (40, 3, 3)), ["cannot draw 46 examples from a pool of 10"]),
     "experiment-no-test-left": lambda t, tr, te: (

@@ -84,15 +84,37 @@ def test_decide_batch_argmax():
     assert list(cls) == [1, 0]
 
 
+def reference_checkpoint_text(m, seed, step):
+    """The checkpoint format written out plainly: repr(float(v)) per value,
+    one line per row, a bias as one row."""
+    lines = [CHECKPOINT_MAGIC,
+             "layout generator-input=noise,condition discriminator-input=view1,view2",
+             f"dims {m.d1} {m.d2} {m.num_classes}", f"seed {seed}", f"step {step}"]
+    for name in ("gen1", "gen2", "disc"):
+        net = getattr(m, name)
+        lines.append(f"net {name} {net.output_kind} {net.input_dim} {net.hidden_dim} "
+                     f"{net.output_dim}")
+        for block in net.params():
+            for row in (block if block.ndim == 2 else [block]):
+                lines.append(" ".join(repr(float(v)) for v in row))
+    return "".join(line + "\n" for line in lines)
+
+
 def test_checkpoint_roundtrip_is_exact(tmp_path):
     m = small_model(seed=7)
+    # signed zero, the smallest subnormal, a huge value, and values whose
+    # shortest round-trip form needs 17 significant digits
+    m.gen1.weights_in[0, :4] = [-0.0, 5e-324, 1e308, 0.1 + 0.2]
+    m.disc.bias_out[:] = [-0.0, 1 / 3, -2 / 3]
+    assert len(repr(float(m.gen1.weights_in[0, 3]))) == 19  # '0.30000000000000004'
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, m, seed=123, step=45)
+    assert path.read_bytes() == reference_checkpoint_text(m, 123, 45).encode("ascii")
     loaded, seed, step = load_checkpoint(path)
     assert seed == 123 and step == 45
     for a, b in zip(m.gen1.params() + m.gen2.params() + m.disc.params(),
                     loaded.gen1.params() + loaded.gen2.params() + loaded.disc.params()):
-        assert np.array_equal(a, b)  # bitwise, not approximate
+        assert a.tobytes() == b.tobytes()  # bitwise, signed zeros included
     assert loaded.d1 == m.d1 and loaded.d2 == m.d2
     assert loaded.num_classes == m.num_classes
 

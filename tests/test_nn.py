@@ -48,8 +48,14 @@ def test_sigmoid_and_softmax_match_the_textbook_bit_for_bit():
     # every edge value against every other in a two-logit row
     blocks.append(np.array([[a, b] for a in SATURATION_EDGES for b in SATURATION_EDGES]))
     for x in blocks:
-        assert np.array_equal(sigmoid(x), reference_sigmoid(x))
-        assert np.array_equal(softmax(x), reference_softmax(x))
+        for fn, reference in ((sigmoid, reference_sigmoid), (softmax, reference_softmax)):
+            want = reference(x)
+            assert np.array_equal(fn(x), want)
+            # out= a separate buffer, and out= the argument itself
+            out = np.empty_like(x)
+            assert fn(x, out=out) is out and np.array_equal(out, want)
+            own = x.copy()
+            assert fn(own, out=own) is own and np.array_equal(own, want)
 
 
 def test_activations_leave_their_argument_unchanged():
@@ -191,10 +197,16 @@ def test_backward_input_grad():
 
 @pytest.mark.parametrize("kind", ["linear", "softmax"])
 def test_forward_and_backward_match_the_textbook_bit_for_bit(kind):
+    # a minibatch-sized block, and a 5000-row held-out pass at hidden width 200
+    for n, din, dh in ((8, 6, 9), (5000, 40, 200)):
+        check_forward_and_backward(kind, n, din, dh)
+
+
+def check_forward_and_backward(kind, n, din, dh):
     rng = np.random.default_rng(18)
-    net = tiny_net(kind, seed=19, din=6, dh=9, dout=4)
-    x = rng.normal(scale=3.0, size=(8, 6))
-    out_grad = rng.normal(size=(8, 4))
+    net = tiny_net(kind, seed=19, din=din, dh=dh, dout=4)
+    x = rng.normal(scale=3.0, size=(n, din))
+    out_grad = rng.normal(size=(n, 4))
     h = reference_sigmoid(x @ net.weights_in.T + net.bias_in)
     out_pre = h @ net.weights_out.T + net.bias_out
     d_hidden = (out_grad @ net.weights_out) * h * (1.0 - h)

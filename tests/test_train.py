@@ -490,6 +490,14 @@ def plain_feature_matching(model, which_view, real_pairs, gen_pairs, gen_trace, 
                                 model.slot(which_view, d_pairs))
 
 
+def into(out, value):
+    """``value`` in the caller's buffer ``out``, if one is given."""
+    if out is None:
+        return value
+    out[...] = value
+    return out
+
+
 def textbook_adam_step(params, grads, state):
     """Per-block textbook Adam, kept in per-block views of the state's flat moments."""
     state.step_count += 1
@@ -554,8 +562,9 @@ def test_training_matches_the_textbook_step_bit_for_bit(monkeypatch, m_b):
     config = TrainConfig(iterations=50, minibatch_size=m_b, seed=36)
     shipped, shipped_rows = train(init.copy(), dataset, config)
 
-    monkeypatch.setattr(nn_mod, "sigmoid", reference_sigmoid)
-    monkeypatch.setattr(nn_mod, "softmax", reference_softmax)
+    monkeypatch.setattr(nn_mod, "sigmoid", lambda x, out=None: into(out, reference_sigmoid(x)))
+    monkeypatch.setattr(nn_mod, "softmax",
+                        lambda logits, out=None: into(out, reference_softmax(logits)))
     monkeypatch.setattr(train_mod, "backward", plain_backward)
     monkeypatch.setattr(train_mod, "clamped_class_grad", plain_clamped_class_grad)
     monkeypatch.setattr(train_mod, "feature_matching_penalty", plain_feature_matching)
