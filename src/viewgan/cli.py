@@ -37,7 +37,7 @@ def _train_config(cfg: ConfigMap) -> TrainConfig:
         for f in dataclasses.fields(TrainConfig)})
 
 
-# the training subsets' sizes, in the order of ExperimentSpec and SyntheticSpec
+# the config keys, and ExperimentSpec and SyntheticSpec fields, of the training subsets' sizes
 _SUBSET_SIZES = ("m_full", "m_missing1", "m_missing2")
 
 
