@@ -54,7 +54,6 @@ def _synthetic_spec(cfg: ConfigMap, sizes: dict) -> SyntheticSpec:
     k = cfg.get_int("num_classes")
     d1 = cfg.get_int("d1")
     d2 = cfg.get_int("d2")
-    latent = cfg.get_int("latent_dim") if cfg.has("latent_dim") else None
     return SyntheticSpec(
         num_classes=k, d1=d1, d2=d2,
         means_view1=block_class_means(k, d1, cfg.get_float("mean_scale_view1", 1.0)),
@@ -64,7 +63,6 @@ def _synthetic_spec(cfg: ConfigMap, sizes: dict) -> SyntheticSpec:
         **sizes,
         m_test=cfg.get_int("m_test"),
         seed=cfg.get_int("seed", 0),
-        latent_dim=latent,
     )
 
 

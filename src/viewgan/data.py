@@ -12,7 +12,7 @@ error at most 0.0016).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,6 +87,13 @@ class Views:
         return replace(self, **{by_view(v, "view1", "view2"): x})
 
 
+def _pair_dims(pairs: Views, name: str) -> tuple[int, int, int]:
+    """(d1, d2, K) read off a block of complete pairs; a block lacking a view is an error."""
+    if pairs.view1 is None or pairs.view2 is None:
+        raise ValueError(f"{name} must hold both views")
+    return tuple(np.shape(a)[-1] for a in (pairs.view1, pairs.view2, pairs.label))
+
+
 def _check_subset(subset: Views, d1, d2, num_classes, want1: bool, want2: bool,
                   name: str) -> Views:
     """Validate a whole subset at once; return it with float64 arrays."""
@@ -115,19 +122,19 @@ class PartitionedDataset:
     """Training examples split by which views are observed.
 
     s_full has both views, s_missing1 lacks view 1, s_missing2 lacks view 2.
+    (d1, d2, K) are read off s_full's (n, d) blocks, which keep them at n = 0.
     """
 
     s_full: Views
     s_missing1: Views
     s_missing2: Views
-    d1: int
-    d2: int
-    num_classes: int
+    d1: int = field(init=False)
+    d2: int = field(init=False)
+    num_classes: int = field(init=False)
 
     def __post_init__(self):
-        if min(self.d1, self.d2) < 1 or self.num_classes < 1:
-            raise DimensionError("d1, d2, num_classes must be positive")
-        dims = (self.d1, self.d2, self.num_classes)
+        dims = _pair_dims(self.s_full, "s_full")
+        self.d1, self.d2, self.num_classes = dims
         self.s_full = _check_subset(self.s_full, *dims, True, True, "s_full")
         self.s_missing1 = _check_subset(self.s_missing1, *dims, False, True, "s_missing1")
         self.s_missing2 = _check_subset(self.s_missing2, *dims, True, False, "s_missing2")
@@ -252,8 +259,7 @@ def load_multiview_file(path) -> PartitionedDataset:
 
     return PartitionedDataset(block(full, (d1, d2, num_classes)),
                               block(missing1, (None, d2, num_classes)),
-                              block(missing2, (d1, None, num_classes)),
-                              d1, d2, num_classes)
+                              block(missing2, (d1, None, num_classes)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +283,9 @@ class SyntheticSpec:
     """Parameters of the Gaussian two-view task.
 
     Each view of an example is its class mean plus ``view_correlation`` times
-    a shared latent factor pushed through a fixed random map, plus isotropic
-    noise. view_correlation=0 makes the views conditionally independent given
-    the class; 1 ties them strongly through the latent.
+    a shared min(d1, d2)-wide latent factor pushed through a fixed random map,
+    plus isotropic noise. view_correlation=0 makes the views conditionally
+    independent given the class; 1 ties them strongly through the latent.
     """
 
     num_classes: int
@@ -294,7 +300,6 @@ class SyntheticSpec:
     m_missing2: int
     m_test: int
     seed: int
-    latent_dim: int | None = None
 
     def __post_init__(self):
         if min(self.d1, self.d2) < 1 or self.num_classes < 2:
@@ -314,10 +319,6 @@ class SyntheticSpec:
             raise ConfigError("view_correlation must lie in [0, 1]")
         if min(self.m_full, self.m_missing1, self.m_missing2, self.m_test) < 0:
             raise ConfigError("subset sizes must be nonnegative")
-        if self.latent_dim is None:
-            self.latent_dim = min(self.d1, self.d2)
-        if self.latent_dim < 1:
-            raise ConfigError("latent_dim must be positive")
 
 
 def _pair_gaussian(spec: SyntheticSpec, a1: np.ndarray, a2: np.ndarray):
@@ -375,12 +376,13 @@ def generate_synthetic(spec: SyntheticSpec):
     generator. The same seed reproduces everything, Bayes estimate included.
     """
     rng = np.random.default_rng(spec.seed)
-    scale = 1.0 / math.sqrt(spec.latent_dim)
-    a1, a2 = (rng.standard_normal((d, spec.latent_dim)) * scale for d in (spec.d1, spec.d2))
+    latent_dim = min(spec.d1, spec.d2)
+    scale = 1.0 / math.sqrt(latent_dim)
+    a1, a2 = (rng.standard_normal((d, latent_dim)) * scale for d in (spec.d1, spec.d2))
 
     n = spec.m_full + spec.m_missing1 + spec.m_missing2 + spec.m_test
     labels = rng.integers(0, spec.num_classes, size=n)
-    u = rng.standard_normal((n, spec.latent_dim))
+    u = rng.standard_normal((n, latent_dim))
     # view 1 then view 2, each drawing its noise in turn
     x1, x2 = (means[labels] + spec.view_correlation * u @ a.T
               + spec.noise_sigma * rng.standard_normal((n, a.shape[0]))
@@ -399,8 +401,7 @@ def partition_rows(rows: Views, m_full: int, m_missing1: int, m_missing2: int):
         raise ConfigError(f"cannot draw {need} examples from a pool of {len(rows)}")
     b = m_full + m_missing1
     dataset = PartitionedDataset(rows[:m_full], rows[m_full:b].with_view(1, None),
-                                 rows[b:need].with_view(2, None),
-                                 rows.view1.shape[1], rows.view2.shape[1], rows.label.shape[1])
+                                 rows[b:need].with_view(2, None))
     return dataset, rows[need:]
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,21 +29,21 @@ _LAYOUT_LINE = "layout generator-input=noise,condition discriminator-input=view1
 
 @dataclass(eq=False)
 class TripartiteModel:
-    """Generators ``gen1``/``gen2`` and discriminator ``disc`` with dimensions.
+    """Generators ``gen1``/``gen2`` and discriminator ``disc``; (d1, d2, K) are read off
+    them: the generators' output widths, and ``disc``'s K+1 outputs less the fake last one."""
 
-    ``disc`` has ``num_classes + 1`` outputs; the last index is the fake class.
-    """
-
-    d1: int
-    d2: int
-    num_classes: int
     gen1: Mlp  # [z1 | x2] -> view-1 completion, linear output
     gen2: Mlp  # [z2 | x1] -> view-2 completion, linear output
     disc: Mlp  # [x1 | x2] -> K+1 softmax
+    d1: int = field(init=False)
+    d2: int = field(init=False)
+    num_classes: int = field(init=False)
 
     def __post_init__(self):
-        if min(self.d1, self.d2) < 1 or self.num_classes < 1:
-            raise DimensionError("d1, d2 and num_classes must be positive")
+        self.d1, self.d2 = self.gen1.output_dim, self.gen2.output_dim
+        self.num_classes = self.disc.output_dim - 1
+        if self.num_classes < 1:
+            raise DimensionError("disc needs a class output besides the fake one")
         for name, kind, n_in, n_out in _nets(self.d1, self.d2, self.num_classes):
             net = getattr(self, name)
             if (net.input_dim, net.output_dim) != (n_in, n_out):
@@ -65,8 +65,7 @@ class TripartiteModel:
         return np.concatenate(parts, axis=1)
 
     def copy(self) -> "TripartiteModel":
-        return TripartiteModel(self.d1, self.d2, self.num_classes,
-                               self.gen1.copy(), self.gen2.copy(), self.disc.copy())
+        return TripartiteModel(self.gen1.copy(), self.gen2.copy(), self.disc.copy())
 
 
 def new_model(d1: int, d2: int, num_classes: int,
@@ -75,7 +74,7 @@ def new_model(d1: int, d2: int, num_classes: int,
     """Fresh Xavier-initialized model. Draw order: gen1, gen2, disc."""
     nets = [init_mlp(n_in, hidden_dim, n_out, kind, rng)
             for _, kind, n_in, n_out in _nets(d1, d2, num_classes)]
-    return TripartiteModel(d1, d2, num_classes, *nets)
+    return TripartiteModel(*nets)
 
 
 def _nets(d1: int, d2: int, num_classes: int):
@@ -275,4 +274,4 @@ def load_checkpoint(path) -> tuple[TripartiteModel, int, int]:
     while reader.pos < len(reader.lines):
         if reader.next().strip():
             raise reader.error("unexpected content after the last net")
-    return TripartiteModel(d1, d2, num_classes, *nets), seed, step
+    return TripartiteModel(*nets), seed, step

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PartitionedDataset, Views, by_view, other_view
+from .data import PartitionedDataset, Views, _pair_dims, by_view, other_view
 from .errors import ConfigError, DimensionError, NumericError
 from .model import TripartiteModel, decide_batch, discriminate, save_checkpoint
 from .nn import INPUT, AdamState, adam_step, backward, check_adam_hyperparameters, forward
@@ -273,8 +273,7 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
     want = (dataset.d1, dataset.d2, dataset.num_classes)
     shapes = [("the model has", (model.d1, model.d2, model.num_classes))]
     if heldout is not None:
-        shapes.append(("held-out pairs have", (heldout.view1.shape[1], heldout.view2.shape[1],
-                                               heldout.label.shape[1])))
+        shapes.append(("held-out pairs have", _pair_dims(heldout, "the held-out block")))
     for what, got in shapes:
         if got != want:
             raise DimensionError(f"{what} (d1, d2, K) = {got}, but the training data has {want}")

@@ -33,8 +33,7 @@ def views_equal(a, b) -> bool:
 def tiny_dataset(n_full=4, n_m1=3, n_m2=2, d1=3, d2=2, k=2):
     return vg.PartitionedDataset(s_full=make_views(n_full, d1, d2, k, seed=0),
                                  s_missing1=make_views(n_m1, d1, d2, k, miss=1, seed=1),
-                                 s_missing2=make_views(n_m2, d1, d2, k, miss=2, seed=2),
-                                 d1=d1, d2=d2, num_classes=k)
+                                 s_missing2=make_views(n_m2, d1, d2, k, miss=2, seed=2))
 
 
 def test_one_hot_roundtrip():
@@ -57,9 +56,9 @@ def test_partitioned_dataset_checks_view_patterns():
     wrong = make_views(1, miss=1)  # belongs in s_missing1
     with pytest.raises(ValueError):
         vg.PartitionedDataset(s_full=wrong, s_missing1=make_views(0, miss=1),
-                              s_missing2=make_views(0, miss=2), d1=3, d2=2, num_classes=2)
+                              s_missing2=make_views(0, miss=2))
     ds = vg.PartitionedDataset(s_full=make_views(1), s_missing1=make_views(0, miss=1),
-                               s_missing2=make_views(0, miss=2), d1=3, d2=2, num_classes=2)
+                               s_missing2=make_views(0, miss=2))
     assert ds.m == 1
 
 
@@ -94,7 +93,7 @@ def test_partitioned_dataset_rejects_bad_subset(damage, error):
     subsets = {"s_full": ds.s_full, "s_missing1": ds.s_missing1, "s_missing2": ds.s_missing2}
     subsets.update(damage(ds))
     with pytest.raises(error):
-        vg.PartitionedDataset(**subsets, d1=3, d2=2, num_classes=2)
+        vg.PartitionedDataset(**subsets)
 
 
 def test_views_hold_examples_as_rows():
@@ -263,7 +262,7 @@ def pair_space_bayes(spec, a1, a2, rng, n=100_000):
     means, cov = data_mod._pair_gaussian(spec, a1, a2)
     weights = np.linalg.solve(cov, means.T)
     y = rng.integers(0, spec.num_classes, size=n)
-    u = rng.standard_normal((n, spec.latent_dim))
+    u = rng.standard_normal((n, min(spec.d1, spec.d2)))
     eps = rng.standard_normal((n, spec.d1 + spec.d2))
     x = means[y] + spec.view_correlation * u @ np.vstack([a1, a2]).T + spec.noise_sigma * eps
     scores = x @ weights - 0.5 * np.sum(means.T * weights, axis=0)
@@ -276,8 +275,9 @@ def mc_se(p, n=100_000):
 
 def latent_maps(spec, seed):
     rng = np.random.default_rng(seed)
-    return (rng.standard_normal((spec.d1, spec.latent_dim)),
-            rng.standard_normal((spec.d2, spec.latent_dim)))
+    latent_dim = min(spec.d1, spec.d2)
+    return (rng.standard_normal((spec.d1, latent_dim)),
+            rng.standard_normal((spec.d2, latent_dim)))
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.4, 1.0])

@@ -155,7 +155,7 @@ def test_baseline_learns_a_separable_task():
 def test_baseline_empty_pool_rejected():
     ds, test, _ = vg.generate_synthetic(synth_spec())
     empty = vg.PartitionedDataset(s_full=ds.s_full[:0], s_missing1=ds.s_missing1,
-                                  s_missing2=ds.s_missing2[:0], d1=3, d2=3, num_classes=2)
+                                  s_missing2=ds.s_missing2[:0])
     with pytest.raises(ConfigError):
         train_singleview_baseline(1, empty, tiny_cfg(), test)
 

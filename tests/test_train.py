@@ -284,8 +284,7 @@ def test_sample_minibatch_is_with_replacement():
 def test_sample_minibatch_names_empty_subset():
     ds, _, _ = small_task()
     empty = vg.PartitionedDataset(s_full=ds.s_full, s_missing1=ds.s_missing1[:0],
-                                  s_missing2=ds.s_missing2,
-                                  d1=ds.d1, d2=ds.d2, num_classes=ds.num_classes)
+                                  s_missing2=ds.s_missing2)
     with pytest.raises(ConfigError, match="missing1"):
         sample_minibatch(empty, 2, np.random.default_rng(0))
 
