@@ -29,40 +29,60 @@ from .theory import (GRID_STEP, LOG4, DiscreteJoint, brute_force_gap, check_theo
 from .train import TrainConfig, train
 
 
+def _seed(value: int, key: str = "seed") -> int:
+    """``value`` of config key or flag ``key``, checked as a seed: numpy's
+    generators take integers of at least 0."""
+    if value < 0:
+        raise ConfigError(f"must be at least 0, got {value}", key=key)
+    return value
+
+
+def _positive_int(cfg: ConfigMap, key: str, default=None) -> int:
+    """Config ``key`` as an integer of at least 1."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise ValueError(text)
+        return value
+    return cfg.typed(key, default, convert, "an integer of at least 1")
+
+
 def _train_config(cfg: ConfigMap) -> TrainConfig:
     """Read every TrainConfig field under its own name, type and default."""
     getters = {"int": cfg.get_int, "float": cfg.get_float}
-    return TrainConfig(**{
+    values = {
         f.name: getters[f.type](f.name, None if f.default is dataclasses.MISSING else f.default)
-        for f in dataclasses.fields(TrainConfig)})
+        for f in dataclasses.fields(TrainConfig)}
+    _seed(values["seed"])
+    return TrainConfig(**values)
 
 
 # the config keys, and ExperimentSpec and SyntheticSpec fields, of the training subsets' sizes
 _SUBSET_SIZES = ("m_full", "m_missing1", "m_missing2")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
-    return value
+def _view_means(cfg: ConfigMap, k: int, v: int):
+    """View v's width and block class means, from keys d<v> and mean_scale_view<v>."""
+    keys = {"dim": f"d{v}", "scale": f"mean_scale_view{v}"}
+    d = cfg.get_int(keys["dim"])
+    try:
+        return d, block_class_means(k, d, cfg.get_float(keys["scale"], 1.0))
+    except ConfigError as e:
+        raise ConfigError(e.rule, key=keys.get(e.key, e.key)) from None
 
 
 def _synthetic_spec(cfg: ConfigMap, sizes: dict) -> SyntheticSpec:
     """The synthetic task of the config, whose subset sizes ``sizes`` the
     caller has read."""
     k = cfg.get_int("num_classes")
-    d1 = cfg.get_int("d1")
-    d2 = cfg.get_int("d2")
+    (d1, means1), (d2, means2) = (_view_means(cfg, k, v) for v in (1, 2))
     return SyntheticSpec(
-        num_classes=k, d1=d1, d2=d2,
-        means_view1=block_class_means(k, d1, cfg.get_float("mean_scale_view1", 1.0)),
-        means_view2=block_class_means(k, d2, cfg.get_float("mean_scale_view2", 1.0)),
+        num_classes=k, d1=d1, d2=d2, means_view1=means1, means_view2=means2,
         noise_sigma=cfg.get_float("noise_sigma", 1.0),
         view_correlation=cfg.get_float("view_correlation", 0.0),
         **sizes,
         m_test=cfg.get_int("m_test"),
-        seed=cfg.get_int("seed", 0),
+        seed=_seed(cfg.get_int("seed", 0)),
     )
 
 
@@ -99,10 +119,10 @@ def _print_report(report: MetricsReport) -> None:
 
 def cmd_train(args) -> int:
     _check_output_path(args.out_checkpoint)
-    cfg = load_kv_file(args.config)
-    tc = _train_config(cfg)
-    hidden = cfg.get_int("hidden_dim", DEFAULT_HIDDEN_DIM)
-    cfg.finish()
+    with load_kv_file(args.config) as cfg:
+        tc = _train_config(cfg)
+        hidden = _positive_int(cfg, "hidden_dim", DEFAULT_HIDDEN_DIM)
+        cfg.finish()
     dataset = load_multiview_file(args.data)
     heldout = None
     if args.heldout:
@@ -127,22 +147,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    seed = _seed(args.seed)
     model, _, _ = load_checkpoint(args.checkpoint)
     dataset = load_multiview_file(args.data)
     _check_dims(args.data, dataset, model, f"checkpoint {args.checkpoint}")
     scenario = Scenario(args.scenario)
     v = scenario.generated_view
     test = dataset.s_full if v is None else dataset.observing(other_view(v))
-    report = evaluate(model, test, scenario, seed=args.seed)
+    report = evaluate(model, test, scenario, seed=seed)
     print(f"scenario={scenario.value}")
     _print_report(report)
     return 0
 
 
 def cmd_synth(args) -> int:
-    cfg = load_kv_file(args.config)
-    spec = _synthetic_spec(cfg, {key: cfg.get_int(key) for key in _SUBSET_SIZES})
-    cfg.finish()
+    with load_kv_file(args.config) as cfg:
+        spec = _synthetic_spec(cfg, {key: cfg.get_int(key) for key in _SUBSET_SIZES})
+        cfg.finish()
     dataset, test, bayes = generate_synthetic(spec)
     save_multiview_file(args.out_train, dataset)
     save_multiview_file(args.out_test, partition_rows(test, len(test), 0, 0)[0])
@@ -153,31 +174,30 @@ def cmd_synth(args) -> int:
 
 def cmd_experiment(args) -> int:
     _check_output_path(args.out)
-    cfg = load_kv_file(args.config)
-    tc = _train_config(cfg)
-    n_repeats = cfg.get_int("n_repeats")
-    scenario = cfg.typed("scenario", Scenario.COMPLETE.value, Scenario,
-                         "one of " + ", ".join(s.value for s in Scenario))
-    master_seed = cfg.get_int("master_seed", 0)
-    include_baselines = cfg.get_bool("include_baselines", True)
-    hidden = cfg.get_int("hidden_dim", DEFAULT_HIDDEN_DIM)
-    # every repeat trains on all three subsets, so none may be empty
-    sizes = {key: cfg.typed(key, None, _positive_int, "an integer of at least 1")
-             for key in _SUBSET_SIZES}
+    with load_kv_file(args.config) as cfg:
+        tc = _train_config(cfg)
+        n_repeats = cfg.get_int("n_repeats")
+        scenario = cfg.typed("scenario", Scenario.COMPLETE.value, Scenario,
+                             "one of " + ", ".join(s.value for s in Scenario))
+        master_seed = _seed(cfg.get_int("master_seed", 0), "master_seed")
+        include_baselines = cfg.get_bool("include_baselines", True)
+        hidden = _positive_int(cfg, "hidden_dim", DEFAULT_HIDDEN_DIM)
+        # every repeat trains on all three subsets, so none may be empty
+        sizes = {key: _positive_int(cfg, key) for key in _SUBSET_SIZES}
 
-    pool = None
-    synth = None
-    if cfg.has("data"):
-        pool_file = cfg.get_str("data")
-        cfg.finish()
-        pool = load_multiview_file(pool_file).s_full
-    else:
-        synth = _synthetic_spec(cfg, sizes)
-        cfg.finish()
+        pool = None
+        synth = None
+        if cfg.has("data"):
+            pool_file = cfg.get_str("data")
+            cfg.finish()
+            pool = load_multiview_file(pool_file).s_full
+        else:
+            synth = _synthetic_spec(cfg, sizes)
+            cfg.finish()
 
-    spec = ExperimentSpec(n_repeats=n_repeats, scenario=scenario, train_config=tc, **sizes,
-                          data_pool=pool, synthetic=synth, hidden_dim=hidden,
-                          include_baselines=include_baselines, master_seed=master_seed)
+        spec = ExperimentSpec(n_repeats=n_repeats, scenario=scenario, train_config=tc, **sizes,
+                              data_pool=pool, synthetic=synth, hidden_dim=hidden,
+                              include_baselines=include_baselines, master_seed=master_seed)
     result = run_experiment(spec)
     write_experiment_csv(args.out, result)
     for name, value in result.mean.items():
@@ -223,8 +243,8 @@ def cmd_theory_check(args) -> int:
         ok = report.ok and bf_diff <= GRID_STEP
     else:
         if args.trials < 1:
-            raise ConfigError(f"--trials must be at least 1, got {args.trials}")
-        rng = np.random.default_rng(args.seed)
+            raise ConfigError(f"must be at least 1, got {args.trials}", key="trials")
+        rng = np.random.default_rng(_seed(args.seed))
         worst_residual = 0.0
         for _ in range(args.trials):
             n1, n2 = int(rng.integers(1, 9)), int(rng.integers(1, 9))
@@ -257,7 +277,7 @@ def cmd_theory_check(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    reports = run_all(args.instances, args.seed)
+    reports = run_all(args.instances, _seed(args.seed))
     all_ok = True
     for rep in reports:
         mark = "ok" if rep.passed else "FAILED"
@@ -320,5 +340,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError) as e:  # every viewgan.errors type is a ValueError
+        if isinstance(e, ConfigError) and e.key in vars(args):  # a flag's value
+            e = f"--{e.key.replace('_', '-')} {e.rule}"
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -2,7 +2,10 @@
 
 One `key = value` pair per line; blank lines and lines starting with # are
 skipped. Every consumer pops the keys it understands and then calls
-finish(), so a misspelled key is an error instead of a silent default.
+finish(), so a misspelled key is an error instead of a silent default. A
+value is checked where it is used: a ConfigError that names a key, raised
+inside a ``with`` block on the ConfigMap, leaves it naming the file, the
+key's line and the key.
 """
 
 from __future__ import annotations
@@ -58,6 +61,14 @@ class ConfigMap:
 
     def has(self, key: str) -> bool:
         return key in self._pairs
+
+    def __enter__(self) -> "ConfigMap":
+        return self
+
+    def __exit__(self, kind, error, traceback):
+        if isinstance(error, ConfigError) and error.key is not None:
+            line = f"line {self._lines[error.key]}: " if error.key in self._lines else ""
+            raise ConfigError(f"{self._source}: {line}key {error.key!r} {error.rule}") from None
 
     def finish(self):
         if self._pairs:

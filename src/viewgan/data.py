@@ -266,11 +266,16 @@ def load_multiview_file(path) -> PartitionedDataset:
 # Synthetic two-view Gaussian task.
 
 def block_class_means(num_classes: int, dim: int, scale: float) -> np.ndarray:
-    """Pairwise-distinct means: class k puts ``scale`` on its own coordinate block."""
+    """Pairwise-distinct means: class k puts ``scale`` on its own coordinate block.
+
+    A ConfigError's key names the argument at fault.
+    """
+    if num_classes < 1:
+        raise ConfigError(f"must be at least 1, got {num_classes}", key="num_classes")
     if dim < num_classes:
-        raise ConfigError(f"dim {dim} < num_classes {num_classes}")
+        raise ConfigError(f"must be at least num_classes {num_classes}, got {dim}", key="dim")
     if scale == 0.0:
-        raise ConfigError("scale must be nonzero for distinct means")
+        raise ConfigError("must be nonzero for distinct means", key="scale")
     means = np.zeros((num_classes, dim), dtype=np.float64)
     block = dim // num_classes
     for k in range(num_classes):
@@ -302,8 +307,11 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        if min(self.d1, self.d2) < 1 or self.num_classes < 2:
-            raise ConfigError("need positive dims and at least two classes")
+        for key, low in (("num_classes", 2), ("d1", 1), ("d2", 1), ("m_full", 0),
+                         ("m_missing1", 0), ("m_missing2", 0), ("m_test", 0)):
+            value = getattr(self, key)
+            if value < low:
+                raise ConfigError(f"must be at least {low}, got {value!r}", key=key)
         self.means_view1 = np.asarray(self.means_view1, dtype=np.float64)
         self.means_view2 = np.asarray(self.means_view2, dtype=np.float64)
         for v, means, dim in ((1, self.means_view1, self.d1), (2, self.means_view2, self.d2)):
@@ -314,11 +322,10 @@ class SyntheticSpec:
                     if np.array_equal(means[j], means[k]):
                         raise ConfigError(f"classes {j} and {k} share a view{v} mean")
         if not self.noise_sigma > 0:
-            raise ConfigError("noise_sigma must be positive")
+            raise ConfigError(f"must be positive, got {self.noise_sigma!r}", key="noise_sigma")
         if not 0.0 <= self.view_correlation <= 1.0:
-            raise ConfigError("view_correlation must lie in [0, 1]")
-        if min(self.m_full, self.m_missing1, self.m_missing2, self.m_test) < 0:
-            raise ConfigError("subset sizes must be nonnegative")
+            raise ConfigError(f"must lie in [0, 1], got {self.view_correlation!r}",
+                              key="view_correlation")
 
 
 def _pair_gaussian(spec: SyntheticSpec, a1: np.ndarray, a2: np.ndarray):

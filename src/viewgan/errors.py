@@ -10,7 +10,16 @@ class NumericError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Invalid or inconsistent configuration."""
+    """Invalid or inconsistent configuration.
+
+    ``key``, when given, names the setting at fault and the message reads
+    ``<key> <rule>``; a config file that set the key then names its line.
+    """
+
+    def __init__(self, rule, key=None):
+        super().__init__(rule if key is None else f"{key} {rule}")
+        self.rule = rule
+        self.key = key
 
 
 class DataFormatError(ValueError):

@@ -183,7 +183,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.n_repeats < 1:
-            raise ConfigError("n_repeats must be at least 1")
+            raise ConfigError(f"must be at least 1, got {self.n_repeats}", key="n_repeats")
         if (self.data_pool is None) == (self.synthetic is None):
             raise ConfigError("exactly one of data_pool and synthetic must be set")
 

@@ -154,7 +154,7 @@ def check_family(family: str, instances: int, seed: int) -> GradCheckReport:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if instances < 1:
-        raise ConfigError(f"instances must be at least 1, got {instances}")
+        raise ConfigError(f"must be at least 1, got {instances}", key="instances")
     rng = np.random.default_rng(seed)
     kind = {"mlp-softmax": SOFTMAX, "mlp-linear": LINEAR}.get(family)
     worst = max(_check_loss(rng, family) if kind is None else _check_mlp(rng, kind)

@@ -198,10 +198,10 @@ def check_adam_hyperparameters(alpha: float, beta1: float, beta2: float,
     beta1 and beta2 lie in [0, 1); NaN fails every test."""
     for name, value in (("alpha", alpha), ("epsilon", epsilon)):
         if not 0.0 < value < math.inf:
-            raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+            raise ConfigError(f"must be finite and positive, got {value!r}", key=name)
     for name, value in (("beta1", beta1), ("beta2", beta2)):
         if not 0.0 <= value < 1.0:
-            raise ConfigError(f"{name} must lie in [0, 1), got {value!r}")
+            raise ConfigError(f"must lie in [0, 1), got {value!r}", key=name)
 
 
 class AdamState:

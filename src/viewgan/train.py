@@ -76,15 +76,15 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ConfigError("iterations must be nonnegative")
-        if self.minibatch_size < 1:
-            raise ConfigError("minibatch_size must be positive")
+        for key, low in (("iterations", 0), ("minibatch_size", 1), ("eval_every", 0),
+                         ("checkpoint_every", 0)):
+            value = getattr(self, key)
+            if value < low:
+                raise ConfigError(f"must be at least {low}, got {value!r}", key=key)
         check_adam_hyperparameters(self.alpha, self.beta1, self.beta2, self.epsilon)
         if not 0.0 <= self.fm_weight < math.inf:
-            raise ConfigError(f"fm_weight must be finite and nonnegative, got {self.fm_weight!r}")
-        if self.eval_every < 0 or self.checkpoint_every < 0:
-            raise ConfigError("eval_every and checkpoint_every must be nonnegative")
+            raise ConfigError(f"must be finite and nonnegative, got {self.fm_weight!r}",
+                              key="fm_weight")
 
 
 def clamped_class_grad(probs: np.ndarray, targets: np.ndarray, coeff: float):
@@ -266,14 +266,17 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
     When checkpoint_path is given, the model is saved there, with
     config.seed, after every checkpoint_every-th step and after the last one
     (before any step if there are none), each step at most once. A model or
-    held-out pairs whose (d1, d2, K) differ from the training data's, and
-    training data with an empty subset, are rejected before the first step
-    and before the metrics file is opened.
+    held-out pairs whose (d1, d2, K) differ from the training data's, a
+    held-out block that is empty or lacks a view, and training data with an
+    empty subset, are rejected before the first step and before the metrics
+    file is opened.
     """
     want = (dataset.d1, dataset.d2, dataset.num_classes)
     shapes = [("the model has", (model.d1, model.d2, model.num_classes))]
     if heldout is not None:
         shapes.append(("held-out pairs have", _pair_dims(heldout, "the held-out block")))
+        if len(heldout) == 0:
+            raise ConfigError("the held-out block is empty")
     for what, got in shapes:
         if got != want:
             raise DimensionError(f"{what} (d1, d2, K) = {got}, but the training data has {want}")

@@ -13,6 +13,7 @@ import viewgan
 import viewgan.cli as cli_mod
 import viewgan.train as train_mod
 from viewgan.cli import main
+from viewgan.config import ConfigMap
 
 SYNTH_CFG = """
 # small two-view task
@@ -294,15 +295,34 @@ def test_missing_file_exits_2(tmp_path, capsys):
 
 # ------------------------------------------------------------------ bad inputs
 
-def synth_test_file(tmp_path, name, **settings):
-    """The test file of SYNTH_CFG's task with some of its settings replaced."""
+def synth_text(**settings):
+    """SYNTH_CFG with some of its settings replaced."""
     text = SYNTH_CFG
     for key, value in settings.items():
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    return text
+
+
+def line_of(text, key):
+    """The 1-based line of ``text`` that sets ``key``."""
+    return 1 + [line.partition(" = ")[0] for line in text.splitlines()].index(key)
+
+
+def synth_test_file(tmp_path, name, **settings):
+    """The test file of SYNTH_CFG's task with some of its settings replaced."""
     test_f = str(tmp_path / f"{name}.tsv")
-    assert main(["synth", "--config", write(tmp_path / f"{name}.cfg", text),
+    assert main(["synth", "--config", write(tmp_path / f"{name}.cfg", synth_text(**settings)),
                  "--out-train", str(tmp_path / f"{name}-train.tsv"), "--out-test", test_f]) == 0
     return test_f
+
+
+def synth_config_case(tmp_path, blame, **settings):
+    """A synth run whose config replaces these settings and is at fault at key ``blame``."""
+    text = synth_text(**settings)
+    cfg = write(tmp_path / "bad.cfg", text)
+    return (["synth", "--config", cfg, "--out-train", str(tmp_path / "x-train.tsv"),
+             "--out-test", str(tmp_path / "x-test.tsv")],
+            [f"{cfg}: line {line_of(text, blame)}:", f"key '{blame}'"])
 
 
 def train_argv(tmp_path, train_f, ckpt="model.ckpt", *extra):
@@ -311,11 +331,14 @@ def train_argv(tmp_path, train_f, ckpt="model.ckpt", *extra):
 
 
 def train_config_case(tmp_path, train_f, key, value):
-    """A train run, with a metrics file, whose config sets ``key`` to ``value``."""
+    """A train run, with a metrics file, whose config sets ``key`` to ``value`` on its
+    last line."""
     text = re.sub(rf"^{key} = .*\n", "", TRAIN_CFG, flags=re.M) + f"{key} = {value}\n"
-    return (["train", "--config", write(tmp_path / "bad.cfg", text), "--data", train_f,
+    cfg = write(tmp_path / "bad.cfg", text)
+    return (["train", "--config", cfg, "--data", train_f,
              "--out-checkpoint", str(tmp_path / "x.ckpt"),
-             "--metrics", str(tmp_path / "metrics.csv")], [key])
+             "--metrics", str(tmp_path / "metrics.csv")],
+            [f"{cfg}: line {line_of(text, key)}:", f"key '{key}'"])
 
 
 def heldout_case(tmp_path, train_f, test_f, want, **settings):
@@ -330,14 +353,14 @@ def eval_case(tmp_path, train_f, test_f, scenario, want, **settings):
              "--scenario", scenario], [other, "(3, 3, 2)", want])
 
 
-def experiment_case(tmp_path, test_f, sizes, out="exp.csv", extra=""):
+def experiment_case(tmp_path, test_f, sizes, out="exp.csv", extra="", n_repeats=2):
     """argv of an experiment that splits the test file of SYNTH_CFG into these sizes;
-    ``extra`` lines follow the config's eight."""
+    ``extra`` lines follow the config's eight, the last of which sets n_repeats."""
     m_full, m_missing1, m_missing2 = sizes
     cfg = write(tmp_path / "exp.cfg",
                 f"data = {test_f}\nm_full = {m_full}\nm_missing1 = {m_missing1}\n"
                 f"m_missing2 = {m_missing2}\niterations = 2\nminibatch_size = 2\n"
-                "hidden_dim = 4\nn_repeats = 2\n" + extra)
+                f"hidden_dim = 4\nn_repeats = {n_repeats}\n" + extra)
     return ["experiment", "--config", cfg, "--out", str(tmp_path / out)]
 
 
@@ -355,6 +378,14 @@ def bad_table_case(tmp_path):
     argv = theory_tables(tmp_path)
     write(tmp_path / "real.txt", "# p_real\n0.5 abc\n")
     return argv, [f"{tmp_path / 'real.txt'}: line 2:", "'abc'"]
+
+
+def ragged_table_case(tmp_path):
+    """theory-check with a --p-real file whose second row, on line 2, is one value short."""
+    argv = theory_tables(tmp_path)
+    write(tmp_path / "real.txt", "0.5 0.25\n0.25\n")
+    return argv, [f"{tmp_path / 'real.txt'}: line 2:",
+                  "expected 2 values as on the first row, got 1"]
 
 
 def zero_subset_case(tmp_path, test_f, index):
@@ -379,6 +410,13 @@ def latin1_config_case(tmp_path, train_f):
     line = len(TRAIN_CFG.splitlines()) + 1
     return (["train", "--config", str(cfg), "--data", train_f,
              "--out-checkpoint", str(tmp_path / "x.ckpt")], [f"{cfg}: line {line}:", "utf-8"])
+
+
+def eval_seed_case(tmp_path, train_f, test_f):
+    """An eval of a trained checkpoint with a negative --seed."""
+    assert main(train_argv(tmp_path, train_f)) == 0
+    return (["eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", test_f,
+             "--seed", "-1"], ["--seed must be at least 0, got -1"])
 
 
 def damaged_checkpoint_case(tmp_path, train_f, test_f, lineno, text, want):
@@ -448,6 +486,7 @@ BAD_INPUTS = {
          "--data", tr, "--out-checkpoint", str(t / "x.ckpt")],
         [f"{t / 'bad.cfg'}: line 2:", "expected 'key = value'"]),
     "theory-table-line": lambda t, tr, te: bad_table_case(t),
+    "theory-table-ragged-row": lambda t, tr, te: ragged_table_case(t),
     "experiment-zero-m_full": lambda t, tr, te: zero_subset_case(t, te, 0),
     "experiment-zero-m_missing1": lambda t, tr, te: zero_subset_case(t, te, 1),
     "experiment-zero-m_missing2": lambda t, tr, te: zero_subset_case(t, te, 2),
@@ -462,6 +501,28 @@ BAD_INPUTS = {
     "alpha-inf": lambda t, tr, te: train_config_case(t, tr, "alpha", "inf"),
     "epsilon-inf": lambda t, tr, te: train_config_case(t, tr, "epsilon", "inf"),
     "beta1-one": lambda t, tr, te: train_config_case(t, tr, "beta1", "1.0"),
+    "eval-every-negative": lambda t, tr, te: train_config_case(t, tr, "eval_every", "-1"),
+    "minibatch-size-zero": lambda t, tr, te: train_config_case(t, tr, "minibatch_size", "0"),
+    "alpha-negative": lambda t, tr, te: train_config_case(t, tr, "alpha", "-1"),
+    "hidden-dim-zero": lambda t, tr, te: train_config_case(t, tr, "hidden_dim", "0"),
+    "train-seed-negative": lambda t, tr, te: train_config_case(t, tr, "seed", "-1"),
+    "synth-subset-negative": lambda t, tr, te: synth_config_case(t, "m_missing1", m_missing1=-1),
+    "synth-noise-zero": lambda t, tr, te: synth_config_case(t, "noise_sigma", noise_sigma=0),
+    "synth-view-narrower-than-classes": lambda t, tr, te: synth_config_case(
+        t, "d1", d1=2, num_classes=3),
+    "synth-no-classes": lambda t, tr, te: synth_config_case(t, "num_classes", num_classes=0),
+    "synth-seed-negative": lambda t, tr, te: synth_config_case(t, "seed", seed=-1),
+    "experiment-master-seed-negative": lambda t, tr, te: (
+        experiment_case(t, te, (2, 2, 2), extra="master_seed = -3\n"),
+        [f"{t / 'exp.cfg'}: line 9:", "key 'master_seed'"]),
+    "experiment-no-repeats": lambda t, tr, te: (
+        experiment_case(t, te, (2, 2, 2), n_repeats=0),
+        [f"{t / 'exp.cfg'}: line 8:", "key 'n_repeats'"]),
+    "eval-seed-negative": lambda t, tr, te: eval_seed_case(t, tr, te),
+    "theory-check-seed-negative": lambda t, tr, te: (
+        ["theory-check", "--trials", "2", "--seed", "-1"], ["--seed must be at least 0, got -1"]),
+    "gradcheck-seed-negative": lambda t, tr, te: (
+        ["gradcheck", "--instances", "1", "--seed", "-1"], ["--seed must be at least 0, got -1"]),
 }
 
 
@@ -485,6 +546,54 @@ def test_bad_input_exits_2_with_one_error_line_before_any_work(case, tmp_path, s
         assert fragment in err
     assert work == []
     assert not (tmp_path / "metrics.csv").exists()
+
+
+def readme_config_tables():
+    """{command: {key: default cell}} from the tables under README.md's "Config keys"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n### Config keys\n", 1)[1].split("\n## ", 1)[0]
+    tables, table = {}, None
+    for line in section.splitlines():
+        heading = re.fullmatch(r"`viewgan (\w+)`:", line)
+        row = re.fullmatch(r"\| `(\w+)` \| ([^|]+) \|.*", line)
+        if heading:
+            table = tables.setdefault(heading[1], {})
+        elif row:
+            table[row[1]] = row[2].strip()
+    return tables
+
+
+def test_readme_config_tables_list_exactly_the_keys_each_command_reads(tmp_path, monkeypatch):
+    asked, read = {}, {}
+    original = ConfigMap._pop
+
+    def pop(self, key, default):
+        asked[key] = default
+        return original(self, key, default)
+
+    monkeypatch.setattr(ConfigMap, "_pop", pop)
+
+    def run(command, argv):
+        asked.clear()
+        assert main(argv) == 0
+        read.setdefault(command, {}).update(asked)
+
+    train_f, test_f = str(tmp_path / "train.tsv"), str(tmp_path / "test.tsv")
+    run("synth", ["synth", "--config", write(tmp_path / "synth.cfg", SYNTH_CFG),
+                  "--out-train", train_f, "--out-test", test_f])
+    run("train", train_argv(tmp_path, train_f))
+    run("experiment", experiment_case(tmp_path, test_f, (2, 2, 2)))
+    run("experiment", ["experiment", "--out", str(tmp_path / "exp.csv"), "--config", write(
+        tmp_path / "synth-exp.cfg",
+        SYNTH_CFG + "iterations = 2\nminibatch_size = 2\nhidden_dim = 4\nn_repeats = 1\n")])
+    tables = readme_config_tables()
+    assert set(tables) == set(read) == {"synth", "train", "experiment"}
+    for command, keys in read.items():
+        assert set(tables[command]) == set(keys), command
+        for key, default in keys.items():
+            cell = tables[command][key]
+            assert cell == f"`{default}`" if default is not None else not cell.startswith("`"), \
+                (command, key, cell)
 
 
 def test_python_dash_m_runs_the_cli():

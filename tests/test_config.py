@@ -63,3 +63,15 @@ def test_malformed_lines_carry_line_numbers(tmp_path):
     with pytest.raises(DataFormatError, match="not utf-8") as err:
         load_kv_file(path)
     assert err.value.line == 2 and str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("key,want", [
+    ("b", "run.cfg: line 2: key 'b' must be at least 0, got -2"),
+    ("absent", "run.cfg: key 'absent' must be at least 0, got -2"),
+    (None, "must be at least 0, got -2"),
+], ids=["set-in-the-file", "left-to-its-default", "no-key"])
+def test_a_with_block_names_the_file_and_line_of_a_keyed_error(key, want):
+    cfg = parse_kv_text("a = 1\nb = -2\n", source="run.cfg")
+    with pytest.raises(ConfigError) as err, cfg:
+        raise ConfigError("must be at least 0, got -2", key=key)
+    assert str(err.value) == want

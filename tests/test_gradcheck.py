@@ -60,3 +60,8 @@ def test_finite_differences_run_no_backward_pass(monkeypatch, family):
     assert gc.check_family(family, 2, 0).passed
     assert calls["inside"] == 0
     assert calls["outside"] > 0
+
+
+def test_check_family_rejects_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown family 'loss-x'"):
+        gc.check_family("loss-x", 1, 0)

@@ -67,6 +67,24 @@ def test_inputs_reject_a_single_vector(assemble):
         assemble(small_model(), np.zeros(3))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda m: generate(m, 1, np.zeros((2, 4)), np.zeros((2, 4))),
+     "noise dim 4 != generated view dim 3"),
+    (lambda m: generate(m, 1, np.zeros((2, 3)), np.zeros((2, 3))),
+     "observed dim 3 != other view dim 4"),
+    (lambda m: generate(m, 1, np.zeros((2, 4)), np.zeros((3, 3))),
+     "noise and observed batch sizes differ"),
+    (lambda m: discriminate(m, np.zeros((2, 4)), np.zeros((2, 4))),
+     r"pair dims \(4, 4\) != \(3, 4\)"),
+    (lambda m: discriminate(m, np.zeros((2, 3)), np.zeros((3, 4))),
+     "view batch sizes differ"),
+], ids=["generate-noise-width", "generate-observed-width", "generate-rows",
+        "discriminate-view-width", "discriminate-rows"])
+def test_generate_and_discriminate_reject_blocks_that_do_not_fit(call, message):
+    with pytest.raises(DimensionError, match=message):
+        call(small_model())  # d1 = 3, d2 = 4
+
+
 def test_decide_rule_boundary_is_not_fake():
     # exactly half the mass on the fake class: strict inequality keeps it real
     fake, cls = decide_batch(np.array([[0.25, 0.25, 0.5]]))

@@ -15,7 +15,7 @@ import viewgan as vg
 import viewgan.nn as nn_mod
 import viewgan.train as train_mod
 from viewgan.data import Views, one_hot, other_view
-from viewgan.errors import ConfigError, DimensionError
+from viewgan.errors import ConfigError, DimensionError, NumericError
 from viewgan.evaluate import train_singleview_baseline
 from viewgan.model import discriminate, generate, generator_input, new_model, pair_input
 from viewgan.nn import INPUT, PARAMS, forward
@@ -167,6 +167,18 @@ def test_feature_matching_positive_otherwise():
     assert any(np.any(g != 0) for g in grads)
 
 
+@pytest.mark.parametrize("side", ["real", "generated"])
+def test_feature_matching_rejects_an_empty_block(side):
+    m = zero_model()
+    b = make_batch(m_b=2)
+    gen_input, observed, _ = b.side(1)
+    trace = forward(m.gen1, gen_input)
+    pairs = m.completed_pair(1, trace.output, observed)
+    real, gen = (b.real_pairs[:0], pairs) if side == "real" else (b.real_pairs, pairs[:0])
+    with pytest.raises(ConfigError, match="non-empty real and generated batches"):
+        feature_matching_penalty(m, 1, real, gen, trace)
+
+
 def test_generator_loss_includes_weighted_penalty():
     model = new_model(2, 2, 2, np.random.default_rng(10), hidden_dim=4)
     batch = make_batch(m_b=2, k=2, seed=11)
@@ -312,6 +324,31 @@ def test_train_rejects_heldout_pairs_of_another_shape_before_any_step(tmp_path, 
         train(model, ds, TrainConfig(iterations=4, minibatch_size=2, eval_every=2),
               heldout=other, metrics_path=metrics)
     assert not metrics.exists()
+
+
+@pytest.mark.parametrize("damage,error,message", [
+    (lambda test: test[:0], ConfigError, "the held-out block is empty"),
+    (lambda test: test.with_view(1, None), ValueError, "the held-out block must hold both views"),
+    (lambda test: test.with_view(2, None), ValueError, "the held-out block must hold both views"),
+], ids=["empty", "no-view1", "no-view2"])
+def test_train_rejects_an_unusable_heldout_block_before_any_step(tmp_path, damage, error,
+                                                                message):
+    ds, test, _ = small_task()
+    model = new_model(3, 3, 2, np.random.default_rng(0), hidden_dim=4)
+    metrics = tmp_path / "metrics.csv"
+    with pytest.raises(error, match=message):
+        train(model, ds, TrainConfig(iterations=4, minibatch_size=2, eval_every=2),
+              heldout=damage(test), metrics_path=metrics)
+    assert not metrics.exists()
+
+
+def test_a_blow_up_mid_training_names_its_iteration():
+    ds, _, _ = small_task()
+    model = new_model(3, 3, 2, np.random.default_rng(0), hidden_dim=4)
+    model.gen1.weights_out[...] = 1e308  # generator 1's outputs overflow to inf
+    with pytest.raises(NumericError, match="^iteration 0: non-finite input$"), \
+            np.errstate(over="ignore"):
+        train(model, ds, TrainConfig(iterations=3, minibatch_size=2))
 
 
 @pytest.mark.parametrize("data,model_dims", [
