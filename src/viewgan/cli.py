@@ -64,9 +64,9 @@ _SUBSET_SIZES = ("m_full", "m_missing1", "m_missing2")
 def _view_means(cfg: ConfigMap, k: int, v: int):
     """View v's width and block class means, from keys d<v> and mean_scale_view<v>."""
     keys = {"dim": f"d{v}", "scale": f"mean_scale_view{v}"}
-    d = cfg.get_int(keys["dim"])
+    d, scale = cfg.get_int(keys["dim"]), cfg.get_float(keys["scale"], 1.0)
     try:
-        return d, block_class_means(k, d, cfg.get_float(keys["scale"], 1.0))
+        return d, block_class_means(k, d, scale)
     except ConfigError as e:
         raise ConfigError(e.rule, key=keys.get(e.key, e.key)) from None
 
