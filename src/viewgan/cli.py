@@ -26,7 +26,7 @@ from .model import load_checkpoint, new_model
 from .nn import DEFAULT_HIDDEN_DIM
 from .theory import (GRID_STEP, LOG4, DiscreteJoint, brute_force_gap, check_theorem, mixture,
                      random_joint)
-from .train import TrainConfig, train
+from .train import TrainConfig, _check_heldout, train
 
 
 def _seed(value: int, key: str = "seed") -> int:
@@ -47,14 +47,20 @@ def _positive_int(cfg: ConfigMap, key: str, default=None) -> int:
     return cfg.typed(key, default, convert, "an integer of at least 1")
 
 
-def _train_config(cfg: ConfigMap) -> TrainConfig:
-    """Read every TrainConfig field under its own name, type and default."""
+def _train_config(cfg: ConfigMap, skip=()) -> TrainConfig:
+    """Read every TrainConfig field but those in ``skip`` under its own name,
+    type and default; a skipped field keeps its default."""
     getters = {"int": cfg.get_int, "float": cfg.get_float}
     values = {
         f.name: getters[f.type](f.name, None if f.default is dataclasses.MISSING else f.default)
-        for f in dataclasses.fields(TrainConfig)}
-    _seed(values["seed"])
+        for f in dataclasses.fields(TrainConfig) if f.name not in skip}
+    _seed(values.get("seed", 0))
     return TrainConfig(**values)
+
+
+# the TrainConfig fields a repeat of run_experiment sets itself or has no use
+# for: it replaces the seed, and passes no held-out pairs and no checkpoint path
+_REPEAT_FIELDS = ("seed", "eval_every", "checkpoint_every")
 
 
 # the config keys, and ExperimentSpec and SyntheticSpec fields, of the training subsets' sizes
@@ -71,9 +77,9 @@ def _view_means(cfg: ConfigMap, k: int, v: int):
         raise ConfigError(e.rule, key=keys.get(e.key, e.key)) from None
 
 
-def _synthetic_spec(cfg: ConfigMap, sizes: dict) -> SyntheticSpec:
-    """The synthetic task of the config, whose subset sizes ``sizes`` the
-    caller has read."""
+def _synthetic_spec(cfg: ConfigMap, sizes: dict, seed: int) -> SyntheticSpec:
+    """The synthetic task of the config, whose subset sizes ``sizes`` and
+    seed the caller has read."""
     k = cfg.get_int("num_classes")
     (d1, means1), (d2, means2) = (_view_means(cfg, k, v) for v in (1, 2))
     return SyntheticSpec(
@@ -82,7 +88,7 @@ def _synthetic_spec(cfg: ConfigMap, sizes: dict) -> SyntheticSpec:
         view_correlation=cfg.get_float("view_correlation", 0.0),
         **sizes,
         m_test=cfg.get_int("m_test"),
-        seed=_seed(cfg.get_int("seed", 0)),
+        seed=seed,
     )
 
 
@@ -126,11 +132,11 @@ def cmd_train(args) -> int:
     dataset = load_multiview_file(args.data)
     heldout = None
     if args.heldout:
-        held = load_multiview_file(args.heldout)
-        _check_dims(args.heldout, held, dataset, f"training data {args.data}")
-        heldout = held.s_full
-        if not heldout:
-            raise ConfigError(f"heldout file {args.heldout} has no complete pairs")
+        heldout = load_multiview_file(args.heldout).s_full
+        try:
+            _check_heldout(heldout, dataset)
+        except ValueError as e:
+            raise type(e)(f"{args.heldout}: {e}") from None
 
     init_ss, train_ss = np.random.SeedSequence(tc.seed).spawn(2)
     model = new_model(dataset.d1, dataset.d2, dataset.num_classes,
@@ -162,7 +168,8 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     with load_kv_file(args.config) as cfg:
-        spec = _synthetic_spec(cfg, {key: cfg.get_int(key) for key in _SUBSET_SIZES})
+        sizes = {key: cfg.get_int(key) for key in _SUBSET_SIZES}
+        spec = _synthetic_spec(cfg, sizes, _seed(cfg.get_int("seed", 0)))
         cfg.finish()
     dataset, test, bayes = generate_synthetic(spec)
     save_multiview_file(args.out_train, dataset)
@@ -175,7 +182,7 @@ def cmd_synth(args) -> int:
 def cmd_experiment(args) -> int:
     _check_output_path(args.out)
     with load_kv_file(args.config) as cfg:
-        tc = _train_config(cfg)
+        tc = _train_config(cfg, skip=_REPEAT_FIELDS)
         n_repeats = cfg.get_int("n_repeats")
         scenario = cfg.typed("scenario", Scenario.COMPLETE.value, Scenario,
                              "one of " + ", ".join(s.value for s in Scenario))
@@ -192,7 +199,7 @@ def cmd_experiment(args) -> int:
             cfg.finish()
             pool = load_multiview_file(pool_file).s_full
         else:
-            synth = _synthetic_spec(cfg, sizes)
+            synth = _synthetic_spec(cfg, sizes, seed=0)  # each repeat draws with its own
             cfg.finish()
 
         spec = ExperimentSpec(n_repeats=n_repeats, scenario=scenario, train_config=tc, **sizes,
@@ -227,11 +234,19 @@ def _load_table(path) -> DiscreteJoint:
         raise DataFormatError(str(e), path=path) from None
 
 
+# random triples that theory-check draws when no --trials is given
+_THEORY_TRIALS = 200
+
+
 def cmd_theory_check(args) -> int:
     ok = True
     if args.p_real or args.pg1 or args.pg2:
         if not (args.p_real and args.pg1 and args.pg2):
             raise ConfigError("provide all three of --p-real, --pg1, --pg2 or none")
+        for key in ("trials", "seed"):
+            if getattr(args, key) is not None:
+                raise ConfigError("does not apply to tables given by --p-real, --pg1, --pg2",
+                                  key=key)
         p_real, pg1, pg2 = (_load_table(p) for p in (args.p_real, args.pg1, args.pg2))
         report = check_theorem(p_real, pg1, pg2)
         bf_diff = brute_force_gap(p_real, pg1, pg2)
@@ -242,18 +257,19 @@ def cmd_theory_check(args) -> int:
         print(f"brute_force_max_diff={repr(bf_diff)}")
         ok = report.ok and bf_diff <= GRID_STEP
     else:
-        if args.trials < 1:
-            raise ConfigError(f"must be at least 1, got {args.trials}", key="trials")
-        rng = np.random.default_rng(_seed(args.seed))
+        trials = _THEORY_TRIALS if args.trials is None else args.trials
+        if trials < 1:
+            raise ConfigError(f"must be at least 1, got {trials}", key="trials")
+        rng = np.random.default_rng(_seed(0 if args.seed is None else args.seed))
         worst_residual = 0.0
-        for _ in range(args.trials):
+        for _ in range(trials):
             n1, n2 = int(rng.integers(1, 9)), int(rng.integers(1, 9))
             triple = [random_joint(rng, n1, n2) for _ in range(3)]
             rep = check_theorem(*triple)
             worst_residual = max(worst_residual, rep.identity_residual)
             ok = ok and rep.ok
         worst_gap = 0.0
-        for _ in range(max(1, args.trials // 10)):
+        for _ in range(max(1, trials // 10)):
             n1, n2 = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             pg1 = random_joint(rng, n1, n2)
             pg2 = random_joint(rng, n1, n2)
@@ -265,7 +281,7 @@ def cmd_theory_check(args) -> int:
             n1, n2 = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             triple = [random_joint(rng, n1, n2) for _ in range(3)]
             worst_bf = max(worst_bf, brute_force_gap(*triple))
-        print(f"trials={args.trials}")
+        print(f"trials={trials}")
         print(f"max_identity_residual={repr(worst_residual)}")
         print(f"max_equilibrium_gap={repr(worst_gap)} (mixture forced equal to real)")
         step = np.format_float_scientific(GRID_STEP, trim="-", exp_digits=1)
@@ -324,8 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-real", default=None)
     p.add_argument("--pg1", default=None)
     p.add_argument("--pg2", default=None)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    # None marks a flag left out: the tables take neither
+    p.add_argument("--trials", type=int, default=None,
+                   help=f"random triples to check (default {_THEORY_TRIALS}); not with tables")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the random triples (default 0); not with tables")
     p.set_defaults(func=cmd_theory_check)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -30,7 +31,7 @@ def one_hot(index: int, num_classes: int) -> np.ndarray:
 
 
 def label_index(label: np.ndarray) -> int:
-    return int(np.argmax(label))
+    return int(label.argmax())
 
 
 def read_text(path, encoding: str) -> str:
@@ -165,11 +166,15 @@ class PartitionedDataset:
 # increasing 0-based indices, the single character "-" for a missing view,
 # or an empty field for a present all-zero view.
 
-def _format_view(v: np.ndarray | None) -> str:
+def _format_view(v: np.ndarray | None, prefix) -> str:
+    """One view field: "-" for a missing view, else "j:value" for each nonzero
+    entry (0.0 and -0.0 are left out). Only those entries are taken to Python
+    floats and meet ``repr``, so a sparse row costs what its nonzeros cost;
+    ``prefix(j)`` is the string "j:"."""
     if v is None:
         return "-"
-    idx = np.nonzero(v)[0]
-    return " ".join(f"{int(i)}:{repr(float(v[i]))}" for i in idx)
+    cols = v.nonzero()[0]
+    return " ".join(map(str.__add__, map(prefix, cols.tolist()), map(repr, v[cols].tolist())))
 
 
 def _parse_view(text: str, dim: int) -> np.ndarray | None:
@@ -201,13 +206,17 @@ def _parse_view(text: str, dim: int) -> np.ndarray | None:
 
 
 def save_multiview_file(path, dataset: PartitionedDataset) -> None:
-    """Write a dataset in the sparse text format; loading inverts exactly."""
+    """Write a dataset in the sparse text format, a line per row; loading
+    inverts exactly, up to the sign of zero."""
+    prefix1, prefix2 = ([f"{j}:" for j in range(d)].__getitem__
+                        for d in (dataset.d1, dataset.d2))
     with open(path, "w", encoding="ascii") as f:
         f.write(f"#dims {dataset.d1} {dataset.d2} {dataset.num_classes}\n")
         for subset in (dataset.s_full, dataset.s_missing1, dataset.s_missing2):
-            for ex in subset:
-                f.write(f"{label_index(ex.label)}\t{_format_view(ex.view1)}"
-                        f"\t{_format_view(ex.view2)}\n")
+            rows1, rows2 = (repeat(None) if x is None else x for x in (subset.view1, subset.view2))
+            for label, v1, v2 in zip(subset.label, rows1, rows2):
+                f.write(f"{label_index(label)}\t{_format_view(v1, prefix1)}"
+                        f"\t{_format_view(v2, prefix2)}\n")
 
 
 def load_multiview_file(path) -> PartitionedDataset:

@@ -244,6 +244,18 @@ def sample_minibatch(dataset: PartitionedDataset, m_b: int, rng: np.random.Gener
     return Minibatch(*rows, *noise)
 
 
+def _check_heldout(heldout: Views, dataset: PartitionedDataset) -> None:
+    """Reject held-out pairs that ``train()`` cannot score against ``dataset``:
+    a block that lacks a view, whose (d1, d2, K) differ, or that is empty."""
+    got = _pair_dims(heldout, "the held-out block")
+    want = (dataset.d1, dataset.d2, dataset.num_classes)
+    if got != want:
+        raise DimensionError(f"held-out pairs have (d1, d2, K) = {got}, "
+                             f"but the training data has {want}")
+    if len(heldout) == 0:
+        raise ConfigError("the held-out block is empty: it has no complete pairs")
+
+
 def _heldout_accuracy(model: TripartiteModel, heldout: Views) -> tuple[float, float]:
     """Fake-gated and class-head accuracy on held-out pairs, from one discriminate call."""
     fake, cls = decide_batch(discriminate(model, heldout.view1, heldout.view2))
@@ -269,17 +281,14 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
     held-out pairs whose (d1, d2, K) differ from the training data's, a
     held-out block that is empty or lacks a view, and training data with an
     empty subset, are rejected before the first step and before the metrics
-    file is opened.
+    file is opened (``_check_heldout`` is the held-out rule).
     """
-    want = (dataset.d1, dataset.d2, dataset.num_classes)
-    shapes = [("the model has", (model.d1, model.d2, model.num_classes))]
+    got, want = ((x.d1, x.d2, x.num_classes) for x in (model, dataset))
+    if got != want:
+        raise DimensionError(f"the model has (d1, d2, K) = {got}, "
+                             f"but the training data has {want}")
     if heldout is not None:
-        shapes.append(("held-out pairs have", _pair_dims(heldout, "the held-out block")))
-        if len(heldout) == 0:
-            raise ConfigError("the held-out block is empty")
-    for what, got in shapes:
-        if got != want:
-            raise DimensionError(f"{what} (d1, d2, K) = {got}, but the training data has {want}")
+        _check_heldout(heldout, dataset)
     _check_subsets(dataset)
     rng = np.random.default_rng(config.seed)
     adam = [AdamState(net.params(), config.alpha, config.beta1, config.beta2, config.epsilon)

@@ -364,6 +364,21 @@ def experiment_case(tmp_path, test_f, sizes, out="exp.csv", extra="", n_repeats=
     return ["experiment", "--config", cfg, "--out", str(tmp_path / out)]
 
 
+def synth_experiment_case(tmp_path, text=re.sub(r"^seed = .*\n", "", SYNTH_CFG, flags=re.M)):
+    """argv of one repeat of an experiment on a fresh draw of SYNTH_CFG's task; the
+    config is ``text`` (by default SYNTH_CFG without its seed) and four lines of its own."""
+    cfg = write(tmp_path / "synth-exp.cfg",
+                text + "iterations = 2\nminibatch_size = 2\nhidden_dim = 4\nn_repeats = 1\n")
+    return ["experiment", "--out", str(tmp_path / "exp.csv"), "--config", cfg]
+
+
+def experiment_key_case(tmp_path, test_f, key):
+    """An experiment on the test file of SYNTH_CFG whose config sets ``key``, which a
+    repeat would not use, on line 9."""
+    return (experiment_case(tmp_path, test_f, (2, 2, 2), extra=f"{key} = 3\n"),
+            [f"{tmp_path / 'exp.cfg'}: line 9: unknown key '{key}'"])
+
+
 def theory_tables(tmp_path, real_rows=3):
     # a 3x1 real table and 1x3 generator tables are different joints
     np.savetxt(tmp_path / "real.txt", np.full((real_rows, 1), 1 / 3))
@@ -386,6 +401,13 @@ def ragged_table_case(tmp_path):
     write(tmp_path / "real.txt", "0.5 0.25\n0.25\n")
     return argv, [f"{tmp_path / 'real.txt'}: line 2:",
                   "expected 2 values as on the first row, got 1"]
+
+
+def tables_with_flag_case(tmp_path, flag, value):
+    """theory-check on three equal tables, which pass, with a flag for random triples."""
+    argv = theory_tables(tmp_path)
+    np.savetxt(tmp_path / "real.txt", np.full((1, 3), 1 / 3))
+    return argv + [flag, value], [f"{flag} does not apply to tables"]
 
 
 def zero_subset_case(tmp_path, test_f, index):
@@ -523,6 +545,15 @@ BAD_INPUTS = {
         ["theory-check", "--trials", "2", "--seed", "-1"], ["--seed must be at least 0, got -1"]),
     "gradcheck-seed-negative": lambda t, tr, te: (
         ["gradcheck", "--instances", "1", "--seed", "-1"], ["--seed must be at least 0, got -1"]),
+    "experiment-seed-key": lambda t, tr, te: experiment_key_case(t, te, "seed"),
+    "experiment-eval-every-key": lambda t, tr, te: experiment_key_case(t, te, "eval_every"),
+    "experiment-checkpoint-every-key": lambda t, tr, te: experiment_key_case(
+        t, te, "checkpoint_every"),
+    "experiment-synthetic-seed-key": lambda t, tr, te: (
+        synth_experiment_case(t, SYNTH_CFG),
+        [f"{t / 'synth-exp.cfg'}: line {line_of(SYNTH_CFG, 'seed')}: unknown key 'seed'"]),
+    "theory-check-tables-with-trials": lambda t, tr, te: tables_with_flag_case(t, "--trials", "5"),
+    "theory-check-tables-with-seed": lambda t, tr, te: tables_with_flag_case(t, "--seed", "3"),
 }
 
 
@@ -583,9 +614,7 @@ def test_readme_config_tables_list_exactly_the_keys_each_command_reads(tmp_path,
                   "--out-train", train_f, "--out-test", test_f])
     run("train", train_argv(tmp_path, train_f))
     run("experiment", experiment_case(tmp_path, test_f, (2, 2, 2)))
-    run("experiment", ["experiment", "--out", str(tmp_path / "exp.csv"), "--config", write(
-        tmp_path / "synth-exp.cfg",
-        SYNTH_CFG + "iterations = 2\nminibatch_size = 2\nhidden_dim = 4\nn_repeats = 1\n")])
+    run("experiment", synth_experiment_case(tmp_path))
     tables = readme_config_tables()
     assert set(tables) == set(read) == {"synth", "train", "experiment"}
     for command, keys in read.items():

@@ -155,6 +155,68 @@ def test_file_format_example(tmp_path):
     assert np.array_equal(ds.s_full[1].view1, np.zeros(4))
 
 
+def test_file_writer_bytes(tmp_path):
+    # rows are written full, missing1, missing2; zeros of either sign are left
+    # out, a present all-zero view is an empty field and a missing one "-"
+    rows = {"full": [(2, [0.1, -0.0, 1e-05], [0.0, 1e16, 0.0]),
+                     (0, [0.0, 0.0, -0.0], [5e-324, -2.5, 0.0])],
+            "missing1": [(1, None, [-0.0, 0.0, 3.0])],
+            "missing2": [(0, [0.0, 7.0, -1e-05], None)]}
+
+    def block(subset):
+        labels, v1, v2 = zip(*rows[subset])
+        return vg.Views(None if v1[0] is None else np.array(v1),
+                        None if v2[0] is None else np.array(v2), np.eye(3)[list(labels)])
+
+    path = tmp_path / "data.tsv"
+    vg.save_multiview_file(path, vg.PartitionedDataset(
+        block("full"), block("missing1"), block("missing2")))
+    assert path.read_bytes() == (b"#dims 3 3 3\n"
+                                 b"2\t0:0.1 2:1e-05\t1:1e+16\n"
+                                 b"0\t\t0:5e-324 1:-2.5\n"
+                                 b"1\t-\t2:3.0\n"
+                                 b"0\t1:7.0 2:-1e-05\t-\n")
+
+
+def test_file_roundtrip_of_sparse_rows(tmp_path):
+    # 300 wide with about 8% nonzero entries, as a TF-IDF view would be
+    rng = np.random.default_rng(3)
+    view1, view2 = (rng.standard_normal((60, 300)) * (rng.random((60, 300)) < 0.08)
+                    for _ in range(2))
+    ds = vg.PartitionedDataset(vg.Views(view1[:40], view2[:40], np.eye(2)[np.arange(40) % 2]),
+                               vg.Views(None, view2[40:50], np.eye(2)[np.arange(10) % 2]),
+                               vg.Views(view1[50:], None, np.eye(2)[np.arange(10) % 2]))
+    path = tmp_path / "sparse.tsv"
+    vg.save_multiview_file(path, ds)
+    # one index:value pair per nonzero entry of a present view
+    nonzero = sum(np.count_nonzero(v) for b in (ds.s_full, ds.s_missing1, ds.s_missing2)
+                  for v in (b.view1, b.view2) if v is not None)
+    assert path.read_text().count(":") == nonzero
+    loaded = vg.load_multiview_file(path)
+    assert (loaded.d1, loaded.d2, loaded.num_classes) == (300, 300, 2)
+    for got, want in [(loaded.s_full, ds.s_full), (loaded.s_missing1, ds.s_missing1),
+                      (loaded.s_missing2, ds.s_missing2)]:
+        assert views_equal(got, want)
+
+
+def test_save_multiview_file_memory_peak(tmp_path):
+    # 5,000 complete 20+20 rows written a line at a time peak at about
+    # 0.05 MB; joining a subset's lines before writing needs several MB
+    rng = np.random.default_rng(0)
+    labels = np.eye(3)[np.arange(5000) % 3]
+    ds = vg.PartitionedDataset(vg.Views(rng.standard_normal((5000, 20)),
+                                        rng.standard_normal((5000, 20)), labels),
+                               vg.Views(None, np.zeros((0, 20)), labels[:0]),
+                               vg.Views(np.zeros((0, 20)), None, labels[:0]))
+    tracemalloc.start()
+    try:
+        vg.save_multiview_file(tmp_path / "big.tsv", ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 @pytest.mark.parametrize("bad_line,expect_line", [
     ("0\t0:1.0 0:2.0\t0:1.0", 2),   # indices must strictly increase
     ("0\t9:1.0\t0:1.0", 2),         # index out of range
