@@ -160,6 +160,9 @@ def cmd_eval(args) -> int:
     scenario = Scenario(args.scenario)
     v = scenario.generated_view
     test = dataset.s_full if v is None else dataset.observing(other_view(v))
+    if len(test) == 0:
+        what = "complete pairs" if v is None else f"rows that observe view {other_view(v)}"
+        raise ConfigError(f"{args.data} has no {what} to evaluate in scenario {scenario.value}")
     report = evaluate(model, test, scenario, seed=seed)
     print(f"scenario={scenario.value}")
     _print_report(report)
@@ -198,6 +201,8 @@ def cmd_experiment(args) -> int:
             pool_file = cfg.get_str("data")
             cfg.finish()
             pool = load_multiview_file(pool_file).s_full
+            if len(pool) == 0:
+                raise ConfigError(f"{pool_file} has no complete pairs to split")
         else:
             synth = _synthetic_spec(cfg, sizes, seed=0)  # each repeat draws with its own
             cfg.finish()

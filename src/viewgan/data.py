@@ -6,12 +6,14 @@ synthetic generator produces Gaussian class-conditional views with a shared
 latent factor and reports the Bayes accuracy of the complete-pair task, which
 anchors end-to-end accuracy tests: in closed form for two classes, otherwise
 by a 100,000-sample Monte Carlo over the K discriminant scores (standard
-error at most 0.0016).
+error at most 0.0016), drawn and scored in blocks of 8,192 samples so its
+scratch memory does not grow with the sample count.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
@@ -20,6 +22,9 @@ import numpy as np
 from .errors import ConfigError, DataFormatError, DimensionError
 
 _BAYES_MC_SAMPLES = 100_000
+# rows of standard normals drawn and scored at a time; large enough that the
+# block matmuls give the bits of one whole-sample matmul
+_BAYES_MC_BLOCK = 8192
 
 
 def one_hot(index: int, num_classes: int) -> np.ndarray:
@@ -34,15 +39,29 @@ def label_index(label: np.ndarray) -> int:
     return int(label.argmax())
 
 
-def read_text(path, encoding: str) -> str:
-    """The text of file ``path``; a byte that does not decode names the file and line."""
-    with open(path, "rb") as f:
-        raw = f.read()
+def _decode(raw: bytes, encoding: str, path, lines_before: int = 0) -> str:
+    """``raw`` decoded; a byte that does not decode names file ``path`` and its
+    line: ``lines_before`` plus the newlines before it in ``raw``, plus 1."""
     try:
         return raw.decode(encoding)
     except UnicodeDecodeError as e:
         raise DataFormatError(f"byte {raw[e.start]:#04x} is not {encoding} text",
-                              line=raw.count(b"\n", 0, e.start) + 1, path=path) from None
+                              line=lines_before + raw.count(b"\n", 0, e.start) + 1,
+                              path=path) from None
+
+
+def read_text(path, encoding: str) -> str:
+    """The text of file ``path``; a byte that does not decode names the file and line."""
+    with open(path, "rb") as f:
+        return _decode(f.read(), encoding, path)
+
+
+def _read_lines(path, encoding: str):
+    """The lines of file ``path`` as ``str.splitlines`` numbers them in its whole
+    text, read and decoded one newline-ended line at a time."""
+    with open(path, "rb") as f:
+        for n, raw in enumerate(f):
+            yield from _decode(raw, encoding, path, n).splitlines()
 
 
 def by_view(v: int, first, second):
@@ -177,13 +196,15 @@ def _format_view(v: np.ndarray | None, prefix) -> str:
     return " ".join(map(str.__add__, map(prefix, cols.tolist()), map(repr, v[cols].tolist())))
 
 
-def _parse_view(text: str, dim: int) -> np.ndarray | None:
-    """One view field; a malformed field raises ValueError."""
-    if text == "-":
-        return None
-    v = np.zeros(dim, dtype=np.float64)
+def _parse_view(text: str, buf: array, zeros: array) -> None:
+    """Append one present view field to ``buf`` as ``len(zeros)`` floats: the
+    zeros, then each nonzero entry set by its index. A malformed field raises
+    ValueError."""
+    row = len(buf)
+    buf.extend(zeros)
     if text == "":
-        return v
+        return
+    dim = len(zeros)
     prev = -1
     for pair in text.split(" "):
         idx_s, sep, val_s = pair.partition(":")
@@ -201,8 +222,7 @@ def _parse_view(text: str, dim: int) -> np.ndarray | None:
         if not math.isfinite(val):
             raise ValueError(f"non-finite value {val_s!r}")
         prev = idx
-        v[idx] = val
-    return v
+        buf[row + idx] = val
 
 
 def save_multiview_file(path, dataset: PartitionedDataset) -> None:
@@ -222,26 +242,33 @@ def save_multiview_file(path, dataset: PartitionedDataset) -> None:
 def load_multiview_file(path) -> PartitionedDataset:
     """Parse the sparse multiview format; the partition is derived from "-" marks.
 
-    A malformed line raises DataFormatError naming the file and the line.
+    The file is read a line at a time, and each subset's labels and present
+    views go into one flat float64 buffer apiece, which the returned (n, d)
+    arrays use without a copy. A malformed line, or a byte that does not
+    decode, raises DataFormatError naming the file and the line. Lines are
+    checked in file order, so the first bad line is the one reported; a bad
+    byte is found when the newline-ended line holding it is read.
     """
-    lines = read_text(path, "ascii").splitlines()
-    # one (view1s, view2s, labels) column triple per subset
-    full, missing1, missing2 = ([], [], []), ([], [], []), ([], [], [])
+    lines = _read_lines(path, "ascii")
     lineno = 1
     try:
-        head = lines[0].split() if lines else []
+        head = next(lines, "").split()
         if head[:1] != ["#dims"]:
             raise ValueError("missing '#dims d1 d2 K' header")
         if len(head) != 4:
             raise ValueError("header must be '#dims d1 d2 K'")
         try:
-            d1, d2, num_classes = (int(p) for p in head[1:])
+            widths = d1, d2, num_classes = tuple(int(p) for p in head[1:])
         except ValueError:
             raise ValueError("non-integer dimensions in header") from None
-        if min(d1, d2, num_classes) < 1:
+        if min(widths) < 1:
             raise ValueError("dimensions must be positive")
+        zeros1, zeros2 = (array("d", bytes(8 * d)) for d in (d1, d2))
+        # (view1, view2, label) buffers per subset, keyed by which views are present
+        subsets = {present: (array("d"), array("d"), array("d"))
+                   for present in ((True, True), (False, True), (True, False))}
 
-        for lineno, line in enumerate(lines[1:], start=2):
+        for lineno, line in enumerate(lines, start=2):
             if line == "":
                 continue
             fields = line.split("\t")
@@ -252,23 +279,27 @@ def load_multiview_file(path) -> PartitionedDataset:
             except ValueError:
                 raise ValueError(f"malformed label {fields[0]!r}") from None
             y = one_hot(label, num_classes)
-            v1 = _parse_view(fields[1], d1)
-            v2 = _parse_view(fields[2], d2)
-            if v1 is None and v2 is None:
+            present = fields[1] != "-", fields[2] != "-"
+            if present == (False, False):
                 raise ValueError("both views missing")
-            columns = missing1 if v1 is None else missing2 if v2 is None else full
-            for column, value in zip(columns, (v1, v2, y)):
-                column.append(value)
+            buf1, buf2, labels = subsets[present]
+            if present[0]:
+                _parse_view(fields[1], buf1, zeros1)
+            if present[1]:
+                _parse_view(fields[2], buf2, zeros2)
+            labels.frombytes(y.tobytes())
+    except DataFormatError:
+        raise  # an undecodable byte, which names its own line
     except ValueError as e:
         raise DataFormatError(str(e), line=lineno, path=path) from None
 
-    def block(columns, widths):
-        return Views(*(None if w is None else np.array(c, dtype=np.float64).reshape(len(c), w)
-                       for c, w in zip(columns, widths)))
+    def block(present):
+        bufs = subsets[present]
+        n = len(bufs[2]) // num_classes
+        return Views(*(np.frombuffer(buf, dtype=np.float64).reshape(n, w) if keep else None
+                       for buf, w, keep in zip(bufs, widths, (*present, True))))
 
-    return PartitionedDataset(block(full, (d1, d2, num_classes)),
-                              block(missing1, (None, d2, num_classes)),
-                              block(missing2, (d1, None, num_classes)))
+    return PartitionedDataset(block((True, True)), block((False, True)), block((True, False)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +385,22 @@ def _score_monte_carlo(means: np.ndarray, cov: np.ndarray, rng: np.random.Genera
     G[y] - 1/2 diag G and covariance G = means cov^-1 means^T. Drawing
     _BAYES_MC_SAMPLES score vectors gives the same estimator as drawing whole
     pairs, without building any. G is singular when the means are linearly
-    dependent, so its square root comes from eigh, not Cholesky.
+    dependent, so its square root comes from eigh, not Cholesky. The normals
+    are drawn and scored _BAYES_MC_BLOCK rows at a time: the generator fills
+    its output in order, so the blocks draw the numbers of one whole draw.
     """
     gram = means @ np.linalg.solve(cov, means.T)  # (K, K)
     evals, evecs = np.linalg.eigh(gram)
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))  # root @ root.T == gram
+    offsets = gram - 0.5 * np.diag(gram)
     labels = rng.integers(0, means.shape[0], size=_BAYES_MC_SAMPLES)
-    z = rng.standard_normal((_BAYES_MC_SAMPLES, means.shape[0]))
-    scores = z @ root.T
-    scores += (gram - 0.5 * np.diag(gram)).take(labels, axis=0)
-    return float(np.mean(np.argmax(scores, axis=1) == labels))
+    hits = 0
+    for start in range(0, _BAYES_MC_SAMPLES, _BAYES_MC_BLOCK):
+        block = labels[start:start + _BAYES_MC_BLOCK]
+        scores = rng.standard_normal((len(block), means.shape[0])) @ root.T
+        scores += offsets.take(block, axis=0)
+        hits += int(np.count_nonzero(np.argmax(scores, axis=1) == block))
+    return hits / _BAYES_MC_SAMPLES
 
 
 def _bayes_accuracy(spec: SyntheticSpec, a1, a2, rng: np.random.Generator) -> float:

@@ -217,6 +217,85 @@ def test_save_multiview_file_memory_peak(tmp_path):
     assert peak < 1e6
 
 
+def complete_rows(n, d=20, k=3, seed=0):
+    """A dataset of n complete d+d rows of standard normals, labels 0, 1, ..., k-1, 0, ..."""
+    rng = np.random.default_rng(seed)
+    labels = np.eye(k)[np.arange(n) % k]
+    return vg.PartitionedDataset(vg.Views(rng.standard_normal((n, d)),
+                                          rng.standard_normal((n, d)), labels),
+                                 vg.Views(None, np.zeros((0, d)), labels[:0]),
+                                 vg.Views(np.zeros((0, d)), None, labels[:0]))
+
+
+def test_load_multiview_file_memory_peak(tmp_path):
+    # 5,000 complete 20+20 rows hold 1.7 MB of arrays; read a line at a time
+    # into flat buffers they peak at about 2.5 MB, and holding the file's
+    # bytes, text and lines plus an array per view row peaked at 9.7 MB
+    path = tmp_path / "big.tsv"
+    vg.save_multiview_file(path, complete_rows(5000))
+    tracemalloc.start()
+    try:
+        vg.load_multiview_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_loaded_blocks_are_contiguous_writable_float64(tmp_path):
+    path = tmp_path / "data.tsv"
+    vg.save_multiview_file(path, tiny_dataset())
+    loaded = vg.load_multiview_file(path)
+    for subset in (loaded.s_full, loaded.s_missing1, loaded.s_missing2):
+        for block in (subset.view1, subset.view2, subset.label):
+            if block is not None:
+                assert block.dtype == np.float64
+                assert block.flags.c_contiguous and block.flags.writeable
+
+
+ROWS = ["#dims 4 3 2", "0\t0:1.5 2:-0.25\t1:7.0", "", "1\t-\t0:1.0 2:2.0", "0\t\t-"]
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "\f", "mixed"])
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_line_endings_give_the_same_rows_and_line_numbers(tmp_path, ending, final_newline):
+    # the lines are those of str.splitlines on the whole text, which also
+    # numbers them: a bad row among CR or form-feed lines names that line
+    def text(rows):
+        ends = ["\r\n", "\n", "\r", "\f"] * len(rows) if ending == "mixed" else [ending] * len(rows)
+        body = "".join(row + end for row, end in zip(rows, ends))
+        return (body if final_newline else body[:-len(ends[len(rows) - 1])]).encode("ascii")
+
+    path = tmp_path / "data.tsv"
+    path.write_bytes(text(ROWS))
+    got = vg.load_multiview_file(path)
+    path.write_bytes("\n".join(ROWS).encode("ascii"))
+    want = vg.load_multiview_file(path)
+    for a, b in ((got.s_full, want.s_full), (got.s_missing1, want.s_missing1),
+                 (got.s_missing2, want.s_missing2)):
+        assert views_equal(a, b)
+
+    path.write_bytes(text(ROWS[:4] + ["0\tx\t0:1.0"] + ROWS[4:]))
+    with pytest.raises(DataFormatError) as err:
+        vg.load_multiview_file(path)
+    assert err.value.line == 5
+
+
+def test_the_first_bad_line_is_reported(tmp_path):
+    # a format error on line 3 comes before a byte on line 8 that does not
+    # decode; a loader that decodes the whole file first reports line 8
+    rows = ["#dims 4 3 2", "0\t0:1.0\t0:1.0", "0\tx\t0:1.0"] + ["1\t-\t0:1.0"] * 4
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(("\n".join(rows) + "\n0\t0:\u00e9\t-\n").encode("utf-8"))
+    with pytest.raises(DataFormatError) as err:
+        vg.load_multiview_file(path)
+    assert err.value.line == 3 and "malformed pair 'x'" in str(err.value)
+    path.write_bytes(("\n".join(rows[:2] + rows[3:]) + "\n0\t0:\u00e9\t-\n").encode("utf-8"))
+    with pytest.raises(DataFormatError) as err:
+        vg.load_multiview_file(path)
+    assert err.value.line == 7 and "byte 0xc3 is not ascii text" in str(err.value)
+
+
 @pytest.mark.parametrize("bad_line,expect_line", [
     ("0\t0:1.0 0:2.0\t0:1.0", 2),   # indices must strictly increase
     ("0\t9:1.0\t0:1.0", 2),         # index out of range
@@ -379,9 +458,34 @@ def test_bayes_accuracy_with_collinear_means():
     assert abs(bayes - ref) < 4 * math.hypot(mc_se(bayes), mc_se(ref))
 
 
+def reference_score_monte_carlo(means, cov, rng):
+    """The score-space Monte Carlo drawn and scored as one block of all
+    _BAYES_MC_SAMPLES rows."""
+    gram = means @ np.linalg.solve(cov, means.T)
+    evals, evecs = np.linalg.eigh(gram)
+    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    labels = rng.integers(0, means.shape[0], size=data_mod._BAYES_MC_SAMPLES)
+    scores = rng.standard_normal((data_mod._BAYES_MC_SAMPLES, means.shape[0])) @ root.T
+    scores += (gram - 0.5 * np.diag(gram)).take(labels, axis=0)
+    return float(np.mean(np.argmax(scores, axis=1) == labels))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("rho", [0.0, 0.7])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_score_monte_carlo_in_blocks_equals_one_block(k, rho, seed):
+    spec = synth_spec(k=k, d1=6, d2=5, sigma=1.2, rho=rho, seed=seed)
+    means, cov = data_mod._pair_gaussian(spec, *latent_maps(spec, 50 + seed))
+    got = data_mod._score_monte_carlo(means, cov, np.random.default_rng(seed))
+    want = reference_score_monte_carlo(means, cov, np.random.default_rng(seed))
+    assert type(got) is float and got == want
+
+
 def test_generate_synthetic_memory_peak():
-    # the acceptance task: drawing the Bayes Monte Carlo as 100,000 whole
-    # pairs instead of score vectors peaks at about 130 MB
+    # the acceptance task: drawing the Bayes Monte Carlo in blocks of 8,192
+    # samples peaks at about 2.4 MB; one whole 100,000-sample block of score
+    # vectors peaked at 8.7 MB, and whole pairs instead of score vectors at
+    # about 130 MB
     spec = vg.SyntheticSpec(num_classes=3, d1=20, d2=20,
                             means_view1=vg.block_class_means(3, 20, 1.6),
                             means_view2=vg.block_class_means(3, 20, 0.8),
@@ -393,7 +497,7 @@ def test_generate_synthetic_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    assert peak < 4e6
 
 
 def test_split_for_protocol_partitions_pool():
