@@ -292,6 +292,8 @@ def load_multiview_file(path) -> PartitionedDataset:
         raise  # an undecodable byte, which names its own line
     except ValueError as e:
         raise DataFormatError(str(e), line=lineno, path=path) from None
+    finally:
+        lines.close()  # closes the file when a bad line stops the read
 
     def block(present):
         bufs = subsets[present]

@@ -224,8 +224,8 @@ def test_save_multiview_file_memory_peak(tmp_path):
 
 def test_load_multiview_file_memory_peak(tmp_path):
     # 5,000 complete 20+20 rows hold 1.7 MB of arrays; read a line at a time
-    # into flat buffers they peak at about 2.5 MB, and holding the file's
-    # bytes, text and lines plus an array per view row peaked at 9.7 MB
+    # into flat buffers they peak at about 1.9 MB, and holding the file's
+    # bytes, text and lines plus an array per view row peaked at 10.1 MB
     path = tmp_path / "big.tsv"
     vg.save_multiview_file(path, complete_rows(5000))
     tracemalloc.start()
@@ -466,8 +466,8 @@ def test_score_monte_carlo_in_blocks_equals_one_block(k, rho, seed):
 
 def test_generate_synthetic_memory_peak():
     # the acceptance task: drawing the Bayes Monte Carlo in blocks of 8,192
-    # samples peaks at about 2.4 MB; one whole 100,000-sample block of score
-    # vectors peaked at 8.7 MB, and whole pairs instead of score vectors at
+    # samples peaks at about 2.5 MB; one whole 100,000-sample block of score
+    # vectors peaked at 9.1 MB, and whole pairs instead of score vectors at
     # about 130 MB
     spec = vg.SyntheticSpec(num_classes=3, d1=20, d2=20,
                             means_view1=vg.block_class_means(3, 20, 1.6),
