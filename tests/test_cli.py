@@ -353,11 +353,15 @@ def eval_case(tmp_path, train_f, test_f, scenario, want, **settings):
              "--scenario", scenario], [other, "(3, 3, 2)", want])
 
 
-def empty_eval_case(tmp_path, train_f, rows, scenario, want):
-    """An eval of a trained checkpoint, in ``scenario``, on a file of these rows,
-    none of which that scenario can score."""
+# a data file of SYNTH_CFG's shapes with one row lacking each view and no complete pair
+HALF_FILE = "#dims 3 3 2\n0\t-\t0:1.0\n1\t0:1.0\t-\n"
+
+
+def empty_eval_case(tmp_path, train_f, text, scenario, want):
+    """An eval of a trained checkpoint, in ``scenario``, on data file ``text``,
+    none of whose rows that scenario can score."""
     assert main(train_argv(tmp_path, train_f)) == 0
-    data = write(tmp_path / "few.tsv", "#dims 3 3 2\n" + rows)
+    data = write(tmp_path / "few.tsv", text)
     return (["eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", data,
              "--scenario", scenario], [data, f"scenario {scenario}", want])
 
@@ -492,16 +496,16 @@ BAD_INPUTS = {
         [str(t / "ckdir"), "is a directory"]),
     "heldout-no-complete-pairs": lambda t, tr, te: (
         train_argv(t, tr, "model.ckpt", "--heldout",
-                   write(t / "half.tsv", "#dims 3 3 2\n0\t-\t0:1.0\n1\t0:1.0\t-\n")),
+                   write(t / "half.tsv", HALF_FILE)),
         [str(t / "half.tsv"), "no complete pairs"]),
     "empty-subset": lambda t, tr, te: empty_subset_case(t),
     "eval-no-complete-pairs": lambda t, tr, te: empty_eval_case(
-        t, tr, "0\t-\t0:1.0\n1\t0:1.0\t-\n", "complete", "has no complete pairs"),
+        t, tr, HALF_FILE, "complete", "has no complete pairs"),
     "eval-generated-nothing-observes-view2": lambda t, tr, te: empty_eval_case(
-        t, tr, "1\t0:1.0\t-\n", "view1-generated", "has no rows that observe view 2"),
+        t, tr, "#dims 3 3 2\n1\t0:1.0\t-\n", "view1-generated",
+        "has no rows that observe view 2"),
     "experiment-no-complete-pairs": lambda t, tr, te: (
-        experiment_case(t, write(t / "half.tsv", "#dims 3 3 2\n0\t-\t0:1.0\n1\t0:1.0\t-\n"),
-                        (2, 2, 2)),
+        experiment_case(t, write(t / "half.tsv", HALF_FILE), (2, 2, 2)),
         [f"error: {t / 'half.tsv'} has no complete pairs"]),
     "experiment-unknown-scenario": lambda t, tr, te: (
         experiment_case(t, te, (2, 2, 2), extra="scenario = bogus\n"),

@@ -248,7 +248,7 @@ def test_loaded_blocks_are_contiguous_writable_float64(tmp_path):
                 assert block.flags.c_contiguous and block.flags.writeable
 
 
-ROWS = ["#dims 4 3 2", "0\t0:1.5 2:-0.25\t1:7.0", "", "1\t-\t0:1.0 2:2.0", "0\t\t-"]
+ENDING_ROWS = ["#dims 4 3 2", "0\t0:1.5 2:-0.25\t1:7.0", "", "1\t-\t0:1.0 2:2.0", "0\t\t-"]
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "\f", "mixed"])
@@ -257,20 +257,20 @@ def test_line_endings_give_the_same_rows_and_line_numbers(tmp_path, ending, fina
     # the lines are those of str.splitlines on the whole text, which also
     # numbers them: a bad row among CR or form-feed lines names that line
     def text(rows):
-        ends = ["\r\n", "\n", "\r", "\f"] * len(rows) if ending == "mixed" else [ending] * len(rows)
+        ends = (["\r\n", "\n", "\r", "\f"] if ending == "mixed" else [ending]) * len(rows)
         body = "".join(row + end for row, end in zip(rows, ends))
         return (body if final_newline else body[:-len(ends[len(rows) - 1])]).encode("ascii")
 
     path = tmp_path / "data.tsv"
-    path.write_bytes(text(ROWS))
+    path.write_bytes(text(ENDING_ROWS))
     got = vg.load_multiview_file(path)
-    path.write_bytes("\n".join(ROWS).encode("ascii"))
+    path.write_bytes("\n".join(ENDING_ROWS).encode("ascii"))
     want = vg.load_multiview_file(path)
     for a, b in ((got.s_full, want.s_full), (got.s_missing1, want.s_missing1),
                  (got.s_missing2, want.s_missing2)):
         assert views_equal(a, b)
 
-    path.write_bytes(text(ROWS[:4] + ["0\tx\t0:1.0"] + ROWS[4:]))
+    path.write_bytes(text(ENDING_ROWS[:4] + ["0\tx\t0:1.0"] + ENDING_ROWS[4:]))
     with pytest.raises(DataFormatError) as err:
         vg.load_multiview_file(path)
     assert err.value.line == 5
