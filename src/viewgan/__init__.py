@@ -7,8 +7,8 @@ from .data import (PartitionedDataset, SyntheticSpec, Views, block_class_means,
                    generate_synthetic, load_multiview_file, save_multiview_file,
                    split_for_protocol)
 from .errors import ConfigError, DataFormatError, DimensionError, NumericError
-from .evaluate import (ExperimentSpec, MetricsReport, Scenario, evaluate,
-                       run_experiment, train_singleview_baseline)
+from .evaluate import (ExperimentSpec, MetricsReport, Scenario, run_experiment,
+                       train_singleview_baseline)
 from .model import (TripartiteModel, decide_batch, discriminate, generate, load_checkpoint,
                     new_model, save_checkpoint)
 from .nn import AdamState, ForwardTrace, Mlp, adam_step, backward, forward, init_mlp, xavier_init

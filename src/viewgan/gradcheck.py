@@ -107,35 +107,49 @@ def _check_mlp(rng, kind: str) -> float:
     return max_relative_error(analytic, numeric)
 
 
+def _completion(model, batch: Minibatch, v: int):
+    """(generator v's trace, the pairs it completes) on its side of the batch."""
+    gen_input, observed, _ = batch.side(v)
+    trace = forward(model.generator(v), gen_input)
+    return trace, model.completed_pair(v, trace.output, observed)
+
+
+def _family_loss(model, batch: Minibatch, family: str):
+    """(the net a loss family differentiates, its loss(grads) closure).
+
+    Inputs the perturbed net cannot reach are built once, here: the two
+    completions of ``loss-d`` and the real-pair features of
+    ``feature-matching``. Each evaluation runs only the passes that follow
+    the perturbed weights.
+    """
+    if family == "loss-d":
+        completed = [_completion(model, batch, v)[1] for v in (1, 2)]
+
+        def loss(grads):
+            return loss_discriminator(model, batch, completed, grads=grads)
+        return model.disc, loss
+    if family == "feature-matching":  # through generator 1
+        real_features = forward(model.disc, batch.real_pairs).hidden_act
+
+        def loss(grads):
+            trace, pairs = _completion(model, batch, 1)
+            return feature_matching_penalty(model, 1, real_features, pairs, trace,
+                                            grads=grads)
+        return model.generator(1), loss
+    v = 1 if family == "loss-g1" else 2
+
+    def loss(grads):
+        return loss_generator(model, v, batch, fm_weight=1.0, grads=grads)
+    return model.generator(v), loss
+
+
 def _check_loss(rng, family: str) -> float:
     d1 = int(rng.integers(3, 7))
     d2 = int(rng.integers(3, 7))
     k = int(rng.integers(2, 5))
     hidden = int(rng.integers(4, 9))
     model = new_model(d1, d2, k, rng, hidden_dim=hidden)
-    batch = _random_batch(rng, d1, d2, k)
-
-    if family == "loss-d":
-        net = model.disc
-
-        def loss(grads):
-            return loss_discriminator(model, batch, grads=grads)
-    elif family == "feature-matching":  # through generator 1
-        net = model.generator(1)
-        gen_input, observed, _ = batch.side(1)
-
-        def loss(grads):
-            trace = forward(net, gen_input)
-            pairs = model.completed_pair(1, trace.output, observed)
-            return feature_matching_penalty(model, 1, batch.real_pairs, pairs, trace,
-                                            grads=grads)
-    else:
-        v = 1 if family == "loss-g1" else 2
-        net = model.generator(v)
-
-        def loss(grads):
-            return loss_generator(model, v, batch, fm_weight=1.0, grads=grads)
-
+    net, loss = _family_loss(model, _random_batch(rng, d1, d2, k), family)
     analytic = loss(grads=True)[1]
     numeric = finite_difference(lambda: loss(grads=False)[0], net.params())
     return max_relative_error(analytic, numeric)

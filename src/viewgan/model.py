@@ -57,12 +57,11 @@ class TripartiteModel:
 
     def slot(self, v: int, block: np.ndarray) -> np.ndarray:
         """View ``v``'s columns of an (n, d1+d2) [view1 | view2] block."""
-        return block[:, :self.d1] if self.generator(v) is self.gen1 else block[:, self.d1:]
+        return by_view(v, block[:, :self.d1], block[:, self.d1:])
 
     def completed_pair(self, v: int, generated, observed) -> np.ndarray:
         """The [view1 | view2] pair block with ``generated`` in slot ``v``."""
-        parts = [generated, observed] if self.generator(v) is self.gen1 else [observed, generated]
-        return np.concatenate(parts, axis=1)
+        return np.concatenate(by_view(v, [generated, observed], [observed, generated]), axis=1)
 
     def copy(self) -> "TripartiteModel":
         return TripartiteModel(self.gen1.copy(), self.gen2.copy(), self.disc.copy())

@@ -2,9 +2,13 @@
 
 Each iteration samples one minibatch with m_b examples from every subset,
 then Adam-updates the discriminator, generator 1, and generator 2 strictly
-in that order, every player seeing the same batch. The discriminator loss
-treats generated views as constants; each generator loss backpropagates
-through the frozen discriminator into the slot its view occupies.
+in that order, every player seeing the same batch. ``train()`` runs both
+generators for the discriminator phase and hands their completed pairs to
+the discriminator loss, which treats them as constants. Each generator loss
+makes its own completions and the discriminator's features of the real
+pairs, hands those features to the feature-matching penalty, and
+backpropagates through the frozen discriminator into the slot its view
+occupies.
 """
 
 from __future__ import annotations
@@ -119,22 +123,28 @@ def _complete(model: TripartiteModel, v: int, batch: Minibatch):
     return trace, model.completed_pair(v, trace.output, observed), labels
 
 
-def loss_discriminator(model: TripartiteModel, batch: Minibatch, *, grads: bool = True):
+def loss_discriminator(model: TripartiteModel, batch: Minibatch, completed, *,
+                       grads: bool = True):
     """Empirical discriminator loss and its parameter gradients.
 
-    Three terms: the class assignment of real complete pairs (weight
-    1/(m_b*(K+1)) per sample) and the fake-class assignment of pairs
-    completed by either generator (weight 1/(2*m_b) per sample each).
+    ``completed`` holds the two generators' completed [view1 | view2]
+    blocks of m_b rows each, generator 1's first; this loss runs no
+    generator. Three terms: the class assignment of real complete pairs
+    (weight 1/(m_b*(K+1)) per sample) and the fake-class assignment of the
+    pairs each generator completed (weight 1/(2*m_b) per sample each).
     Generator outputs are data here; nothing flows back into the generators.
     The gradients are a list in ``model.disc.params()`` order. With
     ``grads=False`` the same forward passes and float64 value arithmetic
     run, no backward pass does, and the result is (loss, None).
     """
     m_b = len(batch.full)
+    if len(completed) != 2 or any(pairs.shape[0] != m_b for pairs in completed):
+        raise DimensionError(f"the discriminator loss needs two completed blocks "
+                             f"of m_b = {m_b} rows each")
     k = model.num_classes
     fake = np.full(m_b, k)
     groups = [(batch.real_pairs, batch.full.label.argmax(axis=1), 1.0 / (m_b * (k + 1)))]
-    groups += [(_complete(model, v, batch)[1], fake, 1.0 / (2.0 * m_b)) for v in (1, 2)]
+    groups += [(pairs, fake, 1.0 / (2.0 * m_b)) for pairs in completed]
 
     total, sums = 0.0, None
     for pairs, targets, coeff in groups:
@@ -153,28 +163,28 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch, *, grads: bool 
 
 
 def feature_matching_penalty(model: TripartiteModel, which_view: int,
-                             real_pairs, gen_pairs, gen_trace, *, grads: bool = True):
+                             real_features, gen_pairs, gen_trace, *, grads: bool = True):
     """l2 distance between mean discriminator features on real and completed pairs.
 
-    real_pairs is a [view1 | view2] block of complete pairs, gen_pairs the
-    block completed by generator ``which_view``, and gen_trace the forward
-    trace whose output fills that slot of gen_pairs; through it the penalty
-    sends exact gradients back into the generator. The discriminator is
-    frozen: only its first layer carries the chain. Returns (penalty,
-    gradients), the gradients a list in the generator's ``params()`` order,
-    all zero when the penalty is 0. With ``grads=False`` the same forward
-    passes, sums and norm run, no backward pass does, and the result is
-    (penalty, None).
+    real_features are the discriminator's hidden features of a block of
+    real complete pairs (``forward(model.disc, real_pairs).hidden_act``),
+    gen_pairs the [view1 | view2] block completed by generator
+    ``which_view``, and gen_trace the forward trace whose output fills that
+    slot of gen_pairs; through it the penalty sends exact gradients back
+    into the generator. The discriminator is frozen: only its first layer
+    carries the chain. Returns (penalty, gradients), the gradients a list in
+    the generator's ``params()`` order, all zero when the penalty is 0. With
+    ``grads=False`` the same forward pass, sums and norm run, no backward
+    pass does, and the result is (penalty, None).
     """
-    if real_pairs.shape[0] < 1 or gen_pairs.shape[0] < 1:
+    if real_features.shape[0] < 1 or gen_pairs.shape[0] < 1:
         raise ConfigError("feature matching needs non-empty real and generated batches")
-    feats_real = forward(model.disc, real_pairs).hidden_act
     feats_gen = forward(model.disc, gen_pairs).hidden_act
     # the float64 operations of mean(real) - mean(gen) and np.linalg.norm:
     # column sums, each divided by its row count, then sqrt(delta . delta)
     n_gen = feats_gen.shape[0]
-    delta = np.add.reduce(feats_real, axis=0)
-    delta /= feats_real.shape[0]
+    delta = np.add.reduce(real_features, axis=0)
+    delta /= real_features.shape[0]
     mean_gen = np.add.reduce(feats_gen, axis=0)
     mean_gen /= n_gen
     delta -= mean_gen
@@ -200,6 +210,8 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
                    fm_weight: float = 1.0, *, grads: bool = True):
     """Generator loss: class assignment of completed pairs plus feature matching.
 
+    The loss completes its own pairs and takes the discriminator's features
+    of ``batch.real_pairs`` itself, for the feature-matching penalty.
     Gradients reach the generator by backpropagating through the frozen
     discriminator into the input slot the generated view occupies. Returns
     (loss, gradients), the gradients a list in the generator's ``params()`` order.
@@ -212,7 +224,8 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
 
     trace_d = forward(model.disc, pairs)
     class_loss, dlogits = clamped_class_grad(trace_d.output, labels.argmax(axis=1), coeff)
-    penalty, fm_grads = feature_matching_penalty(model, which_view, batch.real_pairs, pairs,
+    real_features = forward(model.disc, batch.real_pairs).hidden_act
+    penalty, fm_grads = feature_matching_penalty(model, which_view, real_features, pairs,
                                                  gen_trace, grads=grads)
     loss = class_loss + fm_weight * penalty
     if not grads:
@@ -303,7 +316,8 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
         for i in range(config.iterations):
             try:
                 batch = sample_minibatch(dataset, config.minibatch_size, rng)
-                loss_d, grads = loss_discriminator(model, batch)
+                completed = [_complete(model, v, batch)[1] for v in (1, 2)]
+                loss_d, grads = loss_discriminator(model, batch, completed)
                 adam_step(model.disc.params(), grads, adam[0])
                 losses = [loss_d]
                 for v in (1, 2):

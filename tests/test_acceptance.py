@@ -191,7 +191,12 @@ def test_initial_loss_closed_forms():
         rng.uniform(-1, 1, size=(m_b, 4)),
         rng.uniform(-1, 1, size=(m_b, 4)))
 
-    loss_d, _ = loss_discriminator(model, batch)
+    completed = []
+    for v in (1, 2):
+        gen_input, observed, _ = batch.side(v)
+        generated = vg.forward(model.generator(v), gen_input).output
+        completed.append(model.completed_pair(v, generated, observed))
+    loss_d, _ = loss_discriminator(model, batch, completed)
     expect_d = (k + 2) / (k + 1) * math.log(k + 1)
     gap_d = abs(loss_d - expect_d)
 

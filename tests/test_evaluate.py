@@ -1,5 +1,9 @@
 """Tests for scoring, scenarios, the baseline and the repeat driver."""
 
+import importlib
+import pkgutil
+import types
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,20 @@ from viewgan.evaluate import (ExperimentSpec, Scenario, evaluate,
                               train_singleview_baseline, write_experiment_csv)
 from viewgan.model import new_model
 from viewgan.train import TrainConfig
+
+
+SUBMODULES = ("cli", "config", "data", "errors", "evaluate", "gradcheck", "model", "nn",
+              "theory", "train")
+
+
+def test_each_submodule_imports_as_a_module():
+    # ``import viewgan.<name> as m`` binds the package attribute <name>, so
+    # the package must not re-export a function under a submodule's name
+    found = {m.name for m in pkgutil.iter_modules(vg.__path__)} - {"__main__"}
+    assert found == set(SUBMODULES)
+    for name in SUBMODULES:
+        importlib.import_module(f"viewgan.{name}")
+        assert isinstance(getattr(vg, name), types.ModuleType), name
 
 
 def synth_spec(seed=0, k=2, m_test=12):

@@ -7,7 +7,8 @@ import pytest
 
 import viewgan.gradcheck as gc
 import viewgan.train as train_mod
-from viewgan.nn import PARAMS
+from viewgan.model import new_model
+from viewgan.nn import PARAMS, forward
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -20,19 +21,63 @@ def test_a_non_finite_entry_makes_the_error_infinite(bad, side):
     assert gc.max_relative_error(good, [a.copy() for a in good]) == 0.0
 
 
-def test_a_family_with_nan_gradients_fails(monkeypatch):
-    real_backward = gc.backward
-
-    def nan_backward(net, trace, output_grad, *, need=PARAMS):
+def damaged_backward(real_backward, damage):
+    """``backward`` with ``damage`` applied to every block it returns."""
+    def wrapper(net, trace, output_grad, *, need=PARAMS):
         got = real_backward(net, trace, output_grad, need=need)
-        if need == PARAMS:
-            return [np.full_like(block, np.nan) for block in got]
-        return np.full_like(got, np.nan)
+        return [damage(block) for block in got] if need == PARAMS else damage(got)
+    return wrapper
 
-    monkeypatch.setattr(gc, "backward", nan_backward)
-    report = gc.check_family("mlp-softmax", 3, 0)
-    assert report.max_rel_error == math.inf
-    assert not report.passed
+
+def patch_backward(monkeypatch, damage):
+    for module in (gc, train_mod):
+        monkeypatch.setattr(module, "backward", damaged_backward(module.backward, damage))
+
+
+def test_a_family_with_nan_gradients_fails(monkeypatch):
+    patch_backward(monkeypatch, lambda g: np.full_like(g, np.nan))
+    for family in gc.FAMILIES:
+        report = gc.check_family(family, 3, 0)
+        assert report.max_rel_error == math.inf, family
+        assert not report.passed, family
+
+
+def test_a_family_with_slightly_scaled_gradients_fails(monkeypatch):
+    # finite but 0.1% off: each family's error lands near 5e-4, above REL_TOL
+    patch_backward(monkeypatch, lambda g: g * (1 + 1e-3))
+    for family in gc.FAMILIES:
+        report = gc.check_family(family, 3, 0)
+        assert gc.REL_TOL <= report.max_rel_error < math.inf, family
+        assert not report.passed, family
+
+
+def rebuilding_loss(model, batch, family):
+    """The finite-difference loss that rebuilds every input on each evaluation:
+    both completions for loss-d, the real-pair features for feature-matching."""
+    if family == "loss-d":
+        def loss():
+            completed = [gc._completion(model, batch, v)[1] for v in (1, 2)]
+            return train_mod.loss_discriminator(model, batch, completed, grads=False)[0]
+    else:
+        def loss():
+            trace, pairs = gc._completion(model, batch, 1)
+            real = forward(model.disc, batch.real_pairs).hidden_act
+            return train_mod.feature_matching_penalty(model, 1, real, pairs, trace,
+                                                      grads=False)[0]
+    return loss
+
+
+@pytest.mark.parametrize("family", ["loss-d", "feature-matching"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_inputs_built_once_give_the_same_finite_differences(family, seed):
+    rng = np.random.default_rng(seed)
+    model = new_model(4, 5, 3, rng, hidden_dim=6)
+    batch = gc._random_batch(rng, 4, 5, 3)
+    net, loss = gc._family_loss(model, batch, family)
+    hoisted = gc.finite_difference(lambda: loss(grads=False)[0], net.params())
+    rebuilt = gc.finite_difference(rebuilding_loss(model, batch, family), net.params())
+    for a, b in zip(hoisted, rebuilt):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("family", gc.FAMILIES)

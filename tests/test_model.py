@@ -45,6 +45,19 @@ def test_pair_input_concatenates_views():
     assert np.all(z[:, :3] == 1) and np.all(z[:, 3:] == 0)
 
 
+def test_a_generator_shared_by_both_views_fills_the_slot_of_the_view_named():
+    m = small_model(d1=3, d2=3)
+    shared = model_mod.TripartiteModel(m.gen1, m.gen1, m.disc)
+    block = np.arange(12.0).reshape(2, 6)
+    assert np.array_equal(shared.slot(1, block), block[:, :3])
+    assert np.array_equal(shared.slot(2, block), block[:, 3:])
+    generated, observed = np.zeros((2, 3)), np.ones((2, 3))
+    assert np.array_equal(shared.completed_pair(1, generated, observed),
+                          np.hstack([generated, observed]))
+    assert np.array_equal(shared.completed_pair(2, generated, observed),
+                          np.hstack([observed, generated]))
+
+
 def test_generate_and_discriminate_shapes():
     m = small_model()
     rng = np.random.default_rng(1)

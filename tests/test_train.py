@@ -12,6 +12,7 @@ import pytest
 from test_nn import reference_adam, reference_sigmoid, reference_softmax
 
 import viewgan as vg
+import viewgan.evaluate as evaluate_mod
 import viewgan.nn as nn_mod
 import viewgan.train as train_mod
 from viewgan.data import Views, one_hot, other_view
@@ -44,6 +45,21 @@ def make_batch(m_b=1, d1=2, d2=2, k=3, seed=0):
     )
 
 
+def completions(model, batch):
+    """The two generators' completed [view1 | view2] blocks, generator 1's first."""
+    blocks = []
+    for v in (1, 2):
+        gen_input, observed, _ = batch.side(v)
+        blocks.append(model.completed_pair(v, forward(model.generator(v), gen_input).output,
+                                           observed))
+    return blocks
+
+
+def real_features(model, batch):
+    """The discriminator's hidden features of the batch's real pairs."""
+    return forward(model.disc, batch.real_pairs).hidden_act
+
+
 def small_task(seed=0, k=2, d1=3, d2=3):
     spec = vg.SyntheticSpec(
         num_classes=k, d1=d1, d2=d2,
@@ -62,10 +78,34 @@ def test_discriminator_loss_at_uniform_output():
     k, m_b = 6, 1
     model = zero_model(k=k)
     batch = make_batch(m_b=m_b, k=k)
-    loss, grads = loss_discriminator(model, batch)
+    loss, grads = loss_discriminator(model, batch, completions(model, batch))
     expect = (k + 2) / (k + 1) * math.log(k + 1)
     assert abs(loss - expect) < 1e-12
     assert grads[0].shape == model.disc.weights_in.shape
+
+
+def test_discriminator_loss_reads_no_generator():
+    # once the completions exist, the loss never looks at a generator again
+    model = new_model(2, 2, 3, np.random.default_rng(12), hidden_dim=4)
+    batch = make_batch(m_b=2, seed=13)
+    completed = completions(model, batch)
+    want, want_grads = loss_discriminator(model, batch, completed)
+    for gen in (model.gen1, model.gen2):
+        for block in gen.params():
+            block[...] = np.nan
+    got, got_grads = loss_discriminator(model, batch, completed)
+    assert float(got).hex() == float(want).hex()
+    for a, b in zip(got_grads, want_grads):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cut", [lambda c: c[:1], lambda c: [c[0], c[1][:1]]],
+                         ids=["one-block", "short-block"])
+def test_discriminator_loss_needs_two_full_completed_blocks(cut):
+    model = new_model(2, 2, 3, np.random.default_rng(14), hidden_dim=4)
+    batch = make_batch(m_b=2, seed=15)
+    with pytest.raises(DimensionError, match="two completed blocks of m_b = 2 rows"):
+        loss_discriminator(model, batch, cut(completions(model, batch)))
 
 
 def test_summed_gradients_carry_no_input_gradient():
@@ -73,7 +113,7 @@ def test_summed_gradients_carry_no_input_gradient():
     # player, shaped like it: no pass's input gradient rides along
     model = new_model(2, 2, 3, np.random.default_rng(1), hidden_dim=4)
     batch = make_batch(m_b=2, seed=2)
-    results = [(model.disc, loss_discriminator(model, batch)[1])]
+    results = [(model.disc, loss_discriminator(model, batch, completions(model, batch))[1])]
     results += [(model.generator(v), loss_generator(model, v, batch)[1]) for v in (1, 2)]
     for net, grads in results:
         assert isinstance(grads, list)
@@ -93,7 +133,7 @@ def test_discriminator_loss_uniform_any_k():
     for k in (2, 3, 4):
         model = zero_model(k=k)
         batch = make_batch(m_b=2, k=k)
-        loss, _ = loss_discriminator(model, batch)
+        loss, _ = loss_discriminator(model, batch, completions(model, batch))
         expect = (k + 2) / (k + 1) * math.log(k + 1)
         assert abs(loss - expect) < 1e-10
 
@@ -102,7 +142,7 @@ def test_losses_do_not_mutate_the_model():
     model = new_model(2, 2, 3, np.random.default_rng(3), hidden_dim=4)
     batch = make_batch(m_b=2, seed=4)
     before = [b.copy() for n in (model.gen1, model.gen2, model.disc) for b in n.params()]
-    loss_discriminator(model, batch)
+    loss_discriminator(model, batch, completions(model, batch))
     loss_generator(model, 1, batch)
     loss_generator(model, 2, batch)
     after = [b for n in (model.gen1, model.gen2, model.disc) for b in n.params()]
@@ -117,7 +157,7 @@ def test_clamped_log_saturates_and_freezes_gradient():
     model.disc.bias_out[:] = np.array([-60.0, 60.0, -60.0])
     batch = make_batch(m_b=1, k=2, seed=5)
     batch.full.label[0] = one_hot(0, 2)
-    loss, grads = loss_discriminator(model, batch)
+    loss, grads = loss_discriminator(model, batch, completions(model, batch))
     # the true-class probability underflows past the clamp; the loss is
     # finite and the class term contributes exactly -log(clamp)/3
     class_term = -math.log(LOG_CLAMP) / 3.0
@@ -147,9 +187,9 @@ def test_feature_matching_zero_when_distributions_match():
     fake1 = generate(model, 1, observed, noise)
     trace = forward(model.gen1, generator_input(model, 1, observed, noise))
     # feed the generator's own output back as the "real" pairs: means match
+    real = forward(model.disc, pair_input(model, fake1, observed)).hidden_act
     penalty, grads = feature_matching_penalty(
-        model, 1, pair_input(model, fake1, observed),
-        model.completed_pair(1, trace.output, observed), trace)
+        model, 1, real, model.completed_pair(1, trace.output, observed), trace)
     assert penalty == 0.0
     assert [g.shape for g in grads] == [p.shape for p in model.gen1.params()]
     for g in grads:
@@ -161,8 +201,8 @@ def test_feature_matching_positive_otherwise():
     batch = make_batch(m_b=3, k=2, seed=9)
     trace = forward(model.gen1, generator_input(model, 1, batch.miss1.view2, batch.noise_v1))
     penalty, grads = feature_matching_penalty(
-        model, 1, batch.real_pairs, model.completed_pair(1, trace.output, batch.miss1.view2),
-        trace)
+        model, 1, real_features(model, batch),
+        model.completed_pair(1, trace.output, batch.miss1.view2), trace)
     assert penalty > 0
     assert any(np.any(g != 0) for g in grads)
 
@@ -174,7 +214,8 @@ def test_feature_matching_rejects_an_empty_block(side):
     gen_input, observed, _ = b.side(1)
     trace = forward(m.gen1, gen_input)
     pairs = m.completed_pair(1, trace.output, observed)
-    real, gen = (b.real_pairs[:0], pairs) if side == "real" else (b.real_pairs, pairs[:0])
+    feats = real_features(m, b)
+    real, gen = (feats[:0], pairs) if side == "real" else (feats, pairs[:0])
     with pytest.raises(ConfigError, match="non-empty real and generated batches"):
         feature_matching_penalty(m, 1, real, gen, trace)
 
@@ -192,12 +233,13 @@ def test_generator_loss_includes_weighted_penalty():
 
 def loss_calls(model, batch):
     """Each loss on this batch, at both views and both fm_weight settings."""
-    calls = [partial(loss_discriminator, model, batch)]
+    calls = [partial(loss_discriminator, model, batch, completions(model, batch))]
     for v in (1, 2):
         gen_input, observed, _ = batch.side(v)
         trace = forward(model.generator(v), gen_input)
         pairs = model.completed_pair(v, trace.output, observed)
-        calls.append(partial(feature_matching_penalty, model, v, batch.real_pairs, pairs, trace))
+        calls.append(partial(feature_matching_penalty, model, v, real_features(model, batch),
+                             pairs, trace))
         calls += [partial(loss_generator, model, v, batch, fm_weight=w) for w in (0.0, 1.0)]
     return calls
 
@@ -404,7 +446,7 @@ def test_train_rows_and_metrics_file(tmp_path):
             assert (field == "") if value is None else (float(field) == value)
     # the last step is evaluated on the final model: its class column is
     # evaluate's class-head accuracy on the same pairs
-    report = vg.evaluate(model, test, vg.Scenario.COMPLETE)
+    report = evaluate_mod.evaluate(model, test, vg.Scenario.COMPLETE)
     assert rows[-1][4:] == (report.accuracy, report.class_accuracy)
     assert lines[-1].split(",")[4:] == [repr(report.accuracy), repr(report.class_accuracy)]
 
@@ -468,7 +510,7 @@ def test_train_config_requires_a_finite_nonnegative_fm_weight(fm_weight):
     lambda m, b, ds: generator_input(m, 3, b.miss1.view2, b.noise_v1),
     lambda m, b, ds: loss_generator(m, 3, b),
     lambda m, b, ds: feature_matching_penalty(
-        m, 3, b.real_pairs, b.real_pairs, forward(m.gen1, b.side(1)[0])),
+        m, 3, real_features(m, b), b.real_pairs, forward(m.gen1, b.side(1)[0])),
     lambda m, b, ds: ds.observing(3),
     lambda m, b, ds: train_singleview_baseline(
         3, ds, TrainConfig(iterations=1, minibatch_size=2), ds.s_full),
@@ -514,11 +556,11 @@ def plain_backward(net, trace, output_grad, *, need=PARAMS):
             output_grad.sum(axis=0)]
 
 
-def plain_feature_matching(model, which_view, real_pairs, gen_pairs, gen_trace, *, grads=True):
+def plain_feature_matching(model, which_view, real_features, gen_pairs, gen_trace, *,
+                           grads=True):
     assert grads
-    feats_real = forward(model.disc, real_pairs).hidden_act
     feats_gen = forward(model.disc, gen_pairs).hidden_act
-    delta = np.mean(feats_real, axis=0) - np.mean(feats_gen, axis=0)
+    delta = np.mean(real_features, axis=0) - np.mean(feats_gen, axis=0)
     norm = float(np.linalg.norm(delta))
     d_hidden_pre = (-delta / norm) / feats_gen.shape[0] * feats_gen * (1.0 - feats_gen)
     d_pairs = d_hidden_pre @ model.disc.weights_in
@@ -582,8 +624,9 @@ def test_feature_matching_matches_the_plain_expression_bit_for_bit(m_b):
         gen_input, observed, _ = batch.side(v)
         trace = forward(model.generator(v), gen_input)
         pairs = model.completed_pair(v, trace.output, observed)
-        got, got_grads = feature_matching_penalty(model, v, batch.real_pairs, pairs, trace)
-        want, want_grads = plain_feature_matching(model, v, batch.real_pairs, pairs, trace)
+        feats = real_features(model, batch)
+        got, got_grads = feature_matching_penalty(model, v, feats, pairs, trace)
+        want, want_grads = plain_feature_matching(model, v, feats, pairs, trace)
         assert got == want > 0
         for a, b in zip(got_grads, want_grads):
             assert np.array_equal(a, b)
