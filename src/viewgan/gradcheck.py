@@ -118,9 +118,10 @@ def _family_loss(model, batch: Minibatch, family: str):
     """(the net a loss family differentiates, its loss(grads) closure).
 
     Inputs the perturbed net cannot reach are built once, here: the two
-    completions of ``loss-d`` and the real-pair features of
-    ``feature-matching``. Each evaluation runs only the passes that follow
-    the perturbed weights.
+    completions of ``loss-d``, and the real-pair features of
+    ``feature-matching``, ``loss-g1`` and ``loss-g2``, which perturb a
+    generator. Each evaluation runs only the passes that follow the
+    perturbed weights.
     """
     if family == "loss-d":
         completed = [_completion(model, batch, v)[1] for v in (1, 2)]
@@ -128,9 +129,8 @@ def _family_loss(model, batch: Minibatch, family: str):
         def loss(grads):
             return loss_discriminator(model, batch, completed, grads=grads)
         return model.disc, loss
+    real_features = forward(model.disc, batch.real_pairs).hidden_act
     if family == "feature-matching":  # through generator 1
-        real_features = forward(model.disc, batch.real_pairs).hidden_act
-
         def loss(grads):
             trace, pairs = _completion(model, batch, 1)
             return feature_matching_penalty(model, 1, real_features, pairs, trace,
@@ -139,7 +139,7 @@ def _family_loss(model, batch: Minibatch, family: str):
     v = 1 if family == "loss-g1" else 2
 
     def loss(grads):
-        return loss_generator(model, v, batch, fm_weight=1.0, grads=grads)
+        return loss_generator(model, v, batch, real_features, fm_weight=1.0, grads=grads)
     return model.generator(v), loss
 
 

@@ -4,10 +4,11 @@ Each iteration samples one minibatch with m_b examples from every subset,
 then Adam-updates the discriminator, generator 1, and generator 2 strictly
 in that order, every player seeing the same batch. ``train()`` runs both
 generators for the discriminator phase and hands their completed pairs to
-the discriminator loss, which treats them as constants. Each generator loss
-makes its own completions and the discriminator's features of the real
-pairs, hands those features to the feature-matching penalty, and
-backpropagates through the frozen discriminator into the slot its view
+the discriminator loss, which treats them as constants. Before each
+generator phase it runs the discriminator over the real pairs and hands
+those hidden features to the generator loss. Each generator loss makes its
+own completions, passes the features on to the feature-matching penalty,
+and backpropagates through the frozen discriminator into the slot its view
 occupies.
 """
 
@@ -91,26 +92,31 @@ class TrainConfig:
                               key="fm_weight")
 
 
-def clamped_class_grad(probs: np.ndarray, targets: np.ndarray, coeff: float):
+def clamped_class_grad(probs: np.ndarray, targets: np.ndarray, coeff: float, *,
+                       grads: bool = True):
     """Loss sum(-coeff*log p[target]) with the floor, and its logit gradient.
 
     Rows where the clamp is active contribute the constant -log(LOG_CLAMP)
     and a zero gradient (the clamped value does not respond to the logits).
+    With ``grads=False`` no gradient is formed and the result is (loss, None),
+    the loss the same to the bit.
     """
     rows = np.arange(probs.shape[0])
-    dlogits = probs.copy()
-    picked = dlogits[rows, targets]
+    picked = probs[rows, targets]
     live = picked > LOG_CLAMP
-    dlogits[rows, targets] = picked - 1.0
-    dlogits *= coeff
-    np.maximum(picked, LOG_CLAMP, out=picked)
-    np.log(picked, out=picked)
-    loss = -coeff * float(np.add.reduce(picked))
     n_clamped = probs.shape[0] - np.count_nonzero(live)
     if n_clamped:
         logger.debug("log clamp active on %d of %d samples", n_clamped, probs.shape[0])
-        dlogits[~live] = 0.0
-    return loss, dlogits
+    dlogits = None
+    if grads:
+        dlogits = probs.copy()
+        dlogits[rows, targets] = picked - 1.0
+        dlogits *= coeff
+        if n_clamped:
+            dlogits[~live] = 0.0
+    np.maximum(picked, LOG_CLAMP, out=picked)
+    np.log(picked, out=picked)
+    return -coeff * float(np.add.reduce(picked)), dlogits
 
 
 def _complete(model: TripartiteModel, v: int, batch: Minibatch):
@@ -149,7 +155,7 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch, completed, *,
     total, sums = 0.0, None
     for pairs, targets, coeff in groups:
         trace = forward(model.disc, pairs)
-        part, dlogits = clamped_class_grad(trace.output, targets, coeff)
+        part, dlogits = clamped_class_grad(trace.output, targets, coeff, grads=grads)
         total += part
         if not grads:
             continue
@@ -167,7 +173,8 @@ def feature_matching_penalty(model: TripartiteModel, which_view: int,
     """l2 distance between mean discriminator features on real and completed pairs.
 
     real_features are the discriminator's hidden features of a block of
-    real complete pairs (``forward(model.disc, real_pairs).hidden_act``),
+    real complete pairs (``forward(model.disc, real_pairs).hidden_act``, an
+    (n, hidden_dim) block; any other shape is a ``DimensionError``),
     gen_pairs the [view1 | view2] block completed by generator
     ``which_view``, and gen_trace the forward trace whose output fills that
     slot of gen_pairs; through it the penalty sends exact gradients back
@@ -177,6 +184,11 @@ def feature_matching_penalty(model: TripartiteModel, which_view: int,
     ``grads=False`` the same forward pass, sums and norm run, no backward
     pass does, and the result is (penalty, None).
     """
+    hidden = model.disc.hidden_dim
+    if real_features.ndim != 2 or real_features.shape[1] != hidden:
+        raise DimensionError(f"real_features must be an (n, {hidden}) block of the "
+                             f"discriminator's hidden features, got shape "
+                             f"{real_features.shape}")
     if real_features.shape[0] < 1 or gen_pairs.shape[0] < 1:
         raise ConfigError("feature matching needs non-empty real and generated batches")
     feats_gen = forward(model.disc, gen_pairs).hidden_act
@@ -207,24 +219,26 @@ def feature_matching_penalty(model: TripartiteModel, which_view: int,
 
 
 def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
-                   fm_weight: float = 1.0, *, grads: bool = True):
+                   real_features, fm_weight: float = 1.0, *, grads: bool = True):
     """Generator loss: class assignment of completed pairs plus feature matching.
 
-    The loss completes its own pairs and takes the discriminator's features
-    of ``batch.real_pairs`` itself, for the feature-matching penalty.
+    real_features are the discriminator's hidden features of
+    ``batch.real_pairs``, which the loss hands to the feature-matching
+    penalty; it runs no real-pair pass itself. It completes its own pairs.
     Gradients reach the generator by backpropagating through the frozen
     discriminator into the input slot the generated view occupies. Returns
     (loss, gradients), the gradients a list in the generator's ``params()`` order.
     With ``grads=False`` the same forward passes and float64 value
-    arithmetic run, no backward pass does, and the result is (loss, None).
+    arithmetic run, no backward pass does and no logit gradient is formed,
+    and the result is (loss, None).
     """
     m_b = len(batch.full)
     coeff = 1.0 / (m_b * (model.num_classes + 1))
     gen_trace, pairs, labels = _complete(model, which_view, batch)
 
     trace_d = forward(model.disc, pairs)
-    class_loss, dlogits = clamped_class_grad(trace_d.output, labels.argmax(axis=1), coeff)
-    real_features = forward(model.disc, batch.real_pairs).hidden_act
+    class_loss, dlogits = clamped_class_grad(trace_d.output, labels.argmax(axis=1), coeff,
+                                             grads=grads)
     penalty, fm_grads = feature_matching_penalty(model, which_view, real_features, pairs,
                                                  gen_trace, grads=grads)
     loss = class_loss + fm_weight * penalty
@@ -321,7 +335,9 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
                 adam_step(model.disc.params(), grads, adam[0])
                 losses = [loss_d]
                 for v in (1, 2):
-                    loss, grads = loss_generator(model, v, batch, config.fm_weight)
+                    real_features = forward(model.disc, batch.real_pairs).hidden_act
+                    loss, grads = loss_generator(model, v, batch, real_features,
+                                                 config.fm_weight)
                     adam_step(model.generator(v).params(), grads, adam[v])
                     losses.append(loss)
             except NumericError as e:

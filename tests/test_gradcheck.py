@@ -53,21 +53,28 @@ def test_a_family_with_slightly_scaled_gradients_fails(monkeypatch):
 
 def rebuilding_loss(model, batch, family):
     """The finite-difference loss that rebuilds every input on each evaluation:
-    both completions for loss-d, the real-pair features for feature-matching."""
+    both completions for loss-d, the real-pair features for the others."""
     if family == "loss-d":
         def loss():
             completed = [gc._completion(model, batch, v)[1] for v in (1, 2)]
             return train_mod.loss_discriminator(model, batch, completed, grads=False)[0]
-    else:
+    elif family == "feature-matching":
         def loss():
             trace, pairs = gc._completion(model, batch, 1)
             real = forward(model.disc, batch.real_pairs).hidden_act
             return train_mod.feature_matching_penalty(model, 1, real, pairs, trace,
                                                       grads=False)[0]
+    else:
+        v = 1 if family == "loss-g1" else 2
+
+        def loss():
+            real = forward(model.disc, batch.real_pairs).hidden_act
+            return train_mod.loss_generator(model, v, batch, real, fm_weight=1.0,
+                                            grads=False)[0]
     return loss
 
 
-@pytest.mark.parametrize("family", ["loss-d", "feature-matching"])
+@pytest.mark.parametrize("family", ["loss-d", "loss-g1", "loss-g2", "feature-matching"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_inputs_built_once_give_the_same_finite_differences(family, seed):
     rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -114,7 +115,9 @@ def test_summed_gradients_carry_no_input_gradient():
     model = new_model(2, 2, 3, np.random.default_rng(1), hidden_dim=4)
     batch = make_batch(m_b=2, seed=2)
     results = [(model.disc, loss_discriminator(model, batch, completions(model, batch))[1])]
-    results += [(model.generator(v), loss_generator(model, v, batch)[1]) for v in (1, 2)]
+    feats = real_features(model, batch)
+    results += [(model.generator(v), loss_generator(model, v, batch, feats)[1])
+                for v in (1, 2)]
     for net, grads in results:
         assert isinstance(grads, list)
         assert [g.shape for g in grads] == [p.shape for p in net.params()]
@@ -124,7 +127,7 @@ def test_generator_class_term_at_uniform_output():
     k, m_b = 6, 1
     model = zero_model(k=k)
     batch = make_batch(m_b=m_b, k=k)
-    loss, _ = loss_generator(model, 1, batch, fm_weight=0.0)
+    loss, _ = loss_generator(model, 1, batch, real_features(model, batch), fm_weight=0.0)
     expect = math.log(k + 1) / (k + 1)
     assert abs(loss - expect) < 1e-12
 
@@ -143,8 +146,8 @@ def test_losses_do_not_mutate_the_model():
     batch = make_batch(m_b=2, seed=4)
     before = [b.copy() for n in (model.gen1, model.gen2, model.disc) for b in n.params()]
     loss_discriminator(model, batch, completions(model, batch))
-    loss_generator(model, 1, batch)
-    loss_generator(model, 2, batch)
+    loss_generator(model, 1, batch, real_features(model, batch))
+    loss_generator(model, 2, batch, real_features(model, batch))
     after = [b for n in (model.gen1, model.gen2, model.disc) for b in n.params()]
     for a, b in zip(before, after):
         assert np.array_equal(a, b)
@@ -163,6 +166,19 @@ def test_clamped_log_saturates_and_freezes_gradient():
     class_term = -math.log(LOG_CLAMP) / 3.0
     assert loss > class_term - 1e-9
     assert np.all(np.isfinite(grads[0]))
+    # value mode forms no gradient and keeps the loss bits, clamped rows included
+    value, none = loss_discriminator(model, batch, completions(model, batch), grads=False)
+    assert none is None and float(value).hex() == float(loss).hex()
+    feats = real_features(model, batch)
+    for v in (1, 2):
+        want, _ = loss_generator(model, v, batch, feats)
+        got, none = loss_generator(model, v, batch, feats, grads=False)
+        assert none is None and float(got).hex() == float(want).hex()
+    probs = np.array([[0.2, 0.5, 0.3], [1e-13, 0.6, 0.4], [1e-40, 0.7, 0.3]])
+    targets = np.array([1, 0, 0])
+    want, _ = clamped_class_grad(probs, targets, 1.0 / 96)
+    got, none = clamped_class_grad(probs, targets, 1.0 / 96, grads=False)
+    assert none is None and float(got).hex() == float(want).hex()
 
 
 def test_clamped_class_grad_zeroes_only_the_clamped_rows():
@@ -223,24 +239,68 @@ def test_feature_matching_rejects_an_empty_block(side):
 def test_generator_loss_includes_weighted_penalty():
     model = new_model(2, 2, 2, np.random.default_rng(10), hidden_dim=4)
     batch = make_batch(m_b=2, k=2, seed=11)
-    plain, _ = loss_generator(model, 1, batch, fm_weight=0.0)
-    heavy, _ = loss_generator(model, 1, batch, fm_weight=5.0)
-    light, _ = loss_generator(model, 1, batch, fm_weight=1.0)
+    feats = real_features(model, batch)
+    plain, _ = loss_generator(model, 1, batch, feats, fm_weight=0.0)
+    heavy, _ = loss_generator(model, 1, batch, feats, fm_weight=5.0)
+    light, _ = loss_generator(model, 1, batch, feats, fm_weight=1.0)
     fm = light - plain
     assert fm > 0
     assert abs((heavy - plain) - 5.0 * fm) < 1e-9
 
 
+def test_generator_loss_runs_no_real_pair_pass(monkeypatch):
+    # the real pairs' features are handed in; the loss itself runs only the
+    # generator, the class-term pass and the penalty's pass over its completions
+    model = new_model(2, 2, 3, np.random.default_rng(16), hidden_dim=4)
+    batch = make_batch(m_b=2, seed=17)
+    feats = real_features(model, batch)
+    inputs = []
+
+    def watched(net, x):
+        inputs.append(x)
+        return forward(net, x)
+
+    monkeypatch.setattr(train_mod, "forward", watched)
+    for v in (1, 2):
+        for grads in (True, False):
+            inputs.clear()
+            loss_generator(model, v, batch, feats, grads=grads)
+            assert len(inputs) == 3
+            assert not any(x is batch.real_pairs or (x.shape == batch.real_pairs.shape
+                                                     and np.array_equal(x, batch.real_pairs))
+                           for x in inputs)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 5), (2, 3), (1, 2, 4)],
+                         ids=["vector", "wider", "narrower", "three-d"])
+def test_feature_matching_rejects_features_of_another_width(shape):
+    # hidden width 4: a vector of that width is not read as a column, and a
+    # wrong width names both widths instead of failing inside numpy
+    model = new_model(2, 2, 3, np.random.default_rng(18), hidden_dim=4)
+    batch = make_batch(m_b=2, seed=19)
+    gen_input, observed, _ = batch.side(1)
+    trace = forward(model.gen1, gen_input)
+    pairs = model.completed_pair(1, trace.output, observed)
+    pattern = re.escape(f"(n, 4) block of the discriminator's hidden features, "
+                        f"got shape {shape}")
+    for grads in (True, False):
+        with pytest.raises(DimensionError, match=pattern):
+            feature_matching_penalty(model, 1, np.ones(shape), pairs, trace, grads=grads)
+        with pytest.raises(DimensionError, match=pattern):
+            loss_generator(model, 1, batch, np.ones(shape), grads=grads)
+
+
 def loss_calls(model, batch):
     """Each loss on this batch, at both views and both fm_weight settings."""
     calls = [partial(loss_discriminator, model, batch, completions(model, batch))]
+    feats = real_features(model, batch)
     for v in (1, 2):
         gen_input, observed, _ = batch.side(v)
         trace = forward(model.generator(v), gen_input)
         pairs = model.completed_pair(v, trace.output, observed)
-        calls.append(partial(feature_matching_penalty, model, v, real_features(model, batch),
-                             pairs, trace))
-        calls += [partial(loss_generator, model, v, batch, fm_weight=w) for w in (0.0, 1.0)]
+        calls.append(partial(feature_matching_penalty, model, v, feats, pairs, trace))
+        calls += [partial(loss_generator, model, v, batch, feats, fm_weight=w)
+                  for w in (0.0, 1.0)]
     return calls
 
 
@@ -508,7 +568,7 @@ def test_train_config_requires_a_finite_nonnegative_fm_weight(fm_weight):
 @pytest.mark.parametrize("call", [
     lambda m, b, ds: generate(m, 3, b.miss1.view2, b.noise_v1),
     lambda m, b, ds: generator_input(m, 3, b.miss1.view2, b.noise_v1),
-    lambda m, b, ds: loss_generator(m, 3, b),
+    lambda m, b, ds: loss_generator(m, 3, b, real_features(m, b)),
     lambda m, b, ds: feature_matching_penalty(
         m, 3, real_features(m, b), b.real_pairs, forward(m.gen1, b.side(1)[0])),
     lambda m, b, ds: ds.observing(3),
@@ -536,7 +596,8 @@ def test_view_taking_entries_reject_a_third_view(call):
 # bit: numpy's mean and norm, fancy-index arithmetic, whole-array sums and
 # one Adam update per block.
 
-def plain_clamped_class_grad(probs, targets, coeff):
+def plain_clamped_class_grad(probs, targets, coeff, *, grads=True):
+    assert grads
     rows = np.arange(probs.shape[0])
     picked = probs[rows, targets]
     loss = -coeff * float(np.sum(np.log(np.maximum(picked, LOG_CLAMP))))
