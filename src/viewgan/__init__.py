@@ -16,6 +16,6 @@ from .theory import (DiscreteJoint, DiscriminatorTable, augmented_value,
                      brute_force_discriminator, check_theorem, jsd, kl, mixture,
                      optimal_discriminator, value_function)
 from .train import (Minibatch, TrainConfig, feature_matching_penalty,
-                    loss_discriminator, loss_generator, sample_minibatch)
+                    loss_discriminator, loss_generator, real_feature_mean, sample_minibatch)
 
 __version__ = "0.1.0"

@@ -20,8 +20,9 @@ import numpy as np
 from .data import Views
 from .errors import ConfigError
 from .model import new_model
-from .nn import INPUT, LINEAR, SOFTMAX, backward, forward, init_mlp
-from .train import Minibatch, feature_matching_penalty, loss_discriminator, loss_generator
+from .nn import HIDDEN, INPUT, LINEAR, SOFTMAX, backward, forward, init_mlp
+from .train import (Minibatch, feature_matching_penalty, loss_discriminator, loss_generator,
+                    real_feature_mean)
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -118,10 +119,10 @@ def _family_loss(model, batch: Minibatch, family: str):
     """(the net a loss family differentiates, its loss(grads) closure).
 
     Inputs the perturbed net cannot reach are built once, here: the two
-    completions of ``loss-d``, and the real-pair features of
+    completions of ``loss-d``, and the mean real-pair features of
     ``feature-matching``, ``loss-g1`` and ``loss-g2``, which perturb a
-    generator. Each evaluation runs only the passes that follow the
-    perturbed weights.
+    generator (a hidden-layer pass, then ``real_feature_mean``). Each
+    evaluation runs only the passes that follow the perturbed weights.
     """
     if family == "loss-d":
         completed = [_completion(model, batch, v)[1] for v in (1, 2)]
@@ -129,17 +130,17 @@ def _family_loss(model, batch: Minibatch, family: str):
         def loss(grads):
             return loss_discriminator(model, batch, completed, grads=grads)
         return model.disc, loss
-    real_features = forward(model.disc, batch.real_pairs).hidden_act
+    real_mean = real_feature_mean(
+        model, forward(model.disc, batch.real_pairs, need=HIDDEN).hidden_act)
     if family == "feature-matching":  # through generator 1
         def loss(grads):
             trace, pairs = _completion(model, batch, 1)
-            return feature_matching_penalty(model, 1, real_features, pairs, trace,
-                                            grads=grads)
+            return feature_matching_penalty(model, 1, real_mean, pairs, trace, grads=grads)
         return model.generator(1), loss
     v = 1 if family == "loss-g1" else 2
 
     def loss(grads):
-        return loss_generator(model, v, batch, real_features, fm_weight=1.0, grads=grads)
+        return loss_generator(model, v, batch, real_mean, fm_weight=1.0, grads=grads)
     return model.generator(v), loss
 
 

@@ -131,16 +131,30 @@ class ForwardTrace:
 
     ``hidden_act`` doubles as the feature map used by feature matching.
     ``output`` is the softmax of the logits for a SOFTMAX net and the logits
-    themselves for a LINEAR one.
+    themselves for a LINEAR one, and None for a pass that stopped at the
+    hidden layer.
     """
 
     input: np.ndarray
     hidden_act: np.ndarray
-    output: np.ndarray
+    output: np.ndarray | None
 
 
-def forward(net: Mlp, x) -> ForwardTrace:
-    """Run the net on ``x`` of shape (n, input_dim)."""
+# How far ``forward`` runs: through the output layer, or to the hidden layer.
+OUTPUT = "output"
+HIDDEN = "hidden"
+
+
+def forward(net: Mlp, x, *, need: str = OUTPUT) -> ForwardTrace:
+    """Run the net on ``x`` of shape (n, input_dim).
+
+    ``need=OUTPUT`` (the default) runs both layers. ``need=HIDDEN`` stops
+    after the sigmoid hidden layer: it forms no logits and no softmax, and
+    its trace's ``output`` is None, so ``backward`` rejects it. The hidden
+    activations are the same bits either way.
+    """
+    if need not in (OUTPUT, HIDDEN):
+        raise ValueError(f"unknown need {need!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise DimensionError(
@@ -153,6 +167,8 @@ def forward(net: Mlp, x) -> ForwardTrace:
     hidden_pre = x @ net.weights_in.T
     hidden_pre += net.bias_in
     hidden_act = sigmoid(hidden_pre, out=hidden_pre)
+    if need == HIDDEN:
+        return ForwardTrace(x, hidden_act, None)
     logits = hidden_act @ net.weights_out.T
     logits += net.bias_out
     output = softmax(logits, out=logits) if net.output_kind == SOFTMAX else logits
@@ -172,10 +188,14 @@ def backward(net: Mlp, trace: ForwardTrace, output_grad, *, need: str = PARAMS):
     softmax + cross-entropy logit gradient (probabilities minus target).
     ``need=PARAMS`` returns the four parameter gradients, summed over the
     batch, as a list in ``net.params()`` order; ``need=INPUT`` returns the
-    input gradient, shaped like the input.
+    input gradient, shaped like the input. A trace from a
+    ``forward(need=HIDDEN)`` pass has no output and is rejected.
     """
     if need not in (PARAMS, INPUT):
         raise ValueError(f"unknown need {need!r}")
+    if trace.output is None:
+        raise ValueError("the trace stops at the hidden layer: it has no output "
+                         "to backpropagate from")
     g = np.asarray(output_grad, dtype=np.float64)
     if g.shape != trace.output.shape:
         raise DimensionError(

@@ -5,11 +5,11 @@ then Adam-updates the discriminator, generator 1, and generator 2 strictly
 in that order, every player seeing the same batch. ``train()`` runs both
 generators for the discriminator phase and hands their completed pairs to
 the discriminator loss, which treats them as constants. Before each
-generator phase it runs the discriminator over the real pairs and hands
-those hidden features to the generator loss. Each generator loss makes its
-own completions, passes the features on to the feature-matching penalty,
-and backpropagates through the frozen discriminator into the slot its view
-occupies.
+generator phase it runs the discriminator's hidden layer over the real
+pairs and hands the mean of those features to the generator loss. Each
+generator loss makes its own completions, passes the mean on to the
+feature-matching penalty, and backpropagates through the frozen
+discriminator into the slot its view occupies.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import numpy as np
 from .data import PartitionedDataset, Views, _pair_dims, by_view, other_view
 from .errors import ConfigError, DimensionError, NumericError
 from .model import TripartiteModel, decide_batch, discriminate, save_checkpoint
-from .nn import INPUT, AdamState, adam_step, backward, check_adam_hyperparameters, forward
+from .nn import (HIDDEN, INPUT, AdamState, adam_step, backward, check_adam_hyperparameters,
+                 forward)
 
 LOG_CLAMP = 1e-12
 
@@ -37,9 +38,11 @@ class Minibatch:
 
     full carries both views, miss1 comes from the subset whose first view
     is absent (so it carries view 2 only), miss2 is the mirror image. The
-    noise blocks complete view 1 and view 2. Each network input is built
-    once: ``real_pairs`` is the [view1 | view2] block of full, and
-    ``side(v)`` hands generator v its [noise | observed] input block.
+    noise blocks complete view 1 and view 2. Each network input and each
+    integer class target is built once: ``real_pairs`` is the [view1 |
+    view2] block of full and ``real_targets`` its class indices,
+    ``fake_targets`` holds the fake class K once per row, and ``side(v)``
+    hands generator v its [noise | observed] input block.
     """
 
     full: Views
@@ -48,6 +51,8 @@ class Minibatch:
     noise_v1: np.ndarray
     noise_v2: np.ndarray
     real_pairs: np.ndarray = field(init=False, repr=False)
+    real_targets: np.ndarray = field(init=False, repr=False)
+    fake_targets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = len(self.full)
@@ -56,14 +61,17 @@ class Minibatch:
         if m < 1 or any(n != m for n in sized):
             raise DimensionError("all minibatch blocks must share one size m_b")
         self.real_pairs = np.concatenate([self.full.view1, self.full.view2], axis=1)
+        self.real_targets = self.full.label.argmax(axis=1)
+        self.fake_targets = np.full(m, self.full.label.shape[1])
         self._sides = []
         for v, miss, noise in ((1, self.miss1, self.noise_v1), (2, self.miss2, self.noise_v2)):
             observed = miss.view(other_view(v))
-            self._sides.append((np.concatenate([noise, observed], axis=1), observed, miss.label))
+            self._sides.append((np.concatenate([noise, observed], axis=1), observed,
+                                miss.label.argmax(axis=1)))
 
     def side(self, v: int):
-        """(generator input [noise | observed], observed other view, labels)
-        for generator ``v``, drawn from the subset that lacks view v."""
+        """(generator input [noise | observed], observed other view, class
+        indices) for generator ``v``, drawn from the subset that lacks view v."""
         return by_view(v, *self._sides)
 
 
@@ -122,11 +130,11 @@ def clamped_class_grad(probs: np.ndarray, targets: np.ndarray, coeff: float, *,
 def _complete(model: TripartiteModel, v: int, batch: Minibatch):
     """Run generator ``v`` on its side of the batch.
 
-    Returns (generator trace, completed [view1 | view2] pairs, labels).
+    Returns (generator trace, completed [view1 | view2] pairs, class indices).
     """
-    gen_input, observed, labels = batch.side(v)
+    gen_input, observed, targets = batch.side(v)
     trace = forward(model.generator(v), gen_input)
-    return trace, model.completed_pair(v, trace.output, observed), labels
+    return trace, model.completed_pair(v, trace.output, observed), targets
 
 
 def loss_discriminator(model: TripartiteModel, batch: Minibatch, completed, *,
@@ -148,9 +156,8 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch, completed, *,
         raise DimensionError(f"the discriminator loss needs two completed blocks "
                              f"of m_b = {m_b} rows each")
     k = model.num_classes
-    fake = np.full(m_b, k)
-    groups = [(batch.real_pairs, batch.full.label.argmax(axis=1), 1.0 / (m_b * (k + 1)))]
-    groups += [(pairs, fake, 1.0 / (2.0 * m_b)) for pairs in completed]
+    groups = [(batch.real_pairs, batch.real_targets, 1.0 / (m_b * (k + 1)))]
+    groups += [(pairs, batch.fake_targets, 1.0 / (2.0 * m_b)) for pairs in completed]
 
     total, sums = 0.0, None
     for pairs, targets, coeff in groups:
@@ -168,38 +175,60 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch, completed, *,
     return total, sums
 
 
-def feature_matching_penalty(model: TripartiteModel, which_view: int,
-                             real_features, gen_pairs, gen_trace, *, grads: bool = True):
-    """l2 distance between mean discriminator features on real and completed pairs.
+def real_feature_mean(model: TripartiteModel, real_features) -> np.ndarray:
+    """Mean discriminator features of a block of real pairs: the real side of
+    feature matching, formed once where the features are made.
 
-    real_features are the discriminator's hidden features of a block of
-    real complete pairs (``forward(model.disc, real_pairs).hidden_act``, an
-    (n, hidden_dim) block; any other shape is a ``DimensionError``),
-    gen_pairs the [view1 | view2] block completed by generator
-    ``which_view``, and gen_trace the forward trace whose output fills that
-    slot of gen_pairs; through it the penalty sends exact gradients back
-    into the generator. The discriminator is frozen: only its first layer
-    carries the chain. Returns (penalty, gradients), the gradients a list in
-    the generator's ``params()`` order, all zero when the penalty is 0. With
-    ``grads=False`` the same forward pass, sums and norm run, no backward
-    pass does, and the result is (penalty, None).
+    real_features are the discriminator's hidden features of real complete
+    pairs (``forward(model.disc, real_pairs, need=HIDDEN).hidden_act``), an
+    (n, hidden_dim) block with n >= 1: another shape is a ``DimensionError``
+    and an empty block a ``ConfigError``. Returns the (hidden_dim,) column
+    means, the float64 operations of ``np.mean(real_features, axis=0)``:
+    column sums, each divided by the row count.
     """
     hidden = model.disc.hidden_dim
     if real_features.ndim != 2 or real_features.shape[1] != hidden:
         raise DimensionError(f"real_features must be an (n, {hidden}) block of the "
                              f"discriminator's hidden features, got shape "
                              f"{real_features.shape}")
-    if real_features.shape[0] < 1 or gen_pairs.shape[0] < 1:
-        raise ConfigError("feature matching needs non-empty real and generated batches")
-    feats_gen = forward(model.disc, gen_pairs).hidden_act
+    if real_features.shape[0] < 1:
+        raise ConfigError("feature matching needs a non-empty real batch")
+    mean = np.add.reduce(real_features, axis=0)
+    mean /= real_features.shape[0]
+    return mean
+
+
+def feature_matching_penalty(model: TripartiteModel, which_view: int,
+                             real_mean, gen_pairs, gen_trace, *, grads: bool = True):
+    """l2 distance between mean discriminator features on real and completed pairs.
+
+    real_mean is the (hidden_dim,) mean of the discriminator's hidden
+    features of real complete pairs, as ``real_feature_mean`` forms it (any
+    other shape is a ``DimensionError``); it is read, not written. gen_pairs
+    is the non-empty [view1 | view2] block completed by generator
+    ``which_view``, and gen_trace the forward trace whose output fills that
+    slot of gen_pairs; through it the penalty sends exact gradients back
+    into the generator. The discriminator is frozen: only its first layer
+    carries the chain, so its pass over gen_pairs stops at the hidden layer.
+    Returns (penalty, gradients), the gradients a list in the generator's
+    ``params()`` order, all zero when the penalty is 0. With ``grads=False``
+    the same forward pass, sums and norm run, no backward pass does, and the
+    result is (penalty, None).
+    """
+    hidden = model.disc.hidden_dim
+    if real_mean.shape != (hidden,):
+        raise DimensionError(f"real_mean must be a ({hidden},) vector of the "
+                             f"discriminator's mean hidden features, got shape "
+                             f"{real_mean.shape}")
+    if gen_pairs.shape[0] < 1:
+        raise ConfigError("feature matching needs a non-empty generated batch")
+    feats_gen = forward(model.disc, gen_pairs, need=HIDDEN).hidden_act
     # the float64 operations of mean(real) - mean(gen) and np.linalg.norm:
     # column sums, each divided by its row count, then sqrt(delta . delta)
     n_gen = feats_gen.shape[0]
-    delta = np.add.reduce(real_features, axis=0)
-    delta /= real_features.shape[0]
     mean_gen = np.add.reduce(feats_gen, axis=0)
     mean_gen /= n_gen
-    delta -= mean_gen
+    delta = np.subtract(real_mean, mean_gen, out=mean_gen)
     norm = math.sqrt(delta.dot(delta))
     if not grads:
         return norm, None
@@ -219,27 +248,26 @@ def feature_matching_penalty(model: TripartiteModel, which_view: int,
 
 
 def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
-                   real_features, fm_weight: float = 1.0, *, grads: bool = True):
+                   real_mean, fm_weight: float = 1.0, *, grads: bool = True):
     """Generator loss: class assignment of completed pairs plus feature matching.
 
-    real_features are the discriminator's hidden features of
-    ``batch.real_pairs``, which the loss hands to the feature-matching
-    penalty; it runs no real-pair pass itself. It completes its own pairs.
-    Gradients reach the generator by backpropagating through the frozen
-    discriminator into the input slot the generated view occupies. Returns
-    (loss, gradients), the gradients a list in the generator's ``params()`` order.
-    With ``grads=False`` the same forward passes and float64 value
-    arithmetic run, no backward pass does and no logit gradient is formed,
-    and the result is (loss, None).
+    real_mean is the mean discriminator feature vector of
+    ``batch.real_pairs`` (``real_feature_mean``), which the loss hands to
+    the feature-matching penalty; it runs no real-pair pass itself. It
+    completes its own pairs. Gradients reach the generator by
+    backpropagating through the frozen discriminator into the input slot the
+    generated view occupies. Returns (loss, gradients), the gradients a list
+    in the generator's ``params()`` order. With ``grads=False`` the same
+    forward passes and float64 value arithmetic run, no backward pass does
+    and no logit gradient is formed, and the result is (loss, None).
     """
     m_b = len(batch.full)
     coeff = 1.0 / (m_b * (model.num_classes + 1))
-    gen_trace, pairs, labels = _complete(model, which_view, batch)
+    gen_trace, pairs, targets = _complete(model, which_view, batch)
 
     trace_d = forward(model.disc, pairs)
-    class_loss, dlogits = clamped_class_grad(trace_d.output, labels.argmax(axis=1), coeff,
-                                             grads=grads)
-    penalty, fm_grads = feature_matching_penalty(model, which_view, real_features, pairs,
+    class_loss, dlogits = clamped_class_grad(trace_d.output, targets, coeff, grads=grads)
+    penalty, fm_grads = feature_matching_penalty(model, which_view, real_mean, pairs,
                                                  gen_trace, grads=grads)
     loss = class_loss + fm_weight * penalty
     if not grads:
@@ -335,9 +363,9 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
                 adam_step(model.disc.params(), grads, adam[0])
                 losses = [loss_d]
                 for v in (1, 2):
-                    real_features = forward(model.disc, batch.real_pairs).hidden_act
-                    loss, grads = loss_generator(model, v, batch, real_features,
-                                                 config.fm_weight)
+                    real_mean = real_feature_mean(
+                        model, forward(model.disc, batch.real_pairs, need=HIDDEN).hidden_act)
+                    loss, grads = loss_generator(model, v, batch, real_mean, config.fm_weight)
                     adam_step(model.generator(v).params(), grads, adam[v])
                     losses.append(loss)
             except NumericError as e:

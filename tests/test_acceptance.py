@@ -202,9 +202,9 @@ def test_initial_loss_closed_forms():
 
     expect_g = math.log(k + 1) / (k + 1)
     gap_g = 0.0
-    real_features = vg.forward(model.disc, batch.real_pairs).hidden_act
+    real_mean = vg.real_feature_mean(model, vg.forward(model.disc, batch.real_pairs).hidden_act)
     for v in (1, 2):
-        loss_g, _ = loss_generator(model, v, batch, real_features, fm_weight=0.0)
+        loss_g, _ = loss_generator(model, v, batch, real_mean, fm_weight=0.0)
         gap_g = max(gap_g, abs(loss_g - expect_g))
 
     ok = gap_d < 1e-12 and gap_g < 1e-12

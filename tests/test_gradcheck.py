@@ -53,7 +53,8 @@ def test_a_family_with_slightly_scaled_gradients_fails(monkeypatch):
 
 def rebuilding_loss(model, batch, family):
     """The finite-difference loss that rebuilds every input on each evaluation:
-    both completions for loss-d, the real-pair features for the others."""
+    both completions for loss-d, for the others the mean real-pair features,
+    from a pass through both of the discriminator's layers."""
     if family == "loss-d":
         def loss():
             completed = [gc._completion(model, batch, v)[1] for v in (1, 2)]
@@ -61,14 +62,16 @@ def rebuilding_loss(model, batch, family):
     elif family == "feature-matching":
         def loss():
             trace, pairs = gc._completion(model, batch, 1)
-            real = forward(model.disc, batch.real_pairs).hidden_act
+            real = train_mod.real_feature_mean(
+                model, forward(model.disc, batch.real_pairs).hidden_act)
             return train_mod.feature_matching_penalty(model, 1, real, pairs, trace,
                                                       grads=False)[0]
     else:
         v = 1 if family == "loss-g1" else 2
 
         def loss():
-            real = forward(model.disc, batch.real_pairs).hidden_act
+            real = train_mod.real_feature_mean(
+                model, forward(model.disc, batch.real_pairs).hidden_act)
             return train_mod.loss_generator(model, v, batch, real, fm_weight=1.0,
                                             grads=False)[0]
     return loss

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viewgan.errors import ConfigError, DimensionError, NumericError
-from viewgan.nn import (INPUT, PARAMS, AdamState, Mlp, adam_step, backward, forward, init_mlp,
-                        sigmoid, softmax, xavier_init)
+from viewgan.nn import (HIDDEN, INPUT, OUTPUT, PARAMS, AdamState, Mlp, adam_step, backward,
+                        forward, init_mlp, sigmoid, softmax, xavier_init)
 from viewgan.train import TrainConfig
 
 
@@ -125,6 +125,26 @@ def test_forward_leaves_its_input_alone():
     saved = x.copy()
     forward(tiny_net("softmax"), x)
     assert np.array_equal(x, saved)
+
+
+@pytest.mark.parametrize("kind", ["linear", "softmax"])
+def test_a_hidden_layer_pass_stops_before_the_output(kind):
+    # a minibatch-sized block, and a 5000-row block at hidden width 200
+    rng = np.random.default_rng(20)
+    for n, din, dh in ((8, 6, 9), (5000, 40, 200)):
+        net = tiny_net(kind, seed=21, din=din, dh=dh, dout=4)
+        x = rng.normal(scale=3.0, size=(n, din))
+        saved = x.copy()
+        full = forward(net, x, need=OUTPUT)
+        trace = forward(net, x, need=HIDDEN)
+        assert np.array_equal(x, saved)
+        assert trace.output is None
+        assert trace.hidden_act.tobytes() == full.hidden_act.tobytes()
+        for need in (PARAMS, INPUT):
+            with pytest.raises(ValueError, match="stops at the hidden layer"):
+                backward(net, trace, np.zeros((n, 4)), need=need)
+    with pytest.raises(ValueError, match="unknown need 'logits'"):
+        forward(net, x, need="logits")
 
 
 def fd_grad(f, arr, h=1e-6):

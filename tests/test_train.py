@@ -20,10 +20,10 @@ from viewgan.data import Views, one_hot, other_view
 from viewgan.errors import ConfigError, DimensionError, NumericError
 from viewgan.evaluate import train_singleview_baseline
 from viewgan.model import discriminate, generate, generator_input, new_model, pair_input
-from viewgan.nn import INPUT, PARAMS, forward
+from viewgan.nn import HIDDEN, INPUT, PARAMS, forward
 from viewgan.train import (LOG_CLAMP, Minibatch, TrainConfig, clamped_class_grad,
                            feature_matching_penalty, loss_discriminator,
-                           loss_generator, sample_minibatch, train)
+                           loss_generator, real_feature_mean, sample_minibatch, train)
 
 
 def zero_model(d1=2, d2=2, k=3, hidden=4):
@@ -58,7 +58,12 @@ def completions(model, batch):
 
 def real_features(model, batch):
     """The discriminator's hidden features of the batch's real pairs."""
-    return forward(model.disc, batch.real_pairs).hidden_act
+    return forward(model.disc, batch.real_pairs, need=HIDDEN).hidden_act
+
+
+def real_mean(model, batch):
+    """The mean of those features, as the generator losses take it."""
+    return real_feature_mean(model, real_features(model, batch))
 
 
 def small_task(seed=0, k=2, d1=3, d2=3):
@@ -115,8 +120,8 @@ def test_summed_gradients_carry_no_input_gradient():
     model = new_model(2, 2, 3, np.random.default_rng(1), hidden_dim=4)
     batch = make_batch(m_b=2, seed=2)
     results = [(model.disc, loss_discriminator(model, batch, completions(model, batch))[1])]
-    feats = real_features(model, batch)
-    results += [(model.generator(v), loss_generator(model, v, batch, feats)[1])
+    mean = real_mean(model, batch)
+    results += [(model.generator(v), loss_generator(model, v, batch, mean)[1])
                 for v in (1, 2)]
     for net, grads in results:
         assert isinstance(grads, list)
@@ -127,7 +132,7 @@ def test_generator_class_term_at_uniform_output():
     k, m_b = 6, 1
     model = zero_model(k=k)
     batch = make_batch(m_b=m_b, k=k)
-    loss, _ = loss_generator(model, 1, batch, real_features(model, batch), fm_weight=0.0)
+    loss, _ = loss_generator(model, 1, batch, real_mean(model, batch), fm_weight=0.0)
     expect = math.log(k + 1) / (k + 1)
     assert abs(loss - expect) < 1e-12
 
@@ -146,8 +151,8 @@ def test_losses_do_not_mutate_the_model():
     batch = make_batch(m_b=2, seed=4)
     before = [b.copy() for n in (model.gen1, model.gen2, model.disc) for b in n.params()]
     loss_discriminator(model, batch, completions(model, batch))
-    loss_generator(model, 1, batch, real_features(model, batch))
-    loss_generator(model, 2, batch, real_features(model, batch))
+    loss_generator(model, 1, batch, real_mean(model, batch))
+    loss_generator(model, 2, batch, real_mean(model, batch))
     after = [b for n in (model.gen1, model.gen2, model.disc) for b in n.params()]
     for a, b in zip(before, after):
         assert np.array_equal(a, b)
@@ -169,10 +174,10 @@ def test_clamped_log_saturates_and_freezes_gradient():
     # value mode forms no gradient and keeps the loss bits, clamped rows included
     value, none = loss_discriminator(model, batch, completions(model, batch), grads=False)
     assert none is None and float(value).hex() == float(loss).hex()
-    feats = real_features(model, batch)
+    mean = real_mean(model, batch)
     for v in (1, 2):
-        want, _ = loss_generator(model, v, batch, feats)
-        got, none = loss_generator(model, v, batch, feats, grads=False)
+        want, _ = loss_generator(model, v, batch, mean)
+        got, none = loss_generator(model, v, batch, mean, grads=False)
         assert none is None and float(got).hex() == float(want).hex()
     probs = np.array([[0.2, 0.5, 0.3], [1e-13, 0.6, 0.4], [1e-40, 0.7, 0.3]])
     targets = np.array([1, 0, 0])
@@ -203,7 +208,8 @@ def test_feature_matching_zero_when_distributions_match():
     fake1 = generate(model, 1, observed, noise)
     trace = forward(model.gen1, generator_input(model, 1, observed, noise))
     # feed the generator's own output back as the "real" pairs: means match
-    real = forward(model.disc, pair_input(model, fake1, observed)).hidden_act
+    real = real_feature_mean(model, forward(model.disc, pair_input(model, fake1, observed),
+                                            need=HIDDEN).hidden_act)
     penalty, grads = feature_matching_penalty(
         model, 1, real, model.completed_pair(1, trace.output, observed), trace)
     assert penalty == 0.0
@@ -217,7 +223,7 @@ def test_feature_matching_positive_otherwise():
     batch = make_batch(m_b=3, k=2, seed=9)
     trace = forward(model.gen1, generator_input(model, 1, batch.miss1.view2, batch.noise_v1))
     penalty, grads = feature_matching_penalty(
-        model, 1, real_features(model, batch),
+        model, 1, real_mean(model, batch),
         model.completed_pair(1, trace.output, batch.miss1.view2), trace)
     assert penalty > 0
     assert any(np.any(g != 0) for g in grads)
@@ -225,79 +231,89 @@ def test_feature_matching_positive_otherwise():
 
 @pytest.mark.parametrize("side", ["real", "generated"])
 def test_feature_matching_rejects_an_empty_block(side):
+    # an empty real block where its mean is formed, an empty generated
+    # block in the penalty
     m = zero_model()
     b = make_batch(m_b=2)
     gen_input, observed, _ = b.side(1)
     trace = forward(m.gen1, gen_input)
     pairs = m.completed_pair(1, trace.output, observed)
-    feats = real_features(m, b)
-    real, gen = (feats[:0], pairs) if side == "real" else (feats, pairs[:0])
-    with pytest.raises(ConfigError, match="non-empty real and generated batches"):
-        feature_matching_penalty(m, 1, real, gen, trace)
+    with pytest.raises(ConfigError, match=f"feature matching needs a non-empty {side} batch"):
+        if side == "real":
+            real_feature_mean(m, real_features(m, b)[:0])
+        else:
+            feature_matching_penalty(m, 1, real_mean(m, b), pairs[:0], trace)
 
 
 def test_generator_loss_includes_weighted_penalty():
     model = new_model(2, 2, 2, np.random.default_rng(10), hidden_dim=4)
     batch = make_batch(m_b=2, k=2, seed=11)
-    feats = real_features(model, batch)
-    plain, _ = loss_generator(model, 1, batch, feats, fm_weight=0.0)
-    heavy, _ = loss_generator(model, 1, batch, feats, fm_weight=5.0)
-    light, _ = loss_generator(model, 1, batch, feats, fm_weight=1.0)
+    mean = real_mean(model, batch)
+    plain, _ = loss_generator(model, 1, batch, mean, fm_weight=0.0)
+    heavy, _ = loss_generator(model, 1, batch, mean, fm_weight=5.0)
+    light, _ = loss_generator(model, 1, batch, mean, fm_weight=1.0)
     fm = light - plain
     assert fm > 0
     assert abs((heavy - plain) - 5.0 * fm) < 1e-9
 
 
 def test_generator_loss_runs_no_real_pair_pass(monkeypatch):
-    # the real pairs' features are handed in; the loss itself runs only the
-    # generator, the class-term pass and the penalty's pass over its completions
+    # the real pairs' mean features are handed in; the loss itself runs only
+    # the generator, the class-term pass and the penalty's pass over its
+    # completions, which stops at the hidden layer
     model = new_model(2, 2, 3, np.random.default_rng(16), hidden_dim=4)
     batch = make_batch(m_b=2, seed=17)
-    feats = real_features(model, batch)
-    inputs = []
+    mean = real_mean(model, batch)
+    calls = []
 
-    def watched(net, x):
-        inputs.append(x)
-        return forward(net, x)
+    def watched(net, x, **kwargs):
+        calls.append((net, x, kwargs))
+        return forward(net, x, **kwargs)
 
     monkeypatch.setattr(train_mod, "forward", watched)
     for v in (1, 2):
         for grads in (True, False):
-            inputs.clear()
-            loss_generator(model, v, batch, feats, grads=grads)
-            assert len(inputs) == 3
-            assert not any(np.array_equal(x, batch.real_pairs) for x in inputs)
+            calls.clear()
+            loss_generator(model, v, batch, mean, grads=grads)
+            assert [(net, kwargs) for net, _, kwargs in calls] == [
+                (model.generator(v), {}), (model.disc, {}), (model.disc, {"need": HIDDEN})]
+            assert not any(np.array_equal(x, batch.real_pairs) for _, x, _ in calls)
 
 
-@pytest.mark.parametrize("shape", [(4,), (2, 5), (2, 3), (1, 2, 4)],
+@pytest.mark.parametrize("block, mean", [((4,), (5,)), ((2, 5), (3,)), ((2, 3), (1, 4)),
+                                         ((1, 2, 4), (2, 4))],
                          ids=["vector", "wider", "narrower", "three-d"])
-def test_feature_matching_rejects_features_of_another_width(shape):
-    # hidden width 4: a vector of that width is not read as a column, and a
-    # wrong width names both widths instead of failing inside numpy
+def test_feature_matching_rejects_features_of_another_width(block, mean):
+    # hidden width 4: where the mean is formed, a vector of that width is not
+    # read as a column; the penalty and the generator loss take only a
+    # (4,) mean. A wrong width names both widths instead of failing inside numpy
     model = new_model(2, 2, 3, np.random.default_rng(18), hidden_dim=4)
     batch = make_batch(m_b=2, seed=19)
     gen_input, observed, _ = batch.side(1)
     trace = forward(model.gen1, gen_input)
     pairs = model.completed_pair(1, trace.output, observed)
-    pattern = re.escape(f"(n, 4) block of the discriminator's hidden features, "
-                        f"got shape {shape}")
+    with pytest.raises(DimensionError, match=re.escape(
+            f"(n, 4) block of the discriminator's hidden features, got shape {block}")):
+        real_feature_mean(model, np.ones(block))
+    pattern = re.escape(f"(4,) vector of the discriminator's mean hidden features, "
+                        f"got shape {mean}")
     for grads in (True, False):
         with pytest.raises(DimensionError, match=pattern):
-            feature_matching_penalty(model, 1, np.ones(shape), pairs, trace, grads=grads)
+            feature_matching_penalty(model, 1, np.ones(mean), pairs, trace, grads=grads)
         with pytest.raises(DimensionError, match=pattern):
-            loss_generator(model, 1, batch, np.ones(shape), grads=grads)
+            loss_generator(model, 1, batch, np.ones(mean), grads=grads)
 
 
 def loss_calls(model, batch):
     """Each loss on this batch, at both views and both fm_weight settings."""
     calls = [partial(loss_discriminator, model, batch, completions(model, batch))]
-    feats = real_features(model, batch)
+    mean = real_mean(model, batch)
     for v in (1, 2):
         gen_input, observed, _ = batch.side(v)
         trace = forward(model.generator(v), gen_input)
         pairs = model.completed_pair(v, trace.output, observed)
-        calls.append(partial(feature_matching_penalty, model, v, feats, pairs, trace))
-        calls += [partial(loss_generator, model, v, batch, feats, fm_weight=w)
+        calls.append(partial(feature_matching_penalty, model, v, mean, pairs, trace))
+        calls += [partial(loss_generator, model, v, batch, mean, fm_weight=w)
                   for w in (0.0, 1.0)]
     return calls
 
@@ -343,11 +359,28 @@ def test_minibatch_blocks_follow_the_model_layout():
     b = make_batch(m_b=4, d1=2, d2=3)
     assert b.real_pairs.tobytes() == pair_input(model, b.full.view1, b.full.view2).tobytes()
     for v, miss, noise in ((1, b.miss1, b.noise_v1), (2, b.miss2, b.noise_v2)):
-        gen_input, observed, labels = b.side(v)
-        assert observed is miss.view(other_view(v)) and labels is miss.label
+        gen_input, observed, targets = b.side(v)
+        assert observed is miss.view(other_view(v))
+        assert np.array_equal(targets, miss.label.argmax(axis=1))
         expect = generator_input(model, v, observed, noise)
         assert gen_input.shape == expect.shape
         assert gen_input.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("m_b, k", [(1, 2), (5, 3), (7, 6)])
+def test_minibatch_targets_are_the_label_indices(m_b, k):
+    rng = np.random.default_rng(m_b)
+    labels = [np.eye(k)[rng.integers(0, k, m_b)] for _ in range(3)]
+    b = Minibatch(Views(rng.normal(size=(m_b, 2)), rng.normal(size=(m_b, 3)), labels[0]),
+                  Views(None, rng.normal(size=(m_b, 3)), labels[1]),
+                  Views(rng.normal(size=(m_b, 2)), None, labels[2]),
+                  rng.uniform(-1, 1, size=(m_b, 2)), rng.uniform(-1, 1, size=(m_b, 3)))
+    want = [np.argmax(label, axis=1) for label in labels]
+    got = [b.real_targets, b.side(1)[2], b.side(2)[2]]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert b.fake_targets.dtype == want[0].dtype
+    assert np.array_equal(b.fake_targets, np.full(m_b, k))
 
 
 def test_sample_minibatch_draws_from_each_subset():
@@ -566,9 +599,9 @@ def test_train_config_requires_a_finite_nonnegative_fm_weight(fm_weight):
 @pytest.mark.parametrize("call", [
     lambda m, b, ds: generate(m, 3, b.miss1.view2, b.noise_v1),
     lambda m, b, ds: generator_input(m, 3, b.miss1.view2, b.noise_v1),
-    lambda m, b, ds: loss_generator(m, 3, b, real_features(m, b)),
+    lambda m, b, ds: loss_generator(m, 3, b, real_mean(m, b)),
     lambda m, b, ds: feature_matching_penalty(
-        m, 3, real_features(m, b), b.real_pairs, forward(m.gen1, b.side(1)[0])),
+        m, 3, real_mean(m, b), b.real_pairs, forward(m.gen1, b.side(1)[0])),
     lambda m, b, ds: ds.observing(3),
     lambda m, b, ds: train_singleview_baseline(
         3, ds, TrainConfig(iterations=1, minibatch_size=2), ds.s_full),
@@ -615,11 +648,15 @@ def plain_backward(net, trace, output_grad, *, need=PARAMS):
             output_grad.sum(axis=0)]
 
 
-def plain_feature_matching(model, which_view, real_features, gen_pairs, gen_trace, *,
+def plain_feature_mean(model, real_features):
+    return np.mean(real_features, axis=0)
+
+
+def plain_feature_matching(model, which_view, real_mean, gen_pairs, gen_trace, *,
                            grads=True):
     assert grads
     feats_gen = forward(model.disc, gen_pairs).hidden_act
-    delta = np.mean(real_features, axis=0) - np.mean(feats_gen, axis=0)
+    delta = real_mean - np.mean(feats_gen, axis=0)
     norm = float(np.linalg.norm(delta))
     d_hidden_pre = (-delta / norm) / feats_gen.shape[0] * feats_gen * (1.0 - feats_gen)
     d_pairs = d_hidden_pre @ model.disc.weights_in
@@ -679,13 +716,15 @@ def test_feature_matching_matches_the_plain_expression_bit_for_bit(m_b):
     dataset, _, _ = acceptance_shaped_task(31)
     model = new_model(20, 20, 3, np.random.default_rng(32), hidden_dim=200)
     batch = sample_minibatch(dataset, m_b, np.random.default_rng(33))
+    # the shipped mean from a hidden-layer pass against np.mean of a full pass's features
+    plain_mean = plain_feature_mean(model, forward(model.disc, batch.real_pairs).hidden_act)
     for v in (1, 2):
         gen_input, observed, _ = batch.side(v)
         trace = forward(model.generator(v), gen_input)
         pairs = model.completed_pair(v, trace.output, observed)
-        feats = real_features(model, batch)
-        got, got_grads = feature_matching_penalty(model, v, feats, pairs, trace)
-        want, want_grads = plain_feature_matching(model, v, feats, pairs, trace)
+        got, got_grads = feature_matching_penalty(model, v, real_mean(model, batch), pairs,
+                                                  trace)
+        want, want_grads = plain_feature_matching(model, v, plain_mean, pairs, trace)
         assert got == want > 0
         for a, b in zip(got_grads, want_grads):
             assert np.array_equal(a, b)
@@ -705,6 +744,7 @@ def test_training_matches_the_textbook_step_bit_for_bit(monkeypatch, m_b):
                         lambda logits, out=None: into(out, reference_softmax(logits)))
     monkeypatch.setattr(train_mod, "backward", plain_backward)
     monkeypatch.setattr(train_mod, "clamped_class_grad", plain_clamped_class_grad)
+    monkeypatch.setattr(train_mod, "real_feature_mean", plain_feature_mean)
     monkeypatch.setattr(train_mod, "feature_matching_penalty", plain_feature_matching)
     monkeypatch.setattr(train_mod, "adam_step", textbook_adam_step)
     textbook, textbook_rows = train(init.copy(), dataset, config)
