@@ -143,7 +143,8 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch, completed, *,
 
     ``completed`` holds the two generators' completed [view1 | view2]
     blocks of m_b rows each, generator 1's first; this loss runs no
-    generator. Three terms: the class assignment of real complete pairs
+    generator. The batch's labels must have the model's K classes: the
+    fake-class targets come from the batch. Three terms: the class assignment of real complete pairs
     (weight 1/(m_b*(K+1)) per sample) and the fake-class assignment of the
     pairs each generator completed (weight 1/(2*m_b) per sample each).
     Generator outputs are data here; nothing flows back into the generators.
@@ -156,6 +157,9 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch, completed, *,
         raise DimensionError(f"the discriminator loss needs two completed blocks "
                              f"of m_b = {m_b} rows each")
     k = model.num_classes
+    if batch.full.label.shape[1] != k:
+        raise DimensionError(f"the batch's labels have K = {batch.full.label.shape[1]} "
+                             f"classes, but the model has K = {k}")
     groups = [(batch.real_pairs, batch.real_targets, 1.0 / (m_b * (k + 1)))]
     groups += [(pairs, batch.fake_targets, 1.0 / (2.0 * m_b)) for pairs in completed]
 

@@ -114,6 +114,15 @@ def test_discriminator_loss_needs_two_full_completed_blocks(cut):
         loss_discriminator(model, batch, cut(completions(model, batch)))
 
 
+def test_discriminator_loss_rejects_a_batch_of_another_k():
+    # the fake-class targets come from the batch: a K = 2 batch would aim
+    # them at class 2 of a K = 3 model
+    model = new_model(2, 2, 3, np.random.default_rng(14), hidden_dim=4)
+    batch = make_batch(m_b=2, k=2, seed=15)
+    with pytest.raises(DimensionError, match="labels have K = 2 classes, but the model has K = 3"):
+        loss_discriminator(model, batch, completions(model, batch))
+
+
 def test_summed_gradients_carry_no_input_gradient():
     # each loss returns exactly one gradient per parameter block of its
     # player, shaped like it: no pass's input gradient rides along
