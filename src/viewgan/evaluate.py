@@ -20,7 +20,8 @@ from .data import (PartitionedDataset, SyntheticSpec, Views, generate_synthetic,
                    other_view, split_for_protocol)
 from .errors import ConfigError, DimensionError
 from .model import TripartiteModel, decide_batch, discriminate, generate, new_model
-from .nn import DEFAULT_HIDDEN_DIM, SOFTMAX, AdamState, adam_step, backward, forward, init_mlp
+from .nn import (DEFAULT_HIDDEN_DIM, SOFTMAX, AdamState, adam_step, backward, forward,
+                 forward_in_blocks, init_mlp)
 from .train import TrainConfig, clamped_class_grad, train
 
 
@@ -131,14 +132,18 @@ def train_singleview_baseline(which_view: int, dataset: PartitionedDataset,
     """Train a softmax classifier on view v alone; evaluate by plain argmax.
 
     Returns (classifier, MetricsReport). The training pool is s_full plus
-    the subset whose other view is missing.
+    the subset whose other view is missing. Test labels must have the
+    training data's K columns; another K is rejected before training.
     """
     pool = dataset.observing(which_view)
     if len(pool) == 0:
         raise ConfigError(f"no training examples observe view {which_view}")
+    k = dataset.num_classes
+    if test.label.shape[1] != k:
+        raise DimensionError(f"test labels have {test.label.shape[1]} classes, "
+                             f"but the training data has {k}")
     x = pool.view(which_view)
     y_idx = np.argmax(pool.label, axis=1)
-    k = dataset.num_classes
 
     rng = np.random.default_rng(config.seed)
     net = init_mlp(x.shape[1], hidden_dim, k, SOFTMAX, rng)
@@ -150,7 +155,7 @@ def train_singleview_baseline(which_view: int, dataset: PartitionedDataset,
         _, dlogits = clamped_class_grad(trace.output, y_idx[idx], 1.0 / m_b)
         adam_step(net.params(), backward(net, trace, dlogits), adam)
 
-    pred = np.argmax(forward(net, test.view(which_view)).output, axis=1)
+    pred = np.argmax(forward_in_blocks(net, test.view(which_view)), axis=1)
     report = metrics_from_predictions(np.argmax(test.label, axis=1), pred,
                                       np.zeros(len(test), dtype=bool), k, config.seed)
     return net, report

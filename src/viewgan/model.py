@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import by_view, read_text
 from .errors import DataFormatError, DimensionError
-from .nn import DEFAULT_HIDDEN_DIM, LINEAR, SOFTMAX, Mlp, forward, init_mlp
+from .nn import DEFAULT_HIDDEN_DIM, LINEAR, SOFTMAX, Mlp, forward_in_blocks, init_mlp
 
 CHECKPOINT_MAGIC = "VIEWGAN-CKPT-1"
 _LAYOUT_LINE = "layout generator-input=noise,condition discriminator-input=view1,view2"
@@ -112,9 +112,12 @@ def generate(model: TripartiteModel, which_view: int, observed, noise) -> np.nda
 
     Output is the raw linear layer; no squashing is applied so generated
     values can match any real-valued view. Takes and returns (n, d) blocks.
+    The pass runs in row blocks of at most ``nn.EVAL_BLOCK_ROWS`` rows
+    (``nn.forward_in_blocks``), so it holds one block's hidden activations,
+    not n rows'.
     """
-    return forward(model.generator(which_view),
-                   generator_input(model, which_view, observed, noise)).output
+    return forward_in_blocks(model.generator(which_view),
+                             generator_input(model, which_view, observed, noise))
 
 
 def pair_input(model: TripartiteModel, x1, x2) -> np.ndarray:
@@ -130,8 +133,13 @@ def pair_input(model: TripartiteModel, x1, x2) -> np.ndarray:
 
 
 def discriminate(model: TripartiteModel, x1, x2) -> np.ndarray:
-    """Class-posterior estimates of shape (n, K+1); index K is the fake class."""
-    return forward(model.disc, pair_input(model, x1, x2)).output
+    """Class-posterior estimates of shape (n, K+1); index K is the fake class.
+
+    The pass runs in row blocks of at most ``nn.EVAL_BLOCK_ROWS`` rows
+    (``nn.forward_in_blocks``), so it holds one block's hidden activations,
+    not n rows'.
+    """
+    return forward_in_blocks(model.disc, pair_input(model, x1, x2))
 
 
 def decide_batch(probabilities) -> tuple[np.ndarray, np.ndarray]:

@@ -175,6 +175,35 @@ def forward(net: Mlp, x, *, need: str = OUTPUT) -> ForwardTrace:
     return ForwardTrace(x, hidden_act, output)
 
 
+# Most rows one block of ``forward_in_blocks`` runs. Blocks are balanced, so
+# once n > 2,048 each holds at least 1,024 rows; with the benchmark's
+# OpenBLAS build, blocks of 500 rows or more give the bits of one whole pass
+# and blocks of 384 or fewer do not (README, "Held-out passes and
+# checkpoints"). A 2,048 x 200 hidden block is 3.3 MB.
+EVAL_BLOCK_ROWS = 2048
+
+
+def forward_in_blocks(net: Mlp, x) -> np.ndarray:
+    """The net's outputs on ``x`` of shape (n, input_dim), an (n, output_dim) block.
+
+    The rows are split into ceil(n / EVAL_BLOCK_ROWS) blocks of near-equal
+    size (one block when n <= EVAL_BLOCK_ROWS), and ``forward`` runs on each
+    in turn, so the pass holds one block's activations, not n rows'. Each
+    block's outputs are written into one array allocated up front.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise DimensionError(
+            f"input shape {x.shape} incompatible with input_dim {net.input_dim}")
+    n = x.shape[0]
+    blocks = max(1, -(-n // EVAL_BLOCK_ROWS))
+    out = np.empty((n, net.output_dim))
+    for i in range(blocks):
+        start, stop = i * n // blocks, (i + 1) * n // blocks
+        out[start:stop] = forward(net, x[start:stop]).output
+    return out
+
+
 # What ``backward`` computes: the parameter gradients or the input gradient.
 PARAMS = "params"
 INPUT = "input"

@@ -38,7 +38,8 @@ class Minibatch:
 
     full carries both views, miss1 comes from the subset whose first view
     is absent (so it carries view 2 only), miss2 is the mirror image. The
-    noise blocks complete view 1 and view 2. Each network input and each
+    noise blocks complete view 1 and view 2. The three subsets' labels
+    share one width, ``num_classes`` (K). Each network input and each
     integer class target is built once: ``real_pairs`` is the [view1 |
     view2] block of full and ``real_targets`` its class indices,
     ``fake_targets`` holds the fake class K once per row, and ``side(v)``
@@ -53,6 +54,7 @@ class Minibatch:
     real_pairs: np.ndarray = field(init=False, repr=False)
     real_targets: np.ndarray = field(init=False, repr=False)
     fake_targets: np.ndarray = field(init=False, repr=False)
+    num_classes: int = field(init=False)
 
     def __post_init__(self):
         m = len(self.full)
@@ -60,9 +62,14 @@ class Minibatch:
                  self.noise_v1.shape[0], self.noise_v2.shape[0])
         if m < 1 or any(n != m for n in sized):
             raise DimensionError("all minibatch blocks must share one size m_b")
+        widths = [views.label.shape[1] for views in (self.full, self.miss1, self.miss2)]
+        if len(set(widths)) != 1:
+            raise DimensionError(f"the minibatch's label blocks have widths {widths}: "
+                                 f"all must have the same K")
+        self.num_classes = widths[0]
         self.real_pairs = np.concatenate([self.full.view1, self.full.view2], axis=1)
         self.real_targets = self.full.label.argmax(axis=1)
-        self.fake_targets = np.full(m, self.full.label.shape[1])
+        self.fake_targets = np.full(m, self.num_classes)
         self._sides = []
         for v, miss, noise in ((1, self.miss1, self.noise_v1), (2, self.miss2, self.noise_v2)):
             observed = miss.view(other_view(v))
@@ -137,6 +144,14 @@ def _complete(model: TripartiteModel, v: int, batch: Minibatch):
     return trace, model.completed_pair(v, trace.output, observed), targets
 
 
+def _check_batch_classes(model: TripartiteModel, batch: Minibatch) -> None:
+    """Reject a batch whose labels have another K than the model: its class
+    and fake-class targets would aim at the wrong outputs."""
+    if batch.num_classes != model.num_classes:
+        raise DimensionError(f"the batch's labels have K = {batch.num_classes} "
+                             f"classes, but the model has K = {model.num_classes}")
+
+
 def loss_discriminator(model: TripartiteModel, batch: Minibatch, completed, *,
                        grads: bool = True):
     """Empirical discriminator loss and its parameter gradients.
@@ -156,10 +171,8 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch, completed, *,
     if len(completed) != 2 or any(pairs.shape[0] != m_b for pairs in completed):
         raise DimensionError(f"the discriminator loss needs two completed blocks "
                              f"of m_b = {m_b} rows each")
+    _check_batch_classes(model, batch)
     k = model.num_classes
-    if batch.full.label.shape[1] != k:
-        raise DimensionError(f"the batch's labels have K = {batch.full.label.shape[1]} "
-                             f"classes, but the model has K = {k}")
     groups = [(batch.real_pairs, batch.real_targets, 1.0 / (m_b * (k + 1)))]
     groups += [(pairs, batch.fake_targets, 1.0 / (2.0 * m_b)) for pairs in completed]
 
@@ -258,13 +271,15 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
     real_mean is the mean discriminator feature vector of
     ``batch.real_pairs`` (``real_feature_mean``), which the loss hands to
     the feature-matching penalty; it runs no real-pair pass itself. It
-    completes its own pairs. Gradients reach the generator by
-    backpropagating through the frozen discriminator into the input slot the
-    generated view occupies. Returns (loss, gradients), the gradients a list
+    completes its own pairs. The batch's labels must have the model's K
+    classes: the class targets come from the batch. Gradients reach the
+    generator by backpropagating through the frozen discriminator into the
+    input slot the generated view occupies. Returns (loss, gradients), the gradients a list
     in the generator's ``params()`` order. With ``grads=False`` the same
     forward passes and float64 value arithmetic run, no backward pass does
     and no logit gradient is formed, and the result is (loss, None).
     """
+    _check_batch_classes(model, batch)
     m_b = len(batch.full)
     coeff = 1.0 / (m_b * (model.num_classes + 1))
     gen_trace, pairs, targets = _complete(model, which_view, batch)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import viewgan as vg
+import viewgan.evaluate as evaluate_mod
 from viewgan.errors import ConfigError, DimensionError
 from viewgan.evaluate import (ExperimentSpec, Scenario, evaluate,
                               metrics_from_predictions, run_experiment,
@@ -176,6 +177,30 @@ def test_baseline_empty_pool_rejected():
                                   s_missing2=ds.s_missing2[:0])
     with pytest.raises(ConfigError):
         train_singleview_baseline(1, empty, tiny_cfg(), test)
+
+
+def test_baseline_rejects_a_test_block_of_another_k_before_training(monkeypatch):
+    ds, test, _ = vg.generate_synthetic(synth_spec(k=3))
+    other = vg.Views(test.view1, test.view2, np.eye(4)[np.arange(len(test)) % 4])
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the baseline trained before checking the test labels")
+
+    monkeypatch.setattr(evaluate_mod, "forward", no_pass)
+    with pytest.raises(DimensionError, match="test labels have 4 classes, "
+                                             "but the training data has 3"):
+        train_singleview_baseline(1, ds, tiny_cfg(), other, hidden_dim=4)
+
+
+def test_baseline_test_pass_in_row_blocks_reports_as_one_whole_pass():
+    # 5,000 test rows make three row blocks of the classifier's pass
+    ds, test, _ = vg.generate_synthetic(synth_spec(seed=5, m_test=5000))
+    cfg = tiny_cfg(seed=6)
+    net, rep = train_singleview_baseline(2, ds, cfg, test)
+    pred = np.argmax(vg.forward(net, test.view2).output, axis=1)
+    whole = metrics_from_predictions(np.argmax(test.label, axis=1), pred,
+                                     np.zeros(len(test), dtype=bool), ds.num_classes, cfg.seed)
+    assert rep == whole
 
 
 # ------------------------------------------------------------- experiment

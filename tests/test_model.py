@@ -1,14 +1,18 @@
 """Tests for the tripartite model wrapper, the decide rule and checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import viewgan.model as model_mod
+import viewgan.nn as nn_mod
 from viewgan.errors import DataFormatError, DimensionError
 from viewgan.model import (CHECKPOINT_MAGIC, decide_batch, discriminate, generate,
                            generator_input, load_checkpoint, new_model, pair_input,
                            save_checkpoint)
+from viewgan.nn import forward
 
 
 def small_model(seed=0, d1=3, d2=4, k=2, hidden=5):
@@ -96,6 +100,70 @@ def test_inputs_reject_a_single_vector(assemble):
 def test_generate_and_discriminate_reject_blocks_that_do_not_fit(call, message):
     with pytest.raises(DimensionError, match=message):
         call(small_model())  # d1 = 3, d2 = 4
+
+
+# ------------------------------------------------------ row-blocked passes
+
+def eval_sized_model(seed=0):
+    """The benchmark's evaluation shapes: 20 + 20 wide views, K = 3, hidden 200."""
+    return new_model(20, 20, 3, np.random.default_rng(seed), hidden_dim=200)
+
+
+@pytest.mark.parametrize("n", [2048, 2049, 5000])
+def test_blocked_passes_give_the_bits_of_one_whole_forward(n):
+    # the block size keeps the bits only where the BLAS build gives every
+    # block of >= 1,024 rows the same per-row results as one n-row product;
+    # a build where it does not fails here
+    m = eval_sized_model(seed=n)
+    rng = np.random.default_rng(n + 1)
+    x1, x2, noise = (rng.normal(size=(n, 20)) for _ in range(3))
+    probs = discriminate(m, x1, x2)
+    assert probs.tobytes() == forward(m.disc, pair_input(m, x1, x2)).output.tobytes()
+    for v in (1, 2):
+        observed = x2 if v == 1 else x1
+        got = generate(m, v, observed, noise)
+        whole = forward(m.generator(v), generator_input(m, v, observed, noise)).output
+        assert got.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 4096, 4097, 5000, 10_000])
+def test_blocked_passes_run_one_forward_per_balanced_block(n, monkeypatch):
+    seen = []
+
+    def recording_forward(net, x, **kwargs):
+        seen.append(x.shape[0])
+        return forward(net, x, **kwargs)
+
+    monkeypatch.setattr(nn_mod, "forward", recording_forward)
+    m = small_model()
+    x1, x2 = np.zeros((n, 3)), np.ones((n, 4))
+    for call in (lambda: discriminate(m, x1, x2), lambda: generate(m, 1, x2, x1)):
+        seen.clear()
+        assert call().shape[0] == n
+        assert sum(seen) == n
+        if n <= nn_mod.EVAL_BLOCK_ROWS:
+            assert seen == [n]
+        else:
+            assert len(seen) == -(-n // nn_mod.EVAL_BLOCK_ROWS)
+            # n = 2,049 splits as 1,024 + 1,025: no block is smaller than 1,024
+            assert all(1024 <= rows <= nn_mod.EVAL_BLOCK_ROWS for rows in seen)
+            assert max(seen) - min(seen) <= 1
+
+
+def test_discriminate_holds_one_block_of_hidden_activations():
+    # one whole pass over 5,000 pairs holds a 5,000 x 200 hidden block (8 MB)
+    # and peaks near 9.9 MB; three blocks of at most 1,667 rows stay far below
+    m = eval_sized_model()
+    rng = np.random.default_rng(3)
+    x1, x2 = rng.normal(size=(5000, 20)), rng.normal(size=(5000, 20))
+    discriminate(m, x1[:10], x2[:10])  # any one-time allocations happen outside the count
+    tracemalloc.start()
+    try:
+        discriminate(m, x1, x2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_decide_rule_boundary_is_not_fake():

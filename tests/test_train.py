@@ -115,12 +115,19 @@ def test_discriminator_loss_needs_two_full_completed_blocks(cut):
 
 
 def test_discriminator_loss_rejects_a_batch_of_another_k():
-    # the fake-class targets come from the batch: a K = 2 batch would aim
-    # them at class 2 of a K = 3 model
+    # both losses share one K check. The discriminator's fake-class targets
+    # come from the batch: a K = 2 batch would aim them at class 2 of a K = 3
+    # model. The generator's class targets do too: in a K = 5 batch a label
+    # of 3 would be scored as the fake class and a label of 4 is out of range
     model = new_model(2, 2, 3, np.random.default_rng(14), hidden_dim=4)
-    batch = make_batch(m_b=2, k=2, seed=15)
-    with pytest.raises(DimensionError, match="labels have K = 2 classes, but the model has K = 3"):
-        loss_discriminator(model, batch, completions(model, batch))
+    for k in (2, 5):
+        batch = make_batch(m_b=5, k=k, seed=15)
+        message = f"labels have K = {k} classes, but the model has K = 3"
+        with pytest.raises(DimensionError, match=message):
+            loss_discriminator(model, batch, completions(model, batch))
+        for v in (1, 2):
+            with pytest.raises(DimensionError, match=message):
+                loss_generator(model, v, batch, real_mean(model, batch))
 
 
 def test_summed_gradients_carry_no_input_gradient():
@@ -361,6 +368,10 @@ def test_minibatch_validation():
         Minibatch(b.full[:1], b.miss1, b.miss2, b.noise_v1, b.noise_v2)
     with pytest.raises(DimensionError):
         Minibatch(b.full, b.miss1, b.miss2, b.noise_v1, b.noise_v2[:1])
+    # every subset's labels must have one K
+    wide = Views(b.miss2.view1, None, np.eye(4)[[0, 3]])
+    with pytest.raises(DimensionError, match=r"label blocks have widths \[3, 3, 4\]"):
+        Minibatch(b.full, b.miss1, wide, b.noise_v1, b.noise_v2)
 
 
 def test_minibatch_blocks_follow_the_model_layout():
