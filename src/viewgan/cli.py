@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from .config import ConfigMap, load_kv_file
-from .data import (SyntheticSpec, block_class_means, generate_synthetic, load_multiview_file,
-                   other_view, partition_rows, read_text, save_multiview_file)
-from .errors import ConfigError, DataFormatError, DimensionError
+from .data import (SyntheticSpec, block_class_means, check_scorable, generate_synthetic,
+                   load_multiview_file, other_view, partition_rows, read_text, save_multiview_file)
+from .errors import ConfigError, DataFormatError
 from .evaluate import (ExperimentSpec, MetricsReport, Scenario, evaluate,
                        run_experiment, write_experiment_csv)
 from .gradcheck import run_all
@@ -26,7 +26,7 @@ from .model import load_checkpoint, new_model
 from .nn import DEFAULT_HIDDEN_DIM
 from .theory import (GRID_STEP, LOG4, DiscreteJoint, brute_force_gap, check_theorem, mixture,
                      random_joint)
-from .train import TrainConfig, _check_heldout, train
+from .train import TrainConfig, train
 
 
 def _seed(value: int, key: str = "seed") -> int:
@@ -101,13 +101,6 @@ def _check_output_path(path) -> None:
         raise ConfigError(f"output path {path}: {directory} is not a writable directory")
 
 
-def _check_dims(path, dataset, reference, name: str) -> None:
-    """Reject a data file whose header (d1, d2, K) differs from ``reference``'s."""
-    got, want = ((x.d1, x.d2, x.num_classes) for x in (dataset, reference))
-    if got != want:
-        raise DimensionError(f"{path} has (d1, d2, K) = {got}, but {name} has {want}")
-
-
 def _print_report(report: MetricsReport) -> None:
     print(f"accuracy={repr(report.accuracy)}")
     print(f"class_accuracy={repr(report.class_accuracy)}")
@@ -133,10 +126,9 @@ def cmd_train(args) -> int:
     heldout = None
     if args.heldout:
         heldout = load_multiview_file(args.heldout).s_full
-        try:
-            _check_heldout(heldout, dataset)
-        except ValueError as e:
-            raise type(e)(f"{args.heldout}: {e}") from None
+        check_scorable(heldout, args.heldout, dataset, f"the training data {args.data}")
+        if len(heldout) == 0:
+            raise ConfigError(f"{args.heldout} has no complete pairs")
 
     init_ss, train_ss = np.random.SeedSequence(tc.seed).spawn(2)
     model = new_model(dataset.d1, dataset.d2, dataset.num_classes,
@@ -156,7 +148,7 @@ def cmd_eval(args) -> int:
     seed = _seed(args.seed)
     model, _, _ = load_checkpoint(args.checkpoint)
     dataset = load_multiview_file(args.data)
-    _check_dims(args.data, dataset, model, f"checkpoint {args.checkpoint}")
+    check_scorable(dataset.s_full, args.data, model, f"checkpoint {args.checkpoint}")
     scenario = Scenario(args.scenario)
     v = scenario.generated_view
     test = dataset.s_full if v is None else dataset.observing(other_view(v))

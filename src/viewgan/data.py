@@ -107,11 +107,20 @@ class Views:
         return replace(self, **{by_view(v, "view1", "view2"): x})
 
 
-def _pair_dims(pairs: Views, name: str) -> tuple[int, int, int]:
-    """(d1, d2, K) read off a block of complete pairs; a block lacking a view is an error."""
-    if pairs.view1 is None or pairs.view2 is None:
-        raise ValueError(f"{name} must hold both views")
-    return tuple(np.shape(a)[-1] for a in (pairs.view1, pairs.view2, pairs.label))
+def check_scorable(block: Views, name: str, ref, ref_name: str, reads=(1, 2)) -> None:
+    """The one (d1, d2, K) rule for scored blocks, against any ``ref`` with ``d1``,
+    ``d2`` and ``num_classes``: a view in ``reads`` that ``block`` lacks is a ValueError,
+    a present view of another width or labels of another K a DimensionError. Both
+    name the block, its (d1, d2, K) (None for a view it lacks) and ``ref``'s."""
+    got = tuple(None if a is None else np.shape(a)[-1]
+                for a in (block.view1, block.view2, block.label))
+    want = (ref.d1, ref.d2, ref.num_classes)
+    dims = f"(d1, d2, K) = {got}, but {ref_name} has {want}"
+    for v in reads:
+        if block.view(v) is None:
+            raise ValueError(f"{name} lacks view {v}: it has {dims}")
+    if any(g is not None and g != w for g, w in zip(got, want)):
+        raise DimensionError(f"{name} has {dims}")
 
 
 def _check_subset(subset: Views, d1, d2, num_classes, want1: bool, want2: bool,
@@ -153,7 +162,10 @@ class PartitionedDataset:
     num_classes: int = field(init=False)
 
     def __post_init__(self):
-        dims = _pair_dims(self.s_full, "s_full")
+        full = self.s_full
+        if full.view1 is None or full.view2 is None:
+            raise ValueError("s_full must hold both views")
+        dims = tuple(np.shape(a)[-1] for a in (full.view1, full.view2, full.label))
         self.d1, self.d2, self.num_classes = dims
         self.s_full = _check_subset(self.s_full, *dims, True, True, "s_full")
         self.s_missing1 = _check_subset(self.s_missing1, *dims, False, True, "s_missing1")

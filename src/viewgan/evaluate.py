@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (PartitionedDataset, SyntheticSpec, Views, generate_synthetic,
-                   other_view, split_for_protocol)
-from .errors import ConfigError, DimensionError
+from .data import (PartitionedDataset, SyntheticSpec, Views, check_scorable,
+                   generate_synthetic, other_view, split_for_protocol)
+from .errors import ConfigError
 from .model import TripartiteModel, decide_batch, discriminate, generate, new_model
 from .nn import (DEFAULT_HIDDEN_DIM, SOFTMAX, AdamState, adam_step, backward, forward,
                  forward_in_blocks, init_mlp)
@@ -99,23 +99,21 @@ def evaluate(model: TripartiteModel, test: Views, scenario: Scenario,
     """Apply the decide rule to the test set under the given scenario.
 
     For the generated scenarios the target view is dropped and recompleted
-    with one fresh noise draw per item before scoring. Test labels must
-    have the model's K columns.
+    with one fresh noise draw per item before scoring. Before any pass,
+    ``data.check_scorable`` rejects a block that lacks a view the scenario
+    reads or does not fit the model, the regenerated slot's width included.
     """
     if len(test) == 0:
         raise ConfigError("empty test set")
     if not isinstance(scenario, Scenario):
         raise ValueError(f"unknown scenario {scenario!r}")
-    if test.label.shape[1] != model.num_classes:
-        raise DimensionError(f"test labels have {test.label.shape[1]} classes, "
-                             f"but the model has {model.num_classes}")
-    rng = np.random.default_rng(seed)
     v = scenario.generated_view
-    if v is not None and test.view(other_view(v)) is not None:
+    check_scorable(test, "the test block", model, "the model",
+                   (1, 2) if v is None else (other_view(v),))
+    rng = np.random.default_rng(seed)
+    if v is not None:
         noise = rng.uniform(-1.0, 1.0, size=(len(test), model.generator(v).output_dim))
         test = test.with_view(v, generate(model, v, test.view(other_view(v)), noise))
-    if test.view1 is None or test.view2 is None:
-        raise ValueError(f"scenario {scenario.value} needs a view the test set lacks")
 
     fake, cls = decide_batch(discriminate(model, test.view1, test.view2))
     return metrics_from_predictions(np.argmax(test.label, axis=1), cls, fake,
@@ -132,16 +130,15 @@ def train_singleview_baseline(which_view: int, dataset: PartitionedDataset,
     """Train a softmax classifier on view v alone; evaluate by plain argmax.
 
     Returns (classifier, MetricsReport). The training pool is s_full plus
-    the subset whose other view is missing. Test labels must have the
-    training data's K columns; another K is rejected before training.
+    the subset whose other view is missing. Before training,
+    ``data.check_scorable`` rejects a test block that lacks view v or does
+    not fit the training data's (d1, d2, K).
     """
+    check_scorable(test, "the test block", dataset, "the training data", (which_view,))
     pool = dataset.observing(which_view)
     if len(pool) == 0:
         raise ConfigError(f"no training examples observe view {which_view}")
     k = dataset.num_classes
-    if test.label.shape[1] != k:
-        raise DimensionError(f"test labels have {test.label.shape[1]} classes, "
-                             f"but the training data has {k}")
     x = pool.view(which_view)
     y_idx = np.argmax(pool.label, axis=1)
 

@@ -29,6 +29,10 @@ _SUM_TOL = 1e-12
 LOG4 = math.log(4.0)
 THEOREM_TOL = 1e-10  # check_theorem's bound on the identity residual
 GRID_STEP = 1e-3  # brute_force_discriminator's grid, and its gap bound on live cells
+# cells brute_force_discriminator scores at a time: its (cells, grid) score
+# block stays 32 x 1001 at the default step (a quarter of a megabyte), whatever
+# the table's size
+_BRUTE_FORCE_CELLS = 32
 
 
 def _table(table, message: str, upper: float | None = None) -> np.ndarray:
@@ -150,7 +154,8 @@ def brute_force_discriminator(p_real, pg1, pg2, step: float = GRID_STEP,
     evaluated on the grid {0, step, ..., 1} and the argmax kept. Exists to
     confirm optimal_discriminator (w = 1) and fake_response (w = 1/(K+1),
     where z is one minus the fake probability) independently of any
-    calculus.
+    calculus. The cells are scored _BRUTE_FORCE_CELLS at a time; each score
+    is its own product and sum, so the blocks give the table of one pass.
     """
     if not real_weight > 0:
         raise ValueError("real_weight must be positive")
@@ -160,10 +165,14 @@ def brute_force_discriminator(p_real, pg1, pg2, step: float = GRID_STEP,
     grid = np.arange(0.0, 1.0 + step / 2.0, step)
     log_z = np.log(np.maximum(grid, _LOG_FLOOR))
     log_1mz = np.log(np.maximum(1.0 - grid, _LOG_FLOOR))
-    # objective per cell and grid point: (cells, grid)
-    scores = real.reshape(-1, 1) * log_z + mix.reshape(-1, 1) * log_1mz
-    best = grid[np.argmax(scores, axis=1)].reshape(real.shape)
-    return DiscriminatorTable(best)
+    cells, cell_mix = real.reshape(-1, 1), mix.reshape(-1, 1)
+    best = np.empty(real.size)
+    for start in range(0, real.size, _BRUTE_FORCE_CELLS):
+        rows = slice(start, start + _BRUTE_FORCE_CELLS)
+        # objective per cell and grid point: (cells, grid)
+        scores = cells[rows] * log_z + cell_mix[rows] * log_1mz
+        best[rows] = grid[np.argmax(scores, axis=1)]
+    return DiscriminatorTable(best.reshape(real.shape))
 
 
 def brute_force_gap(p_real, pg1, pg2) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PartitionedDataset, Views, _pair_dims, by_view, other_view
+from .data import PartitionedDataset, Views, by_view, check_scorable, other_view
 from .errors import ConfigError, DimensionError, NumericError
 from .model import TripartiteModel, decide_batch, discriminate, save_checkpoint
 from .nn import (HIDDEN, INPUT, AdamState, adam_step, backward, check_adam_hyperparameters,
@@ -318,18 +318,6 @@ def sample_minibatch(dataset: PartitionedDataset, m_b: int, rng: np.random.Gener
     return Minibatch(*rows, *noise)
 
 
-def _check_heldout(heldout: Views, dataset: PartitionedDataset) -> None:
-    """Reject held-out pairs that ``train()`` cannot score against ``dataset``:
-    a block that lacks a view, whose (d1, d2, K) differ, or that is empty."""
-    got = _pair_dims(heldout, "the held-out block")
-    want = (dataset.d1, dataset.d2, dataset.num_classes)
-    if got != want:
-        raise DimensionError(f"held-out pairs have (d1, d2, K) = {got}, "
-                             f"but the training data has {want}")
-    if len(heldout) == 0:
-        raise ConfigError("the held-out block is empty: it has no complete pairs")
-
-
 def _heldout_accuracy(model: TripartiteModel, heldout: Views) -> tuple[float, float]:
     """Fake-gated and class-head accuracy on held-out pairs, from one discriminate call."""
     fake, cls = decide_batch(discriminate(model, heldout.view1, heldout.view2))
@@ -351,18 +339,16 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
     CSV with header ``iter,loss_d,loss_g1,loss_g2,heldout_acc,heldout_class_acc``.
     When checkpoint_path is given, the model is saved there, with
     config.seed, after every checkpoint_every-th step and after the last one
-    (before any step if there are none), each step at most once. A model or
-    held-out pairs whose (d1, d2, K) differ from the training data's, a
-    held-out block that is empty or lacks a view, and training data with an
-    empty subset, are rejected before the first step and before the metrics
-    file is opened (``_check_heldout`` is the held-out rule).
+    (before any step if there are none), each step at most once. Before the first
+    step and before the metrics file is opened, ``data.check_scorable`` rejects
+    training data (its ``s_full``) or held-out pairs that do not fit the model
+    or lack a view, and an empty held-out block or subset is rejected too.
     """
-    got, want = ((x.d1, x.d2, x.num_classes) for x in (model, dataset))
-    if got != want:
-        raise DimensionError(f"the model has (d1, d2, K) = {got}, "
-                             f"but the training data has {want}")
+    check_scorable(dataset.s_full, "the training data", model, "the model")
     if heldout is not None:
-        _check_heldout(heldout, dataset)
+        check_scorable(heldout, "the held-out block", model, "the model")
+        if len(heldout) == 0:
+            raise ConfigError("the held-out block is empty: it has no complete pairs")
     _check_subsets(dataset)
     rng = np.random.default_rng(config.seed)
     adam = [AdamState(net.params(), config.alpha, config.beta1, config.beta2, config.epsilon)

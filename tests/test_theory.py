@@ -1,6 +1,7 @@
 """Tests for the exact discrete-distribution equilibrium oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,43 @@ def test_brute_force_never_beats_closed_form():
     v_closed = value_function(optimal_discriminator(real, g1, g2), real, g1, g2)
     v_brute = value_function(brute_force_discriminator(real, g1, g2), real, g1, g2)
     assert v_brute <= v_closed + 1e-12
+
+
+def one_block_brute_force(real, g1, g2, real_weight=1.0):
+    """The grid search as one (cells, grid) score block: the reference that
+    brute_force_discriminator's blocks of cells must match bit for bit."""
+    real = real_weight * real.table
+    mix = mixture(g1, g2).table
+    grid = np.arange(0.0, 1.0 + theory.GRID_STEP / 2.0, theory.GRID_STEP)
+    log_z = np.log(np.maximum(grid, 1e-300))
+    log_1mz = np.log(np.maximum(1.0 - grid, 1e-300))
+    scores = real.reshape(-1, 1) * log_z + mix.reshape(-1, 1) * log_1mz
+    return grid[np.argmax(scores, axis=1)].reshape(real.shape)
+
+
+@pytest.mark.parametrize("sparsity", [0.0, 0.3])
+def test_brute_force_in_blocks_of_cells_matches_one_block(sparsity):
+    # tables from 1 cell to 1,600, so from part of one block of cells to 50
+    rng = np.random.default_rng(7)
+    for trial in range(16):
+        n1, n2 = (int(n) for n in rng.integers(1, 41, size=2))
+        real, g1, g2 = (random_joint(rng, n1, n2, sparsity) for _ in range(3))
+        weight = 1.0 if trial % 2 else 1.0 / (2 + trial % 5)
+        got = brute_force_discriminator(real, g1, g2, real_weight=weight).table
+        assert np.array_equal(got, one_block_brute_force(real, g1, g2, weight)), (n1, n2)
+
+
+def test_brute_force_memory_peak():
+    # a 60 x 60 table as one (cells, grid) score block peaked at 57.9 MB;
+    # blocks of 32 cells peak at about 1.1 MB
+    real, g1, g2 = triple(3, 60, 60)
+    tracemalloc.start()
+    try:
+        brute_force_discriminator(real, g1, g2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_value_function_hand_example():

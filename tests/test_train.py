@@ -481,8 +481,12 @@ def test_train_rejects_heldout_pairs_of_another_shape_before_any_step(tmp_path, 
 
 @pytest.mark.parametrize("damage,error,message", [
     (lambda test: test[:0], ConfigError, "the held-out block is empty"),
-    (lambda test: test.with_view(1, None), ValueError, "the held-out block must hold both views"),
-    (lambda test: test.with_view(2, None), ValueError, "the held-out block must hold both views"),
+    (lambda test: test.with_view(1, None), ValueError, re.escape(
+        "the held-out block lacks view 1: it has (d1, d2, K) = (None, 3, 2), "
+        "but the model has (3, 3, 2)")),
+    (lambda test: test.with_view(2, None), ValueError, re.escape(
+        "the held-out block lacks view 2: it has (d1, d2, K) = (3, None, 2), "
+        "but the model has (3, 3, 2)")),
 ], ids=["empty", "no-view1", "no-view2"])
 def test_train_rejects_an_unusable_heldout_block_before_any_step(tmp_path, damage, error,
                                                                 message):
