@@ -12,7 +12,10 @@ scratch memory does not grow with the sample count.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import math
+import os
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import repeat
@@ -197,6 +200,14 @@ class PartitionedDataset:
 # increasing 0-based indices, the single character "-" for a missing view,
 # or an empty field for a present all-zero view.
 
+# which views (view1, view2) the subsets s_full, s_missing1 and s_missing2 hold
+_PATTERNS = ((True, True), (False, True), (True, False))
+
+
+def _subsets(dataset: PartitionedDataset):
+    return dataset.s_full, dataset.s_missing1, dataset.s_missing2
+
+
 def _format_view(v: np.ndarray | None, prefix) -> str:
     """One view field: "-" for a missing view, else "j:value" for each nonzero
     entry (0.0 and -0.0 are left out). Only those entries are taken to Python
@@ -238,20 +249,34 @@ def _parse_view(text: str, buf: array, zeros: array) -> None:
 
 
 def save_multiview_file(path, dataset: PartitionedDataset) -> None:
-    """Write a dataset in the sparse text format, a line per row; loading
-    inverts exactly, up to the sign of zero."""
+    """Write a dataset in the sparse text format, a line per row, and its
+    array sidecar ``<path>.arrays`` (``_write_arrays``); loading inverts
+    exactly, up to the sign of zero."""
     prefix1, prefix2 = ([f"{j}:" for j in range(d)].__getitem__
                         for d in (dataset.d1, dataset.d2))
     with open(path, "w", encoding="ascii") as f:
         f.write(f"#dims {dataset.d1} {dataset.d2} {dataset.num_classes}\n")
-        for subset in (dataset.s_full, dataset.s_missing1, dataset.s_missing2):
+        for subset in _subsets(dataset):
             rows1, rows2 = (repeat(None) if x is None else x for x in (subset.view1, subset.view2))
             for label, v1, v2 in zip(subset.label, rows1, rows2):
                 f.write(f"{label_index(label)}\t{_format_view(v1, prefix1)}"
                         f"\t{_format_view(v2, prefix2)}\n")
+    _write_arrays(path, dataset)
 
 
 def load_multiview_file(path) -> PartitionedDataset:
+    """Load a file in the sparse multiview format.
+
+    When the file's array sidecar is whole and records the file's SHA-256
+    (``_read_arrays``), the arrays come from it and the text is only
+    hashed; otherwise the text is parsed (``_parse_multiview_file``). Either
+    way the result is the same, bit for bit.
+    """
+    dataset = _read_arrays(path)
+    return _parse_multiview_file(path) if dataset is None else dataset
+
+
+def _parse_multiview_file(path) -> PartitionedDataset:
     """Parse the sparse multiview format; the partition is derived from "-" marks.
 
     The file is read a line at a time, and each subset's labels and present
@@ -277,8 +302,7 @@ def load_multiview_file(path) -> PartitionedDataset:
             raise ValueError("dimensions must be positive")
         zeros1, zeros2 = (array("d", bytes(8 * d)) for d in (d1, d2))
         # (view1, view2, label) buffers per subset, keyed by which views are present
-        subsets = {present: (array("d"), array("d"), array("d"))
-                   for present in ((True, True), (False, True), (True, False))}
+        subsets = {present: (array("d"), array("d"), array("d")) for present in _PATTERNS}
 
         for lineno, line in enumerate(lines, start=2):
             if line == "":
@@ -313,7 +337,121 @@ def load_multiview_file(path) -> PartitionedDataset:
         return Views(*(np.frombuffer(buf, dtype=np.float64).reshape(n, w) if keep else None
                        for buf, w, keep in zip(bufs, widths, (*present, True))))
 
-    return PartitionedDataset(block((True, True)), block((False, True)), block((True, False)))
+    return PartitionedDataset(*map(block, _PATTERNS))
+
+
+# ---------------------------------------------------------------------------
+# Array sidecar of a data file: ``<path>.arrays``.
+#
+# Header:  VIEWGAN-ARRAYS-1 <text sha256> <d1> <d2> <K> <n_full> <n_missing1>
+#          <n_missing2> <sha256 of the header before it and of the body>
+# Body:    each present block of s_full, s_missing1 and s_missing2, in that
+#          order and (view1, view2, label) within a subset, as raw <f8 rows.
+#
+# The text stays the format of record: the sidecar is read only while both
+# digests match and the body has the size the header implies, so a sidecar
+# that is stale, damaged or deleted only costs the parse.
+
+_ARRAYS_MAGIC = b"VIEWGAN-ARRAYS-1"
+_HASH_CHUNK = 1 << 16   # bytes read at a time to hash a data file
+_ARRAYS_ROWS = 1024     # rows written at a time, which bounds the save's scratch
+
+
+def _arrays_path(path) -> str:
+    return f"{os.fspath(path)}.arrays"
+
+
+def _file_sha256(path) -> bytes:
+    """The hex SHA-256 of file ``path``'s bytes, read _HASH_CHUNK at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest().encode("ascii")
+
+
+def _write_arrays(path, dataset: PartitionedDataset) -> None:
+    """Write the sidecar of the data file just written to ``path`` from
+    ``dataset``, whose parse it holds: the parser returns each value written
+    exactly, and +0.0 for every zero, so each block is stored through
+    ``np.add(block, 0.0)``, which turns -0.0 into +0.0. The text is hashed as
+    it lies on disk. The sidecar goes to a temporary file that then replaces
+    the old one; a failed write removes the temporary file and raises.
+    """
+    subsets = _subsets(dataset)
+    head = b" ".join([_ARRAYS_MAGIC, _file_sha256(path), *(
+        str(n).encode("ascii") for n in (dataset.d1, dataset.d2, dataset.num_classes,
+                                         *map(len, subsets)))])
+    digest = hashlib.sha256(head)
+    target = _arrays_path(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.seek(len(head) + 66)  # the header ends in a space, 64 hex digits and a newline
+            for subset in subsets:
+                for block in (subset.view1, subset.view2, subset.label):
+                    for start in range(0, 0 if block is None else len(block), _ARRAYS_ROWS):
+                        rows = np.add(block[start:start + _ARRAYS_ROWS], 0.0).astype(
+                            "<f8", copy=False)
+                        digest.update(rows)
+                        f.write(rows)
+            f.seek(0)
+            f.write(head + b" " + digest.hexdigest().encode("ascii") + b"\n")
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _read_arrays(path) -> PartitionedDataset | None:
+    """The dataset held in the sidecar of data file ``path``, or None unless
+    the sidecar exists, its header parses with the magic, the text's SHA-256
+    is the one it records, its body has exactly the size the header implies,
+    the header's own digest matches, and the blocks make a PartitionedDataset.
+
+    Each block is read with ``readinto`` into a bytearray that the returned
+    array uses without a copy, so it is writable and C-contiguous. Nothing
+    here raises for a file the parser could read: a file it cannot read is
+    left to the parser, whose errors name the file and the line.
+    """
+    try:
+        with open(_arrays_path(path), "rb") as f:
+            line = f.readline(512)
+            head, _, own = line[:-1].rpartition(b" ")
+            fields = head.split(b" ")
+            if line[-1:] != b"\n" or len(fields) != 8 or fields[0] != _ARRAYS_MAGIC:
+                return None
+            try:
+                *widths, n_full, n_missing1, n_missing2 = map(int, fields[2:])
+            except ValueError:
+                return None
+            if min(widths) < 1 or min(n_full, n_missing1, n_missing2) < 0:
+                return None
+            shapes = [[(n, w) if keep else None for w, keep in zip(widths, (*present, True))]
+                      for n, present in zip((n_full, n_missing1, n_missing2), _PATTERNS)]
+            body = sum(8 * n * w for subset in shapes for n, w in filter(None, subset))
+            if (os.fstat(f.fileno()).st_size != len(line) + body
+                    or fields[1] != _file_sha256(path)):
+                return None
+            digest = hashlib.sha256(head)
+
+            def read(shape):
+                buf = bytearray(8 * shape[0] * shape[1])
+                f.readinto(buf)
+                digest.update(buf)
+                return np.frombuffer(buf, dtype="<f8").reshape(shape)
+
+            blocks = [Views(*(None if shape is None else read(shape) for shape in subset))
+                      for subset in shapes]
+    except OSError:
+        return None
+    if digest.hexdigest().encode("ascii") != own:
+        return None
+    try:
+        return PartitionedDataset(*blocks)
+    except ValueError:
+        return None
 
 
 # ---------------------------------------------------------------------------

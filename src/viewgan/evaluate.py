@@ -130,10 +130,13 @@ def train_singleview_baseline(which_view: int, dataset: PartitionedDataset,
     """Train a softmax classifier on view v alone; evaluate by plain argmax.
 
     Returns (classifier, MetricsReport). The training pool is s_full plus
-    the subset whose other view is missing. Before training,
-    ``data.check_scorable`` rejects a test block that lacks view v or does
-    not fit the training data's (d1, d2, K).
+    the subset whose other view is missing. Before training, an empty test
+    block is a ConfigError, as in ``evaluate``, and ``data.check_scorable``
+    rejects one that lacks view v or does not fit the training data's
+    (d1, d2, K).
     """
+    if len(test) == 0:
+        raise ConfigError("empty test set")
     check_scorable(test, "the test block", dataset, "the training data", (which_view,))
     pool = dataset.observing(which_view)
     if len(pool) == 0:

@@ -2,7 +2,9 @@
 synthetic Gaussian task."""
 
 import math
+import os
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -125,10 +127,46 @@ def test_split_for_protocol_rejects_an_empty_pool():
         vg.split_for_protocol(make_views(0), 0, 0, 0, seed=0)
 
 
-def test_file_roundtrip_is_exact(tmp_path):
+def blocks(ds):
+    """The (view1, view2, label) blocks of each subset, in file order."""
+    return [a for s in (ds.s_full, ds.s_missing1, ds.s_missing2)
+            for a in (s.view1, s.view2, s.label)]
+
+
+def same_bits(a, b) -> bool:
+    """Both datasets hold the same blocks, None for None, byte for byte."""
+    return all((x is None) == (y is None) and (
+        x is None or x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes())
+        for x, y in zip(blocks(a), blocks(b)))
+
+
+def parse_only(monkeypatch, path):
+    """The parse of data file ``path``, with its sidecar out of the way."""
+    with monkeypatch.context() as m:
+        m.setattr(data_mod, "_read_arrays", lambda path: None)
+        return vg.load_multiview_file(path)
+
+
+@pytest.fixture(params=["sidecar", "parse"])
+def read_via(request, monkeypatch):
+    """Called after a save, so that loads take one path: "sidecar" makes the
+    parser an error, "parse" deletes the sidecar."""
+    def no_parse(path):
+        raise AssertionError(f"{path} was parsed, not read from its sidecar")
+
+    def prepare(path):
+        if request.param == "parse":
+            os.remove(f"{path}.arrays")
+        else:
+            monkeypatch.setattr(data_mod, "_parse_multiview_file", no_parse)
+    return prepare
+
+
+def test_file_roundtrip_is_exact(tmp_path, read_via):
     ds = tiny_dataset()
     path = tmp_path / "data.tsv"
     vg.save_multiview_file(path, ds)
+    read_via(path)
     loaded = vg.load_multiview_file(path)
     assert loaded.d1 == ds.d1 and loaded.d2 == ds.d2
     assert loaded.num_classes == ds.num_classes
@@ -155,9 +193,8 @@ def test_file_format_example(tmp_path):
     assert np.array_equal(ds.s_full[1].view1, np.zeros(4))
 
 
-def test_file_writer_bytes(tmp_path):
-    # rows are written full, missing1, missing2; zeros of either sign are left
-    # out, a present all-zero view is an empty field and a missing one "-"
+def writer_rows():
+    """Signed zeros, 5e-324, 1e16, a present all-zero view and missing views."""
     rows = {"full": [(2, [0.1, -0.0, 1e-05], [0.0, 1e16, 0.0]),
                      (0, [0.0, 0.0, -0.0], [5e-324, -2.5, 0.0])],
             "missing1": [(1, None, [-0.0, 0.0, 3.0])],
@@ -168,9 +205,14 @@ def test_file_writer_bytes(tmp_path):
         return vg.Views(None if v1[0] is None else np.array(v1),
                         None if v2[0] is None else np.array(v2), np.eye(3)[list(labels)])
 
+    return vg.PartitionedDataset(block("full"), block("missing1"), block("missing2"))
+
+
+def test_file_writer_bytes(tmp_path):
+    # rows are written full, missing1, missing2; zeros of either sign are left
+    # out, a present all-zero view is an empty field and a missing one "-"
     path = tmp_path / "data.tsv"
-    vg.save_multiview_file(path, vg.PartitionedDataset(
-        block("full"), block("missing1"), block("missing2")))
+    vg.save_multiview_file(path, writer_rows())
     assert path.read_bytes() == (b"#dims 3 3 3\n"
                                  b"2\t0:0.1 2:1e-05\t1:1e+16\n"
                                  b"0\t\t0:5e-324 1:-2.5\n"
@@ -178,14 +220,19 @@ def test_file_writer_bytes(tmp_path):
                                  b"0\t1:7.0 2:-1e-05\t-\n")
 
 
-def test_file_roundtrip_of_sparse_rows(tmp_path):
-    # 300 wide with about 8% nonzero entries, as a TF-IDF view would be
+def sparse_rows():
+    """60 rows 300 wide with about 8% nonzero entries, as a TF-IDF view would be."""
     rng = np.random.default_rng(3)
     view1, view2 = (rng.standard_normal((60, 300)) * (rng.random((60, 300)) < 0.08)
                     for _ in range(2))
-    ds = vg.PartitionedDataset(vg.Views(view1[:40], view2[:40], np.eye(2)[np.arange(40) % 2]),
-                               vg.Views(None, view2[40:50], np.eye(2)[np.arange(10) % 2]),
-                               vg.Views(view1[50:], None, np.eye(2)[np.arange(10) % 2]))
+    return vg.PartitionedDataset(
+        vg.Views(view1[:40], view2[:40], np.eye(2)[np.arange(40) % 2]),
+        vg.Views(None, view2[40:50], np.eye(2)[np.arange(10) % 2]),
+        vg.Views(view1[50:], None, np.eye(2)[np.arange(10) % 2]))
+
+
+def test_file_roundtrip_of_sparse_rows(tmp_path):
+    ds = sparse_rows()
     path = tmp_path / "sparse.tsv"
     vg.save_multiview_file(path, ds)
     # one index:value pair per nonzero entry of a present view
@@ -211,7 +258,8 @@ def complete_rows(n, d=20, k=3, seed=0):
 
 def test_save_multiview_file_memory_peak(tmp_path):
     # 5,000 complete 20+20 rows written a line at a time peak at about
-    # 0.05 MB; joining a subset's lines before writing needs several MB
+    # 0.05 MB; joining a subset's lines before writing needs several MB. The
+    # sidecar, hashed and written 1,024 rows at a time, is counted too.
     ds = complete_rows(5000)
     tracemalloc.start()
     try:
@@ -222,12 +270,14 @@ def test_save_multiview_file_memory_peak(tmp_path):
     assert peak < 1e6
 
 
-def test_load_multiview_file_memory_peak(tmp_path):
+def test_load_multiview_file_memory_peak(tmp_path, read_via):
     # 5,000 complete 20+20 rows hold 1.7 MB of arrays; read a line at a time
     # into flat buffers they peak at about 1.9 MB, and holding the file's
-    # bytes, text and lines plus an array per view row peaked at 10.1 MB
+    # bytes, text and lines plus an array per view row peaked at 10.1 MB.
+    # Read from the sidecar, the buffers are the arrays.
     path = tmp_path / "big.tsv"
     vg.save_multiview_file(path, complete_rows(5000))
+    read_via(path)
     tracemalloc.start()
     try:
         vg.load_multiview_file(path)
@@ -246,6 +296,118 @@ def test_loaded_blocks_are_contiguous_writable_float64(tmp_path):
             if block is not None:
                 assert block.dtype == np.float64
                 assert block.flags.c_contiguous and block.flags.writeable
+
+
+@pytest.mark.parametrize("make", [writer_rows, tiny_dataset, sparse_rows,
+                                  lambda: complete_rows(5000)],
+                         ids=["writer-rows", "tiny", "sparse-300", "complete-5000"])
+def test_sidecar_load_gives_the_bits_of_the_parse(tmp_path, make):
+    path = tmp_path / "data.tsv"
+    vg.save_multiview_file(path, make())
+    assert (tmp_path / "data.tsv.arrays").is_file()
+    assert data_mod._read_arrays(path) is not None
+    with_sidecar = vg.load_multiview_file(path)
+    os.remove(tmp_path / "data.tsv.arrays")
+    assert same_bits(with_sidecar, vg.load_multiview_file(path))
+    for block in blocks(with_sidecar):
+        if block is not None:
+            assert block.dtype == np.float64
+            assert block.flags.c_contiguous and block.flags.writeable
+
+
+def test_an_edited_file_is_parsed_not_read_from_its_sidecar(tmp_path, monkeypatch):
+    path = tmp_path / "data.tsv"
+    vg.save_multiview_file(path, tiny_dataset())
+    lines = path.read_text().splitlines(keepends=True)
+    label, view1, view2 = lines[1].split("\t")
+    lines[1] = "\t".join([label, "0:42.5" + view1[view1.index(" "):], view2])
+    path.write_text("".join(lines))
+    loaded = vg.load_multiview_file(path)
+    assert loaded.s_full.view1[0, 0] == 42.5
+    assert same_bits(loaded, parse_only(monkeypatch, path))
+
+    # an appended bad line is reported as it is without a sidecar
+    vg.save_multiview_file(path, tiny_dataset())
+    with open(path, "a", encoding="ascii") as f:
+        f.write("0\tx\t0:1.0\n")
+    with pytest.raises(DataFormatError) as with_sidecar:
+        vg.load_multiview_file(path)
+    os.remove(tmp_path / "data.tsv.arrays")
+    with pytest.raises(DataFormatError) as without:
+        vg.load_multiview_file(path)
+    assert str(with_sidecar.value) == str(without.value)
+    assert with_sidecar.value.line == without.value.line == 11
+
+
+def _header_fields(raw, edit):
+    """``raw`` with its header's space-separated fields passed through ``edit``."""
+    line, body = raw.split(b"\n", 1)
+    return b" ".join(edit(line.split(b" "))) + b"\n" + body
+
+
+def _flip(field):
+    return field[:-1] + (b"0" if field[-1:] != b"0" else b"1")
+
+
+def _not_one_hot(path):
+    # a sidecar whose digests hold, written from labels that are not one-hot
+    ds = tiny_dataset(d1=3, d2=3)
+    label = ds.s_full.label.copy()
+    label[0] = [0.5, 0.5]
+    data_mod._write_arrays(path, types.SimpleNamespace(
+        s_full=vg.Views(ds.s_full.view1, ds.s_full.view2, label), s_missing1=ds.s_missing1,
+        s_missing2=ds.s_missing2, d1=3, d2=3, num_classes=2))
+    return (path.parent / "data.tsv.arrays").read_bytes()
+
+
+SIDECAR_DAMAGE = {
+    "one-byte-short": lambda raw, path: raw[:-1],
+    "one-byte-extra": lambda raw, path: raw + b"\0",
+    "wrong-magic": lambda raw, path: raw.replace(b"VIEWGAN-ARRAYS-1", b"VIEWGAN-ARRAYS-2", 1),
+    "bad-text-digest": lambda raw, path: _header_fields(
+        raw, lambda f: [f[0], _flip(f[1]), *f[2:]]),
+    "bad-own-digest": lambda raw, path: _header_fields(raw, lambda f: [*f[:-1], _flip(f[-1])]),
+    # 4 + 3 + 2 rows as 5 + 2 + 2: another byte count
+    "other-sizes": lambda raw, path: _header_fields(
+        raw, lambda f: [*f[:5], b"5", b"2", *f[7:]]),
+    # 4 + 3 + 2 rows as 4 + 2 + 3: the same byte count, since d1 = d2
+    "swapped-sizes": lambda raw, path: _header_fields(
+        raw, lambda f: [*f[:6], f[7], f[6], f[8]]),
+    "header-cut": lambda raw, path: raw[:40],
+    "not-a-number": lambda raw, path: _header_fields(raw, lambda f: [*f[:2], b"x", *f[3:]]),
+    "body-byte": lambda raw, path: raw[:-20] + bytes([raw[-20] ^ 1]) + raw[-19:],
+    "not-one-hot": lambda raw, path: _not_one_hot(path),
+}
+
+
+@pytest.mark.parametrize("damage", list(SIDECAR_DAMAGE))
+def test_a_damaged_sidecar_gives_the_parse(tmp_path, monkeypatch, damage):
+    path = tmp_path / "data.tsv"
+    vg.save_multiview_file(path, tiny_dataset(d1=3, d2=3))
+    sidecar = tmp_path / "data.tsv.arrays"
+    raw = sidecar.read_bytes()
+    sidecar.write_bytes(SIDECAR_DAMAGE[damage](raw, path))
+    assert sidecar.read_bytes() != raw
+    assert data_mod._read_arrays(path) is None
+    assert same_bits(vg.load_multiview_file(path), parse_only(monkeypatch, path))
+
+
+def test_a_failed_sidecar_write_raises_and_leaves_no_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "data.tsv"
+    vg.save_multiview_file(path, tiny_dataset())
+
+    def boom(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(data_mod.os, "replace", boom)
+    with pytest.raises(OSError, match="disk full"):
+        vg.save_multiview_file(path, tiny_dataset(n_full=5))
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.tsv", "data.tsv.arrays"]
+    # the old sidecar stays, but no longer matches the text
+    loaded = vg.load_multiview_file(path)
+    assert len(loaded.s_full) == 5
+    assert same_bits(loaded, parse_only(monkeypatch, path))
 
 
 ENDING_ROWS = ["#dims 4 3 2", "0\t0:1.5 2:-0.25\t1:7.0", "", "1\t-\t0:1.0 2:2.0", "0\t\t-"]

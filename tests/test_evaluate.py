@@ -194,6 +194,16 @@ def test_baseline_rejects_a_test_block_of_another_k_before_training(monkeypatch)
         train_singleview_baseline(1, ds, tiny_cfg(), other, hidden_dim=4)
 
 
+def test_baseline_rejects_an_empty_test_block_before_training(monkeypatch):
+    # it used to make every iteration's Adam step, then fail in the test pass
+    ds, test, _ = vg.generate_synthetic(synth_spec())
+    steps = []
+    monkeypatch.setattr(evaluate_mod, "adam_step", lambda *args: steps.append(args))
+    with pytest.raises(ConfigError, match="^empty test set$"):
+        train_singleview_baseline(1, ds, tiny_cfg(iters=200), test[:0], hidden_dim=4)
+    assert steps == []
+
+
 def test_baseline_test_pass_in_row_blocks_reports_as_one_whole_pass():
     # 5,000 test rows make three row blocks of the classifier's pass
     ds, test, _ = vg.generate_synthetic(synth_spec(seed=5, m_test=5000))
