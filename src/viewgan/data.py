@@ -1,4 +1,5 @@
-"""Two-view datasets: partition by missing view, sparse text format, synthetic task.
+"""Two-view datasets: partition by missing view, sparse text format with an
+array sidecar, synthetic task.
 
 A training set splits into three subsets: examples with both views, examples
 missing view 1, and examples missing view 2. Every example is labeled. The

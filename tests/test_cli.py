@@ -55,12 +55,15 @@ def synth_files(tmp_path):
     return train_f, test_f
 
 
-def test_synth_prints_bayes(capsys, synth_files):
+def test_synth_prints_bayes(capsys, synth_files, tmp_path):
     # capsys comes first, so it captures what the fixture's synth run printed
     bayes = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("bayes_accuracy=")]
     assert len(bayes) == 1
     assert 1 / 2 <= float(bayes[0].split("=", 1)[1]) <= 1  # K = 2
+    # each data file is written with its array sidecar
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "synth.cfg", "test.tsv", "test.tsv.arrays", "train.tsv", "train.tsv.arrays"]
     train_f, test_f = synth_files
     import viewgan as vg
     ds = vg.load_multiview_file(train_f)
