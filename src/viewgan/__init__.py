@@ -15,7 +15,8 @@ from .nn import AdamState, ForwardTrace, Mlp, adam_step, backward, forward, init
 from .theory import (DiscreteJoint, DiscriminatorTable, augmented_value,
                      brute_force_discriminator, check_theorem, jsd, kl, mixture,
                      optimal_discriminator, value_function)
-from .train import (Minibatch, TrainConfig, feature_matching_penalty,
-                    loss_discriminator, loss_generator, real_feature_mean, sample_minibatch)
+from .train import (Minibatch, TrainConfig, complete, feature_matching_penalty,
+                    loss_discriminator, loss_generator, real_feature_mean, sample_minibatch,
+                    step)
 
 __version__ = "0.1.0"

@@ -92,13 +92,32 @@ def _synthetic_spec(cfg: ConfigMap, sizes: dict, seed: int) -> SyntheticSpec:
     )
 
 
-def _check_output_path(path) -> None:
-    """Reject an output path that cannot be written, before any work is done."""
-    if os.path.isdir(path):
-        raise ConfigError(f"output path {path} is a directory")
-    directory = os.path.dirname(path) or "."
-    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
-        raise ConfigError(f"output path {path}: {directory} is not a writable directory")
+def _same_file(a, b) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: one inode if both exist,
+    else one path once symlinks and ``..`` are resolved."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_output_paths(outputs, inputs=()) -> None:
+    """Reject, before any work is done, an output path that cannot be written
+    or that names the same file as another output or an input. ``outputs``
+    and ``inputs`` are (name, path) pairs; a None path is left out."""
+    seen = [(name, path) for name, path in inputs if path is not None]
+    for name, path in outputs:
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ConfigError(f"output path {path} is a directory")
+        directory = os.path.dirname(path) or "."
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            raise ConfigError(f"output path {path}: {directory} is not a writable directory")
+        for other_name, other in seen:
+            if _same_file(path, other):
+                raise ConfigError(f"{other_name} and {name} both name the file {path}")
+        seen.append((name, path))
 
 
 def _print_report(report: MetricsReport) -> None:
@@ -117,9 +136,13 @@ def _print_report(report: MetricsReport) -> None:
 
 
 def cmd_train(args) -> int:
-    _check_output_path(args.out_checkpoint)
+    _check_output_paths([("--out-checkpoint", args.out_checkpoint), ("--metrics", args.metrics)],
+                        [("--config", args.config), ("--data", args.data),
+                         ("--heldout", args.heldout)])
     with load_kv_file(args.config) as cfg:
         tc = _train_config(cfg)
+        if args.heldout and tc.eval_every == 0:  # the pairs would never be scored
+            raise ConfigError("must be at least 1 with --heldout, got 0", key="eval_every")
         hidden = _positive_int(cfg, "hidden_dim", DEFAULT_HIDDEN_DIM)
         cfg.finish()
     dataset = load_multiview_file(args.data)
@@ -162,6 +185,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _check_output_paths([("--out-train", args.out_train), ("--out-test", args.out_test)],
+                        [("--config", args.config)])
     with load_kv_file(args.config) as cfg:
         sizes = {key: cfg.get_int(key) for key in _SUBSET_SIZES}
         spec = _synthetic_spec(cfg, sizes, _seed(cfg.get_int("seed", 0)))
@@ -175,7 +200,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    _check_output_path(args.out)
+    _check_output_paths([("--out", args.out)], [("--config", args.config)])
     with load_kv_file(args.config) as cfg:
         tc = _train_config(cfg, skip=_REPEAT_FIELDS)
         n_repeats = cfg.get_int("n_repeats")
@@ -192,6 +217,8 @@ def cmd_experiment(args) -> int:
         if cfg.has("data"):
             pool_file = cfg.get_str("data")
             cfg.finish()
+            _check_output_paths([("--out", args.out)],
+                                [(f"key 'data' of {args.config}", pool_file)])
             pool = load_multiview_file(pool_file).s_full
             if len(pool) == 0:
                 raise ConfigError(f"{pool_file} has no complete pairs to split")

@@ -20,9 +20,9 @@ import numpy as np
 from .data import Views
 from .errors import ConfigError
 from .model import new_model
-from .nn import HIDDEN, INPUT, LINEAR, SOFTMAX, backward, forward, init_mlp
-from .train import (Minibatch, feature_matching_penalty, loss_discriminator, loss_generator,
-                    real_feature_mean)
+from .nn import INPUT, LINEAR, SOFTMAX, backward, forward, init_mlp
+from .train import (Minibatch, complete, feature_matching_penalty, loss_discriminator,
+                    loss_generator, real_feature_mean)
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -108,33 +108,25 @@ def _check_mlp(rng, kind: str) -> float:
     return max_relative_error(analytic, numeric)
 
 
-def _completion(model, batch: Minibatch, v: int):
-    """(generator v's trace, the pairs it completes) on its side of the batch."""
-    gen_input, observed, _ = batch.side(v)
-    trace = forward(model.generator(v), gen_input)
-    return trace, model.completed_pair(v, trace.output, observed)
-
-
 def _family_loss(model, batch: Minibatch, family: str):
     """(the net a loss family differentiates, its loss(grads) closure).
 
     Inputs the perturbed net cannot reach are built once, here: the two
     completions of ``loss-d``, and the mean real-pair features of
     ``feature-matching``, ``loss-g1`` and ``loss-g2``, which perturb a
-    generator (a hidden-layer pass, then ``real_feature_mean``). Each
-    evaluation runs only the passes that follow the perturbed weights.
+    generator. Each evaluation runs only the passes that follow the
+    perturbed weights.
     """
     if family == "loss-d":
-        completed = [_completion(model, batch, v)[1] for v in (1, 2)]
+        completed = [complete(model, v, batch)[1] for v in (1, 2)]
 
         def loss(grads):
             return loss_discriminator(model, batch, completed, grads=grads)
         return model.disc, loss
-    real_mean = real_feature_mean(
-        model, forward(model.disc, batch.real_pairs, need=HIDDEN).hidden_act)
+    real_mean = real_feature_mean(model, batch)
     if family == "feature-matching":  # through generator 1
         def loss(grads):
-            trace, pairs = _completion(model, batch, 1)
+            trace, pairs, _ = complete(model, 1, batch)
             return feature_matching_penalty(model, 1, real_mean, pairs, trace, grads=grads)
         return model.generator(1), loss
     v = 1 if family == "loss-g1" else 2

@@ -1,15 +1,15 @@
-"""Losses and the sequential three-player training loop.
+"""Losses and the sequential three-player training step and loop.
 
-Each iteration samples one minibatch with m_b examples from every subset,
-then Adam-updates the discriminator, generator 1, and generator 2 strictly
-in that order, every player seeing the same batch. ``train()`` runs both
-generators for the discriminator phase and hands their completed pairs to
-the discriminator loss, which treats them as constants. Before each
-generator phase it runs the discriminator's hidden layer over the real
-pairs and hands the mean of those features to the generator loss. Each
-generator loss makes its own completions, passes the mean on to the
-feature-matching penalty, and backpropagates through the frozen
-discriminator into the slot its view occupies.
+Each ``step`` Adam-updates the discriminator, generator 1, and generator 2
+strictly in that order on one minibatch with m_b examples from every
+subset, every player seeing the same batch. It runs both generators
+(``complete``) for the discriminator phase and hands their completed pairs
+to the discriminator loss, which treats them as constants. Before each
+generator phase it hands the mean discriminator features of the real pairs
+(``real_feature_mean``) to the generator loss. Each generator loss makes
+its own completions, passes the mean on to the feature-matching penalty,
+and backpropagates through the frozen discriminator into the slot its view
+occupies.
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ def clamped_class_grad(probs: np.ndarray, targets: np.ndarray, coeff: float, *,
     return -coeff * float(np.add.reduce(picked)), dlogits
 
 
-def _complete(model: TripartiteModel, v: int, batch: Minibatch):
-    """Run generator ``v`` on its side of the batch.
+def complete(model: TripartiteModel, v: int, batch: Minibatch):
+    """Run generator ``v`` on its side of the batch, the one builder of completed pairs.
 
     Returns (generator trace, completed [view1 | view2] pairs, class indices).
     """
@@ -192,26 +192,17 @@ def loss_discriminator(model: TripartiteModel, batch: Minibatch, completed, *,
     return total, sums
 
 
-def real_feature_mean(model: TripartiteModel, real_features) -> np.ndarray:
-    """Mean discriminator features of a block of real pairs: the real side of
-    feature matching, formed once where the features are made.
+def real_feature_mean(model: TripartiteModel, batch: Minibatch) -> np.ndarray:
+    """Mean discriminator features of the batch's real pairs: the real side of
+    feature matching.
 
-    real_features are the discriminator's hidden features of real complete
-    pairs (``forward(model.disc, real_pairs, need=HIDDEN).hidden_act``), an
-    (n, hidden_dim) block with n >= 1: another shape is a ``DimensionError``
-    and an empty block a ``ConfigError``. Returns the (hidden_dim,) column
-    means, the float64 operations of ``np.mean(real_features, axis=0)``:
-    column sums, each divided by the row count.
+    Runs the discriminator's hidden layer over ``batch.real_pairs`` and
+    returns the (hidden_dim,) column means, the float64 operations of
+    ``np.mean(features, axis=0)``: column sums, each divided by the row count.
     """
-    hidden = model.disc.hidden_dim
-    if real_features.ndim != 2 or real_features.shape[1] != hidden:
-        raise DimensionError(f"real_features must be an (n, {hidden}) block of the "
-                             f"discriminator's hidden features, got shape "
-                             f"{real_features.shape}")
-    if real_features.shape[0] < 1:
-        raise ConfigError("feature matching needs a non-empty real batch")
-    mean = np.add.reduce(real_features, axis=0)
-    mean /= real_features.shape[0]
+    features = forward(model.disc, batch.real_pairs, need=HIDDEN).hidden_act
+    mean = np.add.reduce(features, axis=0)
+    mean /= features.shape[0]
     return mean
 
 
@@ -282,7 +273,7 @@ def loss_generator(model: TripartiteModel, which_view: int, batch: Minibatch,
     _check_batch_classes(model, batch)
     m_b = len(batch.full)
     coeff = 1.0 / (m_b * (model.num_classes + 1))
-    gen_trace, pairs, targets = _complete(model, which_view, batch)
+    gen_trace, pairs, targets = complete(model, which_view, batch)
 
     trace_d = forward(model.disc, pairs)
     class_loss, dlogits = clamped_class_grad(trace_d.output, targets, coeff, grads=grads)
@@ -325,30 +316,49 @@ def _heldout_accuracy(model: TripartiteModel, heldout: Views) -> tuple[float, fl
     return float(np.mean(~fake & hit)), float(np.mean(hit))
 
 
+def step(model: TripartiteModel, batch: Minibatch, adam, config: TrainConfig) -> list:
+    """One Adam step each for the discriminator, generator 1 and generator 2, in
+    that order, on its own loss with the other players held fixed; ``adam``
+    holds their three ``AdamState``. Returns [loss_d, loss_g1, loss_g2]."""
+    completed = [complete(model, v, batch)[1] for v in (1, 2)]
+    loss_d, grads = loss_discriminator(model, batch, completed)
+    adam_step(model.disc.params(), grads, adam[0])
+    losses = [loss_d]
+    for v in (1, 2):
+        loss, grads = loss_generator(model, v, batch, real_feature_mean(model, batch),
+                                     config.fm_weight)
+        adam_step(model.generator(v).params(), grads, adam[v])
+        losses.append(loss)
+    return losses
+
+
 def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConfig,
           heldout=None, metrics_path=None, checkpoint_path=None):
     """Run the minibatch game for config.iterations steps.
 
-    Per step: sample one batch, then update the discriminator, generator 1,
-    and generator 2 sequentially, each by one Adam step on its own loss with
-    the other players held fixed. Returns (model, rows) where each row is
-    (iteration, loss_d, loss_g1, loss_g2, heldout_acc, heldout_class_acc):
+    Per step: sample one batch and run ``step`` on it. Returns (model, rows),
+    each row (iteration, loss_d, loss_g1, loss_g2, heldout_acc, heldout_class_acc):
     heldout_acc is the Fake-gated accuracy and heldout_class_acc the class
-    head's argmax accuracy on the held-out pairs, both None on steps that
-    are not evaluated. When metrics_path is given the rows are streamed to a
-    CSV with header ``iter,loss_d,loss_g1,loss_g2,heldout_acc,heldout_class_acc``.
+    head's argmax accuracy on the held-out pairs after every eval_every-th
+    step, both None on the other steps. When metrics_path is given the rows
+    are streamed to a CSV with header
+    ``iter,loss_d,loss_g1,loss_g2,heldout_acc,heldout_class_acc``.
     When checkpoint_path is given, the model is saved there, with
     config.seed, after every checkpoint_every-th step and after the last one
     (before any step if there are none), each step at most once. Before the first
     step and before the metrics file is opened, ``data.check_scorable`` rejects
     training data (its ``s_full``) or held-out pairs that do not fit the model
-    or lack a view, and an empty held-out block or subset is rejected too.
+    or lack a view, and an empty held-out block or subset is rejected too, as
+    are held-out pairs with config.eval_every = 0, which would never score them.
     """
     check_scorable(dataset.s_full, "the training data", model, "the model")
     if heldout is not None:
         check_scorable(heldout, "the held-out block", model, "the model")
         if len(heldout) == 0:
             raise ConfigError("the held-out block is empty: it has no complete pairs")
+        if config.eval_every == 0:
+            raise ConfigError("must be at least 1 when held-out pairs are given, got 0",
+                              key="eval_every")
     _check_subsets(dataset)
     rng = np.random.default_rng(config.seed)
     adam = [AdamState(net.params(), config.alpha, config.beta1, config.beta2, config.epsilon)
@@ -362,28 +372,18 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
             save_checkpoint(checkpoint_path, model, config.seed, 0)
         for i in range(config.iterations):
             try:
-                batch = sample_minibatch(dataset, config.minibatch_size, rng)
-                completed = [_complete(model, v, batch)[1] for v in (1, 2)]
-                loss_d, grads = loss_discriminator(model, batch, completed)
-                adam_step(model.disc.params(), grads, adam[0])
-                losses = [loss_d]
-                for v in (1, 2):
-                    real_mean = real_feature_mean(
-                        model, forward(model.disc, batch.real_pairs, need=HIDDEN).hidden_act)
-                    loss, grads = loss_generator(model, v, batch, real_mean, config.fm_weight)
-                    adam_step(model.generator(v).params(), grads, adam[v])
-                    losses.append(loss)
+                losses = step(model, sample_minibatch(dataset, config.minibatch_size, rng),
+                              adam, config)
             except NumericError as e:
                 raise NumericError(f"iteration {i}: {e}") from e
-
-            step = i + 1
+            done = i + 1
             accs = (None, None)
-            if heldout is not None and config.eval_every and step % config.eval_every == 0:
+            if heldout is not None and done % config.eval_every == 0:
                 accs = _heldout_accuracy(model, heldout)
-            rows.append((i, *map(float, losses), *accs))
+            rows.append((i, *losses, *accs))
             if out:
                 out.write(",".join("" if x is None else repr(x) for x in rows[-1]) + "\n")
-            if checkpoint_path and (step == config.iterations or (
-                    config.checkpoint_every and step % config.checkpoint_every == 0)):
-                save_checkpoint(checkpoint_path, model, config.seed, step)
+            if checkpoint_path and (done == config.iterations or (
+                    config.checkpoint_every and done % config.checkpoint_every == 0)):
+                save_checkpoint(checkpoint_path, model, config.seed, done)
     return model, rows

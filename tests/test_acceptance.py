@@ -191,18 +191,14 @@ def test_initial_loss_closed_forms():
         rng.uniform(-1, 1, size=(m_b, 4)),
         rng.uniform(-1, 1, size=(m_b, 4)))
 
-    completed = []
-    for v in (1, 2):
-        gen_input, observed, _ = batch.side(v)
-        generated = vg.forward(model.generator(v), gen_input).output
-        completed.append(model.completed_pair(v, generated, observed))
+    completed = [vg.complete(model, v, batch)[1] for v in (1, 2)]
     loss_d, _ = loss_discriminator(model, batch, completed)
     expect_d = (k + 2) / (k + 1) * math.log(k + 1)
     gap_d = abs(loss_d - expect_d)
 
     expect_g = math.log(k + 1) / (k + 1)
     gap_g = 0.0
-    real_mean = vg.real_feature_mean(model, vg.forward(model.disc, batch.real_pairs).hidden_act)
+    real_mean = vg.real_feature_mean(model, batch)
     for v in (1, 2):
         loss_g, _ = loss_generator(model, v, batch, real_mean, fm_weight=0.0)
         gap_g = max(gap_g, abs(loss_g - expect_g))

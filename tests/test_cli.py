@@ -388,6 +388,18 @@ def synth_experiment_case(tmp_path, text=re.sub(r"^seed = .*\n", "", SYNTH_CFG, 
     return ["experiment", "--out", str(tmp_path / "exp.csv"), "--config", cfg]
 
 
+def never_scored_case(tmp_path, train_f, test_f, eval_every_line):
+    """A train run with held-out pairs whose config's eval_every line is
+    ``eval_every_line``: one that sets 0, or none, which leaves the default of 0."""
+    text = re.sub(r"^eval_every = .*\n", eval_every_line, TRAIN_CFG, flags=re.M)
+    cfg = write(tmp_path / "bad.cfg", text)
+    line = f"line {line_of(text, 'eval_every')}: " if eval_every_line else ""
+    return (["train", "--config", cfg, "--data", train_f, "--out-checkpoint",
+             str(tmp_path / "x.ckpt"), "--metrics", str(tmp_path / "metrics.csv"),
+             "--heldout", test_f],
+            [f"{cfg}: {line}key 'eval_every' must be at least 1 with --heldout, got 0"])
+
+
 def experiment_key_case(tmp_path, test_f, key):
     """An experiment on the test file of SYNTH_CFG whose config sets ``key``, which a
     repeat would not use, on line 9."""
@@ -548,6 +560,8 @@ BAD_INPUTS = {
     "epsilon-inf": lambda t, tr, te: train_config_case(t, tr, "epsilon", "inf"),
     "beta1-one": lambda t, tr, te: train_config_case(t, tr, "beta1", "1.0"),
     "eval-every-negative": lambda t, tr, te: train_config_case(t, tr, "eval_every", "-1"),
+    "heldout-never-scored": lambda t, tr, te: never_scored_case(t, tr, te, "eval_every = 0\n"),
+    "heldout-never-scored-by-default": lambda t, tr, te: never_scored_case(t, tr, te, ""),
     "minibatch-size-zero": lambda t, tr, te: train_config_case(t, tr, "minibatch_size", "0"),
     "alpha-negative": lambda t, tr, te: train_config_case(t, tr, "alpha", "-1"),
     "hidden-dim-zero": lambda t, tr, te: train_config_case(t, tr, "hidden_dim", "0"),
@@ -601,6 +615,76 @@ def test_bad_input_exits_2_with_one_error_line_before_any_work(case, tmp_path, s
         assert fragment in err
     assert work == []
     assert not (tmp_path / "metrics.csv").exists()
+
+
+def snapshot(directory):
+    """{path: bytes} of every file under ``directory``."""
+    return {path: path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+
+def linked_checkpoint_case(tmp_path, train_f):
+    (tmp_path / "link.tsv").symlink_to(train_f)
+    return (train_argv(tmp_path, train_f, "link.tsv"),
+            [f"--data and --out-checkpoint both name the file {tmp_path / 'link.tsv'}"])
+
+
+def synth_argv(tmp_path, out_train, out_test):
+    return ["synth", "--config", str(tmp_path / "synth.cfg"), "--out-train", out_train,
+            "--out-test", out_test]
+
+
+# Each case builds its files in (tmp_path, train file, test file of SYNTH_CFG) and
+# returns an argv with an output that names another output or an input, or that
+# cannot be written, and the fragments its one error line must contain.
+OUTPUT_CLASHES = {
+    "synth-train-is-test": lambda t, tr, te: (
+        synth_argv(t, str(t / "a.tsv"), str(t / "a.tsv")),
+        [f"--out-train and --out-test both name the file {t / 'a.tsv'}"]),
+    "synth-test-is-train-spelled-apart": lambda t, tr, te: (
+        synth_argv(t, str(t / "a.tsv"), f"{t}/./a.tsv"),
+        ["--out-train and --out-test both name the file"]),
+    "synth-test-is-config": lambda t, tr, te: (
+        synth_argv(t, str(t / "a.tsv"), str(t / "synth.cfg")),
+        ["--config and --out-test both name the file"]),
+    "synth-test-dir-missing": lambda t, tr, te: (
+        synth_argv(t, str(t / "a.tsv"), str(t / "nodir" / "b.tsv")),
+        [str(t / "nodir" / "b.tsv") + ":", "not a writable directory"]),
+    "train-checkpoint-is-data": lambda t, tr, te: (
+        train_argv(t, tr, "train.tsv"), [f"--data and --out-checkpoint both name the file {tr}"]),
+    "train-checkpoint-links-to-data": lambda t, tr, te: linked_checkpoint_case(t, tr),
+    "train-metrics-is-heldout": lambda t, tr, te: (
+        train_argv(t, tr, "model.ckpt", "--heldout", te, "--metrics", te),
+        [f"--heldout and --metrics both name the file {te}"]),
+    "train-metrics-is-config": lambda t, tr, te: (
+        train_argv(t, tr, "model.ckpt", "--metrics", str(t / "train.cfg")),
+        ["--config and --metrics both name the file"]),
+    "train-metrics-is-checkpoint": lambda t, tr, te: (
+        train_argv(t, tr, "model.ckpt", "--metrics", str(t / "model.ckpt")),
+        ["--out-checkpoint and --metrics both name the file"]),
+    "train-metrics-dir-missing": lambda t, tr, te: (
+        train_argv(t, tr, "model.ckpt", "--metrics", str(t / "nodir" / "m.csv")),
+        [str(t / "nodir" / "m.csv") + ":", "not a writable directory"]),
+    "experiment-out-is-config": lambda t, tr, te: (
+        experiment_case(t, te, (2, 2, 2), "exp.cfg"),
+        ["--config and --out both name the file"]),
+    "experiment-out-is-data": lambda t, tr, te: (
+        experiment_case(t, te, (2, 2, 2), "test.tsv"),
+        [f"key 'data' of {t / 'exp.cfg'} and --out both name the file {te}"]),
+}
+
+
+@pytest.mark.parametrize("case", OUTPUT_CLASHES)
+def test_an_output_that_clashes_or_cannot_be_written_leaves_every_file_alone(case, tmp_path,
+                                                                           synth_files, capsys):
+    argv, fragments = OUTPUT_CLASHES[case](tmp_path, *synth_files)
+    before = snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    for fragment in fragments:
+        assert fragment in err
+    assert snapshot(tmp_path) == before
 
 
 def readme_config_tables():

@@ -8,7 +8,7 @@ import pytest
 import viewgan.gradcheck as gc
 import viewgan.train as train_mod
 from viewgan.model import new_model
-from viewgan.nn import PARAMS, forward
+from viewgan.nn import PARAMS
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -53,25 +53,22 @@ def test_a_family_with_slightly_scaled_gradients_fails(monkeypatch):
 
 def rebuilding_loss(model, batch, family):
     """The finite-difference loss that rebuilds every input on each evaluation:
-    both completions for loss-d, for the others the mean real-pair features,
-    from a pass through both of the discriminator's layers."""
+    both completions for loss-d, for the others the mean real-pair features."""
     if family == "loss-d":
         def loss():
-            completed = [gc._completion(model, batch, v)[1] for v in (1, 2)]
+            completed = [train_mod.complete(model, v, batch)[1] for v in (1, 2)]
             return train_mod.loss_discriminator(model, batch, completed, grads=False)[0]
     elif family == "feature-matching":
         def loss():
-            trace, pairs = gc._completion(model, batch, 1)
-            real = train_mod.real_feature_mean(
-                model, forward(model.disc, batch.real_pairs).hidden_act)
+            trace, pairs, _ = train_mod.complete(model, 1, batch)
+            real = train_mod.real_feature_mean(model, batch)
             return train_mod.feature_matching_penalty(model, 1, real, pairs, trace,
                                                       grads=False)[0]
     else:
         v = 1 if family == "loss-g1" else 2
 
         def loss():
-            real = train_mod.real_feature_mean(
-                model, forward(model.disc, batch.real_pairs).hidden_act)
+            real = train_mod.real_feature_mean(model, batch)
             return train_mod.loss_generator(model, v, batch, real, fm_weight=1.0,
                                             grads=False)[0]
     return loss

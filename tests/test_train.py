@@ -20,10 +20,10 @@ from viewgan.data import Views, one_hot, other_view
 from viewgan.errors import ConfigError, DimensionError, NumericError
 from viewgan.evaluate import train_singleview_baseline
 from viewgan.model import discriminate, generate, generator_input, new_model, pair_input
-from viewgan.nn import HIDDEN, INPUT, PARAMS, forward
-from viewgan.train import (LOG_CLAMP, Minibatch, TrainConfig, clamped_class_grad,
+from viewgan.nn import HIDDEN, INPUT, PARAMS, AdamState, forward
+from viewgan.train import (LOG_CLAMP, Minibatch, TrainConfig, clamped_class_grad, complete,
                            feature_matching_penalty, loss_discriminator,
-                           loss_generator, real_feature_mean, sample_minibatch, train)
+                           loss_generator, real_feature_mean, sample_minibatch, step, train)
 
 
 def zero_model(d1=2, d2=2, k=3, hidden=4):
@@ -46,26 +46,6 @@ def make_batch(m_b=1, d1=2, d2=2, k=3, seed=0):
     )
 
 
-def completions(model, batch):
-    """The two generators' completed [view1 | view2] blocks, generator 1's first."""
-    blocks = []
-    for v in (1, 2):
-        gen_input, observed, _ = batch.side(v)
-        blocks.append(model.completed_pair(v, forward(model.generator(v), gen_input).output,
-                                           observed))
-    return blocks
-
-
-def real_features(model, batch):
-    """The discriminator's hidden features of the batch's real pairs."""
-    return forward(model.disc, batch.real_pairs, need=HIDDEN).hidden_act
-
-
-def real_mean(model, batch):
-    """The mean of those features, as the generator losses take it."""
-    return real_feature_mean(model, real_features(model, batch))
-
-
 def small_task(seed=0, k=2, d1=3, d2=3):
     spec = vg.SyntheticSpec(
         num_classes=k, d1=d1, d2=d2,
@@ -84,7 +64,8 @@ def test_discriminator_loss_at_uniform_output():
     k, m_b = 6, 1
     model = zero_model(k=k)
     batch = make_batch(m_b=m_b, k=k)
-    loss, grads = loss_discriminator(model, batch, completions(model, batch))
+    completed = [complete(model, v, batch)[1] for v in (1, 2)]
+    loss, grads = loss_discriminator(model, batch, completed)
     expect = (k + 2) / (k + 1) * math.log(k + 1)
     assert abs(loss - expect) < 1e-12
     assert grads[0].shape == model.disc.weights_in.shape
@@ -94,7 +75,7 @@ def test_discriminator_loss_reads_no_generator():
     # once the completions exist, the loss never looks at a generator again
     model = new_model(2, 2, 3, np.random.default_rng(12), hidden_dim=4)
     batch = make_batch(m_b=2, seed=13)
-    completed = completions(model, batch)
+    completed = [complete(model, v, batch)[1] for v in (1, 2)]
     want, want_grads = loss_discriminator(model, batch, completed)
     for gen in (model.gen1, model.gen2):
         for block in gen.params():
@@ -111,7 +92,7 @@ def test_discriminator_loss_needs_two_full_completed_blocks(cut):
     model = new_model(2, 2, 3, np.random.default_rng(14), hidden_dim=4)
     batch = make_batch(m_b=2, seed=15)
     with pytest.raises(DimensionError, match="two completed blocks of m_b = 2 rows"):
-        loss_discriminator(model, batch, cut(completions(model, batch)))
+        loss_discriminator(model, batch, cut([complete(model, v, batch)[1] for v in (1, 2)]))
 
 
 def test_discriminator_loss_rejects_a_batch_of_another_k():
@@ -122,12 +103,13 @@ def test_discriminator_loss_rejects_a_batch_of_another_k():
     model = new_model(2, 2, 3, np.random.default_rng(14), hidden_dim=4)
     for k in (2, 5):
         batch = make_batch(m_b=5, k=k, seed=15)
+        completed = [complete(model, v, batch)[1] for v in (1, 2)]
         message = f"labels have K = {k} classes, but the model has K = 3"
         with pytest.raises(DimensionError, match=message):
-            loss_discriminator(model, batch, completions(model, batch))
+            loss_discriminator(model, batch, completed)
         for v in (1, 2):
             with pytest.raises(DimensionError, match=message):
-                loss_generator(model, v, batch, real_mean(model, batch))
+                loss_generator(model, v, batch, real_feature_mean(model, batch))
 
 
 def test_summed_gradients_carry_no_input_gradient():
@@ -135,8 +117,9 @@ def test_summed_gradients_carry_no_input_gradient():
     # player, shaped like it: no pass's input gradient rides along
     model = new_model(2, 2, 3, np.random.default_rng(1), hidden_dim=4)
     batch = make_batch(m_b=2, seed=2)
-    results = [(model.disc, loss_discriminator(model, batch, completions(model, batch))[1])]
-    mean = real_mean(model, batch)
+    completed = [complete(model, v, batch)[1] for v in (1, 2)]
+    results = [(model.disc, loss_discriminator(model, batch, completed)[1])]
+    mean = real_feature_mean(model, batch)
     results += [(model.generator(v), loss_generator(model, v, batch, mean)[1])
                 for v in (1, 2)]
     for net, grads in results:
@@ -148,7 +131,7 @@ def test_generator_class_term_at_uniform_output():
     k, m_b = 6, 1
     model = zero_model(k=k)
     batch = make_batch(m_b=m_b, k=k)
-    loss, _ = loss_generator(model, 1, batch, real_mean(model, batch), fm_weight=0.0)
+    loss, _ = loss_generator(model, 1, batch, real_feature_mean(model, batch), fm_weight=0.0)
     expect = math.log(k + 1) / (k + 1)
     assert abs(loss - expect) < 1e-12
 
@@ -157,7 +140,8 @@ def test_discriminator_loss_uniform_any_k():
     for k in (2, 3, 4):
         model = zero_model(k=k)
         batch = make_batch(m_b=2, k=k)
-        loss, _ = loss_discriminator(model, batch, completions(model, batch))
+        completed = [complete(model, v, batch)[1] for v in (1, 2)]
+        loss, _ = loss_discriminator(model, batch, completed)
         expect = (k + 2) / (k + 1) * math.log(k + 1)
         assert abs(loss - expect) < 1e-10
 
@@ -166,9 +150,9 @@ def test_losses_do_not_mutate_the_model():
     model = new_model(2, 2, 3, np.random.default_rng(3), hidden_dim=4)
     batch = make_batch(m_b=2, seed=4)
     before = [b.copy() for n in (model.gen1, model.gen2, model.disc) for b in n.params()]
-    loss_discriminator(model, batch, completions(model, batch))
-    loss_generator(model, 1, batch, real_mean(model, batch))
-    loss_generator(model, 2, batch, real_mean(model, batch))
+    loss_discriminator(model, batch, [complete(model, v, batch)[1] for v in (1, 2)])
+    loss_generator(model, 1, batch, real_feature_mean(model, batch))
+    loss_generator(model, 2, batch, real_feature_mean(model, batch))
     after = [b for n in (model.gen1, model.gen2, model.disc) for b in n.params()]
     for a, b in zip(before, after):
         assert np.array_equal(a, b)
@@ -181,16 +165,17 @@ def test_clamped_log_saturates_and_freezes_gradient():
     model.disc.bias_out[:] = np.array([-60.0, 60.0, -60.0])
     batch = make_batch(m_b=1, k=2, seed=5)
     batch.full.label[0] = one_hot(0, 2)
-    loss, grads = loss_discriminator(model, batch, completions(model, batch))
+    completed = [complete(model, v, batch)[1] for v in (1, 2)]
+    loss, grads = loss_discriminator(model, batch, completed)
     # the true-class probability underflows past the clamp; the loss is
     # finite and the class term contributes exactly -log(clamp)/3
     class_term = -math.log(LOG_CLAMP) / 3.0
     assert loss > class_term - 1e-9
     assert np.all(np.isfinite(grads[0]))
     # value mode forms no gradient and keeps the loss bits, clamped rows included
-    value, none = loss_discriminator(model, batch, completions(model, batch), grads=False)
+    value, none = loss_discriminator(model, batch, completed, grads=False)
     assert none is None and float(value).hex() == float(loss).hex()
-    mean = real_mean(model, batch)
+    mean = real_feature_mean(model, batch)
     for v in (1, 2):
         want, _ = loss_generator(model, v, batch, mean)
         got, none = loss_generator(model, v, batch, mean, grads=False)
@@ -219,15 +204,12 @@ def test_clamped_class_grad_zeroes_only_the_clamped_rows():
 def test_feature_matching_zero_when_distributions_match():
     model = new_model(2, 2, 2, np.random.default_rng(6), hidden_dim=4)
     batch = make_batch(m_b=3, k=2, seed=7)
-    noise = batch.noise_v1
-    observed = batch.miss1.view2
-    fake1 = generate(model, 1, observed, noise)
-    trace = forward(model.gen1, generator_input(model, 1, observed, noise))
-    # feed the generator's own output back as the "real" pairs: means match
-    real = real_feature_mean(model, forward(model.disc, pair_input(model, fake1, observed),
-                                            need=HIDDEN).hidden_act)
+    trace, pairs, _ = complete(model, 1, batch)
+    # a batch whose real pairs are generator 1's own completions: means match
+    mirror = Minibatch(Views(trace.output, batch.miss1.view2, batch.full.label), batch.miss1,
+                       batch.miss2, batch.noise_v1, batch.noise_v2)
     penalty, grads = feature_matching_penalty(
-        model, 1, real, model.completed_pair(1, trace.output, observed), trace)
+        model, 1, real_feature_mean(model, mirror), pairs, trace)
     assert penalty == 0.0
     assert [g.shape for g in grads] == [p.shape for p in model.gen1.params()]
     for g in grads:
@@ -237,34 +219,25 @@ def test_feature_matching_zero_when_distributions_match():
 def test_feature_matching_positive_otherwise():
     model = new_model(2, 2, 2, np.random.default_rng(8), hidden_dim=4)
     batch = make_batch(m_b=3, k=2, seed=9)
-    trace = forward(model.gen1, generator_input(model, 1, batch.miss1.view2, batch.noise_v1))
+    trace, pairs, _ = complete(model, 1, batch)
     penalty, grads = feature_matching_penalty(
-        model, 1, real_mean(model, batch),
-        model.completed_pair(1, trace.output, batch.miss1.view2), trace)
+        model, 1, real_feature_mean(model, batch), pairs, trace)
     assert penalty > 0
     assert any(np.any(g != 0) for g in grads)
 
 
-@pytest.mark.parametrize("side", ["real", "generated"])
-def test_feature_matching_rejects_an_empty_block(side):
-    # an empty real block where its mean is formed, an empty generated
-    # block in the penalty
+def test_feature_matching_rejects_an_empty_generated_block():
     m = zero_model()
     b = make_batch(m_b=2)
-    gen_input, observed, _ = b.side(1)
-    trace = forward(m.gen1, gen_input)
-    pairs = m.completed_pair(1, trace.output, observed)
-    with pytest.raises(ConfigError, match=f"feature matching needs a non-empty {side} batch"):
-        if side == "real":
-            real_feature_mean(m, real_features(m, b)[:0])
-        else:
-            feature_matching_penalty(m, 1, real_mean(m, b), pairs[:0], trace)
+    trace, pairs, _ = complete(m, 1, b)
+    with pytest.raises(ConfigError, match="feature matching needs a non-empty generated batch"):
+        feature_matching_penalty(m, 1, real_feature_mean(m, b), pairs[:0], trace)
 
 
 def test_generator_loss_includes_weighted_penalty():
     model = new_model(2, 2, 2, np.random.default_rng(10), hidden_dim=4)
     batch = make_batch(m_b=2, k=2, seed=11)
-    mean = real_mean(model, batch)
+    mean = real_feature_mean(model, batch)
     plain, _ = loss_generator(model, 1, batch, mean, fm_weight=0.0)
     heavy, _ = loss_generator(model, 1, batch, mean, fm_weight=5.0)
     light, _ = loss_generator(model, 1, batch, mean, fm_weight=1.0)
@@ -279,7 +252,7 @@ def test_generator_loss_runs_no_real_pair_pass(monkeypatch):
     # completions, which stops at the hidden layer
     model = new_model(2, 2, 3, np.random.default_rng(16), hidden_dim=4)
     batch = make_batch(m_b=2, seed=17)
-    mean = real_mean(model, batch)
+    mean = real_feature_mean(model, batch)
     calls = []
 
     def watched(net, x, **kwargs):
@@ -296,21 +269,14 @@ def test_generator_loss_runs_no_real_pair_pass(monkeypatch):
             assert not any(np.array_equal(x, batch.real_pairs) for _, x, _ in calls)
 
 
-@pytest.mark.parametrize("block, mean", [((4,), (5,)), ((2, 5), (3,)), ((2, 3), (1, 4)),
-                                         ((1, 2, 4), (2, 4))],
-                         ids=["vector", "wider", "narrower", "three-d"])
-def test_feature_matching_rejects_features_of_another_width(block, mean):
-    # hidden width 4: where the mean is formed, a vector of that width is not
-    # read as a column; the penalty and the generator loss take only a
-    # (4,) mean. A wrong width names both widths instead of failing inside numpy
+@pytest.mark.parametrize("mean", [(5,), (3,), (1, 4), (2, 4)],
+                         ids=["wider", "narrower", "row", "block"])
+def test_feature_matching_rejects_a_mean_of_another_shape(mean):
+    # hidden width 4: the penalty and the generator loss take only a (4,)
+    # mean. A wrong shape names both shapes instead of failing inside numpy
     model = new_model(2, 2, 3, np.random.default_rng(18), hidden_dim=4)
     batch = make_batch(m_b=2, seed=19)
-    gen_input, observed, _ = batch.side(1)
-    trace = forward(model.gen1, gen_input)
-    pairs = model.completed_pair(1, trace.output, observed)
-    with pytest.raises(DimensionError, match=re.escape(
-            f"(n, 4) block of the discriminator's hidden features, got shape {block}")):
-        real_feature_mean(model, np.ones(block))
+    trace, pairs, _ = complete(model, 1, batch)
     pattern = re.escape(f"(4,) vector of the discriminator's mean hidden features, "
                         f"got shape {mean}")
     for grads in (True, False):
@@ -322,12 +288,10 @@ def test_feature_matching_rejects_features_of_another_width(block, mean):
 
 def loss_calls(model, batch):
     """Each loss on this batch, at both views and both fm_weight settings."""
-    calls = [partial(loss_discriminator, model, batch, completions(model, batch))]
-    mean = real_mean(model, batch)
-    for v in (1, 2):
-        gen_input, observed, _ = batch.side(v)
-        trace = forward(model.generator(v), gen_input)
-        pairs = model.completed_pair(v, trace.output, observed)
+    completed = [complete(model, v, batch) for v in (1, 2)]
+    calls = [partial(loss_discriminator, model, batch, [pairs for _, pairs, _ in completed])]
+    mean = real_feature_mean(model, batch)
+    for v, (trace, pairs, _) in zip((1, 2), completed):
         calls.append(partial(feature_matching_penalty, model, v, mean, pairs, trace))
         calls += [partial(loss_generator, model, v, batch, mean, fm_weight=w)
                   for w in (0.0, 1.0)]
@@ -499,6 +463,17 @@ def test_train_rejects_an_unusable_heldout_block_before_any_step(tmp_path, damag
     assert not metrics.exists()
 
 
+def test_train_rejects_heldout_pairs_it_would_never_score(tmp_path):
+    ds, test, _ = small_task()
+    model = new_model(3, 3, 2, np.random.default_rng(0), hidden_dim=4)
+    metrics = tmp_path / "metrics.csv"
+    with pytest.raises(ConfigError, match="^eval_every must be at least 1 when held-out "
+                                          "pairs are given, got 0$"):
+        train(model, ds, TrainConfig(iterations=4, minibatch_size=2), heldout=test,
+              metrics_path=metrics)
+    assert not metrics.exists()
+
+
 def test_a_blow_up_mid_training_names_its_iteration():
     ds, _, _ = small_task()
     model = new_model(3, 3, 2, np.random.default_rng(0), hidden_dim=4)
@@ -623,9 +598,9 @@ def test_train_config_requires_a_finite_nonnegative_fm_weight(fm_weight):
 @pytest.mark.parametrize("call", [
     lambda m, b, ds: generate(m, 3, b.miss1.view2, b.noise_v1),
     lambda m, b, ds: generator_input(m, 3, b.miss1.view2, b.noise_v1),
-    lambda m, b, ds: loss_generator(m, 3, b, real_mean(m, b)),
+    lambda m, b, ds: loss_generator(m, 3, b, real_feature_mean(m, b)),
     lambda m, b, ds: feature_matching_penalty(
-        m, 3, real_mean(m, b), b.real_pairs, forward(m.gen1, b.side(1)[0])),
+        m, 3, real_feature_mean(m, b), b.real_pairs, forward(m.gen1, b.side(1)[0])),
     lambda m, b, ds: ds.observing(3),
     lambda m, b, ds: train_singleview_baseline(
         3, ds, TrainConfig(iterations=1, minibatch_size=2), ds.s_full),
@@ -672,8 +647,9 @@ def plain_backward(net, trace, output_grad, *, need=PARAMS):
             output_grad.sum(axis=0)]
 
 
-def plain_feature_mean(model, real_features):
-    return np.mean(real_features, axis=0)
+def plain_feature_mean(model, batch):
+    pairs = pair_input(model, batch.full.view1, batch.full.view2)
+    return np.mean(forward(model.disc, pairs).hidden_act, axis=0)
 
 
 def plain_feature_matching(model, which_view, real_mean, gen_pairs, gen_trace, *,
@@ -741,12 +717,10 @@ def test_feature_matching_matches_the_plain_expression_bit_for_bit(m_b):
     model = new_model(20, 20, 3, np.random.default_rng(32), hidden_dim=200)
     batch = sample_minibatch(dataset, m_b, np.random.default_rng(33))
     # the shipped mean from a hidden-layer pass against np.mean of a full pass's features
-    plain_mean = plain_feature_mean(model, forward(model.disc, batch.real_pairs).hidden_act)
+    plain_mean = plain_feature_mean(model, batch)
     for v in (1, 2):
-        gen_input, observed, _ = batch.side(v)
-        trace = forward(model.generator(v), gen_input)
-        pairs = model.completed_pair(v, trace.output, observed)
-        got, got_grads = feature_matching_penalty(model, v, real_mean(model, batch), pairs,
+        trace, pairs, _ = complete(model, v, batch)
+        got, got_grads = feature_matching_penalty(model, v, real_feature_mean(model, batch), pairs,
                                                   trace)
         want, want_grads = plain_feature_matching(model, v, plain_mean, pairs, trace)
         assert got == want > 0
@@ -778,6 +752,24 @@ def test_training_matches_the_textbook_step_bit_for_bit(monkeypatch, m_b):
         for a, b in zip(getattr(shipped, name).params(), getattr(textbook, name).params()):
             assert a.tobytes() == b.tobytes()
     assert not np.array_equal(shipped.disc.weights_in, init.disc.weights_in)
+
+
+def test_train_is_a_loop_of_sample_minibatch_and_step():
+    # at the acceptance shapes, train() adds only the loop around the one step
+    dataset, _, _ = acceptance_shaped_task(41)
+    init = new_model(20, 20, 3, np.random.default_rng(42), hidden_dim=200)
+    config = TrainConfig(iterations=20, minibatch_size=32, seed=43)
+    trained, rows = train(init.copy(), dataset, config)
+
+    model, rng = init.copy(), np.random.default_rng(config.seed)
+    adam = [AdamState(net.params(), config.alpha, config.beta1, config.beta2, config.epsilon)
+            for net in (model.disc, model.gen1, model.gen2)]
+    hand = [(i, *step(model, sample_minibatch(dataset, 32, rng), adam, config), None, None)
+            for i in range(config.iterations)]
+    assert repr(rows) == repr(hand)
+    for name in ("gen1", "gen2", "disc"):
+        for a, b in zip(getattr(trained, name).params(), getattr(model, name).params()):
+            assert a.tobytes() == b.tobytes()
 
 
 # One short wide-shape training in a fresh process with one BLAS thread,
