@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import ConfigMap, load_kv_file
 from .data import (SyntheticSpec, block_class_means, check_scorable, generate_synthetic,
-                   load_multiview_file, other_view, partition_rows, read_text, save_multiview_file)
+                   load_multiview_file, other_view, partition_rows, read_text, save_multiview_file,
+                   sidecar_path)
 from .errors import ConfigError, DataFormatError
 from .evaluate import (ExperimentSpec, MetricsReport, Scenario, evaluate,
                        run_experiment, write_experiment_csv)
@@ -101,6 +102,13 @@ def _same_file(a, b) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
+def _data_files(*pairs):
+    """The (name, path) pairs of data files, each followed by its sidecar's:
+    a save writes both files, and a load may read both."""
+    return [pair for name, path in pairs if path is not None
+            for pair in ((name, path), (f"the sidecar of {name}", sidecar_path(path)))]
+
+
 def _check_output_paths(outputs, inputs=()) -> None:
     """Reject, before any work is done, an output path that cannot be written
     or that names the same file as another output or an input. ``outputs``
@@ -137,8 +145,8 @@ def _print_report(report: MetricsReport) -> None:
 
 def cmd_train(args) -> int:
     _check_output_paths([("--out-checkpoint", args.out_checkpoint), ("--metrics", args.metrics)],
-                        [("--config", args.config), ("--data", args.data),
-                         ("--heldout", args.heldout)])
+                        [("--config", args.config),
+                         *_data_files(("--data", args.data), ("--heldout", args.heldout))])
     with load_kv_file(args.config) as cfg:
         tc = _train_config(cfg)
         if args.heldout and tc.eval_every == 0:  # the pairs would never be scored
@@ -185,7 +193,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _check_output_paths([("--out-train", args.out_train), ("--out-test", args.out_test)],
+    _check_output_paths(_data_files(("--out-train", args.out_train),
+                                    ("--out-test", args.out_test)),
                         [("--config", args.config)])
     with load_kv_file(args.config) as cfg:
         sizes = {key: cfg.get_int(key) for key in _SUBSET_SIZES}
@@ -218,7 +227,7 @@ def cmd_experiment(args) -> int:
             pool_file = cfg.get_str("data")
             cfg.finish()
             _check_output_paths([("--out", args.out)],
-                                [(f"key 'data' of {args.config}", pool_file)])
+                                _data_files((f"key 'data' of {args.config}", pool_file)))
             pool = load_multiview_file(pool_file).s_full
             if len(pool) == 0:
                 raise ConfigError(f"{pool_file} has no complete pairs to split")

@@ -45,13 +45,15 @@ def label_index(label: np.ndarray) -> int:
 
 def _decode(raw: bytes, encoding: str, path, lines_before: int = 0) -> str:
     """``raw`` decoded; a byte that does not decode names file ``path`` and its
-    line: ``lines_before`` plus the newlines before it in ``raw``, plus 1."""
+    line: ``lines_before`` plus its line in ``raw``, with the breaks of the
+    text decoded before it counted as ``str.splitlines`` counts them."""
     try:
         return raw.decode(encoding)
     except UnicodeDecodeError as e:
+        # a character appended to the prefix stands for the bad byte's line
+        line = len((raw[:e.start].decode(encoding) + "?").splitlines())
         raise DataFormatError(f"byte {raw[e.start]:#04x} is not {encoding} text",
-                              line=lines_before + raw.count(b"\n", 0, e.start) + 1,
-                              path=path) from None
+                              line=lines_before + line, path=path) from None
 
 
 def read_text(path, encoding: str) -> str:
@@ -60,12 +62,32 @@ def read_text(path, encoding: str) -> str:
         return _decode(f.read(), encoding, path)
 
 
+@contextlib.contextmanager
+def replace_file(path, mode: str, encoding: str | None = None):
+    """A file object to write the whole of file ``path``: a temporary file
+    beside it, opened in ``mode``, that replaces ``path`` when the block ends
+    cleanly and is removed on any error. So a crash mid-write leaves the
+    previous file as it was; nothing is fsync'd, so a power loss may not."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=encoding) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def _read_lines(path, encoding: str):
     """The lines of file ``path`` as ``str.splitlines`` numbers them in its whole
     text, read and decoded one newline-ended line at a time."""
+    yielded = 0
     with open(path, "rb") as f:
-        for n, raw in enumerate(f):
-            yield from _decode(raw, encoding, path, n).splitlines()
+        for raw in f:
+            lines = _decode(raw, encoding, path, yielded).splitlines()
+            yielded += len(lines)
+            yield from lines
 
 
 def by_view(v: int, first, second):
@@ -250,12 +272,12 @@ def _parse_view(text: str, buf: array, zeros: array) -> None:
 
 
 def save_multiview_file(path, dataset: PartitionedDataset) -> None:
-    """Write a dataset in the sparse text format, a line per row, and its
-    array sidecar ``<path>.arrays`` (``_write_arrays``); loading inverts
-    exactly, up to the sign of zero."""
+    """Write a dataset in the sparse text format, a line per row, and then
+    its array sidecar (``_write_arrays``), each through ``replace_file``;
+    loading inverts exactly, up to the sign of zero."""
     prefix1, prefix2 = ([f"{j}:" for j in range(d)].__getitem__
                         for d in (dataset.d1, dataset.d2))
-    with open(path, "w", encoding="ascii") as f:
+    with replace_file(path, "w", "ascii") as f:
         f.write(f"#dims {dataset.d1} {dataset.d2} {dataset.num_classes}\n")
         for subset in _subsets(dataset):
             rows1, rows2 = (repeat(None) if x is None else x for x in (subset.view1, subset.view2))
@@ -358,7 +380,9 @@ _HASH_CHUNK = 1 << 16   # bytes read at a time to hash a data file
 _ARRAYS_ROWS = 1024     # rows written at a time, which bounds the save's scratch
 
 
-def _arrays_path(path) -> str:
+def sidecar_path(path) -> str:
+    """The array sidecar's path beside data file ``path``: the second file a
+    save writes."""
     return f"{os.fspath(path)}.arrays"
 
 
@@ -376,33 +400,24 @@ def _write_arrays(path, dataset: PartitionedDataset) -> None:
     ``dataset``, whose parse it holds: the parser returns each value written
     exactly, and +0.0 for every zero, so each block is stored through
     ``np.add(block, 0.0)``, which turns -0.0 into +0.0. The text is hashed as
-    it lies on disk. The sidecar goes to a temporary file that then replaces
-    the old one; a failed write removes the temporary file and raises.
+    it lies on disk.
     """
     subsets = _subsets(dataset)
     head = b" ".join([_ARRAYS_MAGIC, _file_sha256(path), *(
         str(n).encode("ascii") for n in (dataset.d1, dataset.d2, dataset.num_classes,
                                          *map(len, subsets)))])
     digest = hashlib.sha256(head)
-    target = _arrays_path(path)
-    tmp = f"{target}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.seek(len(head) + 66)  # the header ends in a space, 64 hex digits and a newline
-            for subset in subsets:
-                for block in (subset.view1, subset.view2, subset.label):
-                    for start in range(0, 0 if block is None else len(block), _ARRAYS_ROWS):
-                        rows = np.add(block[start:start + _ARRAYS_ROWS], 0.0).astype(
-                            "<f8", copy=False)
-                        digest.update(rows)
-                        f.write(rows)
-            f.seek(0)
-            f.write(head + b" " + digest.hexdigest().encode("ascii") + b"\n")
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with replace_file(sidecar_path(path), "wb") as f:
+        f.seek(len(head) + 66)  # the header ends in a space, 64 hex digits and a newline
+        for subset in subsets:
+            for block in (subset.view1, subset.view2, subset.label):
+                for start in range(0, 0 if block is None else len(block), _ARRAYS_ROWS):
+                    rows = np.add(block[start:start + _ARRAYS_ROWS], 0.0).astype(
+                        "<f8", copy=False)
+                    digest.update(rows)
+                    f.write(rows)
+        f.seek(0)
+        f.write(head + b" " + digest.hexdigest().encode("ascii") + b"\n")
 
 
 def _read_arrays(path) -> PartitionedDataset | None:
@@ -417,7 +432,7 @@ def _read_arrays(path) -> PartitionedDataset | None:
     left to the parser, whose errors name the file and the line.
     """
     try:
-        with open(_arrays_path(path), "rb") as f:
+        with open(sidecar_path(path), "rb") as f:
             line = f.readline(512)
             head, _, own = line[:-1].rpartition(b" ")
             fields = head.split(b" ")

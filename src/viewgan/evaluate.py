@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (PartitionedDataset, SyntheticSpec, Views, check_scorable,
-                   generate_synthetic, other_view, split_for_protocol)
+                   generate_synthetic, other_view, replace_file, split_for_protocol)
 from .errors import ConfigError
 from .model import TripartiteModel, decide_batch, discriminate, generate, new_model
 from .nn import (DEFAULT_HIDDEN_DIM, SOFTMAX, AdamState, adam_step, backward, forward,
@@ -270,11 +270,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
 
 def write_experiment_csv(path, result: ExperimentResult) -> None:
-    """Per-repeat rows then mean and std rows; blank cells for absent metrics."""
+    """Per-repeat rows then mean and std rows, through ``data.replace_file``;
+    blank cells for absent metrics."""
     def fmt(v):
         return "" if v is None else repr(float(v))
 
-    with open(path, "w", encoding="ascii") as f:
+    with replace_file(path, "w", "ascii") as f:
         f.write("repeat," + ",".join(METRIC_FIELDS) + "\n")
         for row in result.rows:
             f.write(str(row.repeat) + ","

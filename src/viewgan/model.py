@@ -12,14 +12,12 @@ Canonical layouts (also recorded in checkpoint headers):
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import by_view, read_text
+from .data import by_view, read_text, replace_file
 from .errors import DataFormatError, DimensionError
 from .nn import DEFAULT_HIDDEN_DIM, LINEAR, SOFTMAX, Mlp, forward_in_blocks, init_mlp
 
@@ -170,26 +168,16 @@ def _write_net(f, name: str, net: Mlp):
 
 
 def save_checkpoint(path, model: TripartiteModel, seed: int, step: int) -> None:
-    """Write the model, RNG seed, and step count to ``path``.
-
-    The text goes to a temporary file beside ``path``, which then replaces
-    it, so a crash mid-write leaves the previous checkpoint as it was.
-    """
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="ascii") as f:
-            f.write(CHECKPOINT_MAGIC + "\n")
-            f.write(_LAYOUT_LINE + "\n")
-            f.write(f"dims {model.d1} {model.d2} {model.num_classes}\n")
-            f.write(f"seed {seed}\n")
-            f.write(f"step {step}\n")
-            for name, *_ in _nets(model.d1, model.d2, model.num_classes):
-                _write_net(f, name, getattr(model, name))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    """Write the model, RNG seed, and step count to ``path``, through
+    ``data.replace_file``."""
+    with replace_file(path, "w", "ascii") as f:
+        f.write(CHECKPOINT_MAGIC + "\n")
+        f.write(_LAYOUT_LINE + "\n")
+        f.write(f"dims {model.d1} {model.d2} {model.num_classes}\n")
+        f.write(f"seed {seed}\n")
+        f.write(f"step {step}\n")
+        for name, *_ in _nets(model.d1, model.d2, model.num_classes):
+            _write_net(f, name, getattr(model, name))
 
 
 class _LineReader:

@@ -646,12 +646,25 @@ OUTPUT_CLASHES = {
     "synth-test-is-config": lambda t, tr, te: (
         synth_argv(t, str(t / "a.tsv"), str(t / "synth.cfg")),
         ["--config and --out-test both name the file"]),
+    "synth-config-is-train-sidecar": lambda t, tr, te: (
+        ["synth", "--config", write(t / "a.tsv.arrays", SYNTH_CFG), "--out-train",
+         str(t / "a.tsv"), "--out-test", str(t / "b.tsv")],
+        [f"--config and the sidecar of --out-train both name the file {t / 'a.tsv.arrays'}"]),
+    "synth-test-is-train-sidecar": lambda t, tr, te: (
+        synth_argv(t, str(t / "a.tsv"), str(t / "a.tsv.arrays")),
+        [f"the sidecar of --out-train and --out-test both name the file {t / 'a.tsv.arrays'}"]),
     "synth-test-dir-missing": lambda t, tr, te: (
         synth_argv(t, str(t / "a.tsv"), str(t / "nodir" / "b.tsv")),
         [str(t / "nodir" / "b.tsv") + ":", "not a writable directory"]),
     "train-checkpoint-is-data": lambda t, tr, te: (
         train_argv(t, tr, "train.tsv"), [f"--data and --out-checkpoint both name the file {tr}"]),
     "train-checkpoint-links-to-data": lambda t, tr, te: linked_checkpoint_case(t, tr),
+    "train-checkpoint-is-data-sidecar": lambda t, tr, te: (
+        train_argv(t, tr, "train.tsv.arrays"),
+        [f"the sidecar of --data and --out-checkpoint both name the file {tr}.arrays"]),
+    "train-metrics-is-heldout-sidecar": lambda t, tr, te: (
+        train_argv(t, tr, "model.ckpt", "--heldout", te, "--metrics", f"{te}.arrays"),
+        [f"the sidecar of --heldout and --metrics both name the file {te}.arrays"]),
     "train-metrics-is-heldout": lambda t, tr, te: (
         train_argv(t, tr, "model.ckpt", "--heldout", te, "--metrics", te),
         [f"--heldout and --metrics both name the file {te}"]),
@@ -670,6 +683,9 @@ OUTPUT_CLASHES = {
     "experiment-out-is-data": lambda t, tr, te: (
         experiment_case(t, te, (2, 2, 2), "test.tsv"),
         [f"key 'data' of {t / 'exp.cfg'} and --out both name the file {te}"]),
+    "experiment-out-is-data-sidecar": lambda t, tr, te: (
+        experiment_case(t, te, (2, 2, 2), "test.tsv.arrays"),
+        [f"the sidecar of key 'data' of {t / 'exp.cfg'} and --out both name the file"]),
 }
 
 

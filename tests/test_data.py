@@ -14,6 +14,7 @@ import viewgan as vg
 import viewgan.data as data_mod
 from viewgan.data import label_index, one_hot
 from viewgan.errors import ConfigError, DataFormatError, DimensionError
+from viewgan.evaluate import ExperimentResult, write_experiment_csv
 
 
 def make_views(n, d1=3, d2=2, k=2, miss=None, seed=0):
@@ -392,21 +393,74 @@ def test_a_damaged_sidecar_gives_the_parse(tmp_path, monkeypatch, damage):
     assert same_bits(vg.load_multiview_file(path), parse_only(monkeypatch, path))
 
 
-def test_a_failed_sidecar_write_raises_and_leaves_no_temporary_file(tmp_path, monkeypatch):
-    path = tmp_path / "data.tsv"
-    vg.save_multiview_file(path, tiny_dataset())
+def fail_replace(monkeypatch, name):
+    """Make ``os.replace`` raise OSError("disk full") onto a file named ``name``."""
+    real = os.replace
 
-    def boom(*args):
-        raise OSError("disk full")
+    def replace(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError("disk full")
+        real(src, dst)
 
-    monkeypatch.setattr(data_mod.os, "replace", boom)
+    monkeypatch.setattr(os, "replace", replace)
+
+
+def save_data(directory, version):
+    vg.save_multiview_file(directory / "data.tsv", tiny_dataset(n_full=3 + version))
+
+
+# each writer of a whole file: the file it replaces, and a save of version 1 or 2
+WRITERS = {
+    "checkpoint": ("model.ckpt", lambda directory, version: vg.save_checkpoint(
+        directory / "model.ckpt", vg.new_model(3, 2, 2, np.random.default_rng(version), 4),
+        seed=0, step=version)),
+    "data text": ("data.tsv", save_data),
+    "sidecar": ("data.tsv.arrays", save_data),
+    "experiment csv": ("results.csv", lambda directory, version: write_experiment_csv(
+        directory / "results.csv", ExperimentResult((), {"accuracy": version / 4}, {}))),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_failed_replace_keeps_the_previous_file_and_leaves_no_temporary_file(
+        tmp_path, monkeypatch, writer):
+    name, save = WRITERS[writer]
+    save(tmp_path, 1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    fail_replace(monkeypatch, name)
     with pytest.raises(OSError, match="disk full"):
-        vg.save_multiview_file(path, tiny_dataset(n_full=5))
-    monkeypatch.undo()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.tsv", "data.tsv.arrays"]
-    # the old sidecar stays, but no longer matches the text
+        save(tmp_path, 2)
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == sorted(before)
+    assert after[name] == before[name]
+
+
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+def test_an_error_inside_replace_file_keeps_the_previous_file(tmp_path, error):
+    path = tmp_path / "file.txt"
+    path.write_text("old", encoding="ascii")
+    with pytest.raises(error), data_mod.replace_file(path, "w", "ascii") as f:
+        f.write("new")
+        raise error
+    assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+    assert path.read_text(encoding="ascii") == "old"
+
+
+@pytest.mark.parametrize("failed,n_full", [("data.tsv", 4), ("data.tsv.arrays", 5)],
+                         ids=["text", "sidecar"])
+def test_a_data_file_whose_save_failed_loads_what_lies_on_disk(tmp_path, monkeypatch,
+                                                               failed, n_full):
+    # the text failing keeps the old text and its still-matching sidecar; the
+    # sidecar failing leaves the new text beside a stale sidecar, so it is parsed
+    path = tmp_path / "data.tsv"
+    save_data(tmp_path, 1)
+    with monkeypatch.context() as m:
+        fail_replace(m, failed)
+        with pytest.raises(OSError, match="disk full"):
+            save_data(tmp_path, 2)
+    assert (data_mod._read_arrays(path) is None) == (failed == "data.tsv.arrays")
     loaded = vg.load_multiview_file(path)
-    assert len(loaded.s_full) == 5
+    assert len(loaded.s_full) == n_full
     assert same_bits(loaded, parse_only(monkeypatch, path))
 
 
@@ -417,11 +471,11 @@ ENDING_ROWS = ["#dims 4 3 2", "0\t0:1.5 2:-0.25\t1:7.0", "", "1\t-\t0:1.0 2:2.0"
 @pytest.mark.parametrize("final_newline", [True, False])
 def test_line_endings_give_the_same_rows_and_line_numbers(tmp_path, ending, final_newline):
     # the lines are those of str.splitlines on the whole text, which also
-    # numbers them: a bad row among CR or form-feed lines names that line
+    # numbers them: a bad row or byte among CR or form-feed lines names that line
     def text(rows):
         ends = (["\r\n", "\n", "\r", "\f"] if ending == "mixed" else [ending]) * len(rows)
         body = "".join(row + end for row, end in zip(rows, ends))
-        return (body if final_newline else body[:-len(ends[len(rows) - 1])]).encode("ascii")
+        return (body if final_newline else body[:-len(ends[len(rows) - 1])]).encode("latin-1")
 
     path = tmp_path / "data.tsv"
     path.write_bytes(text(ENDING_ROWS))
@@ -432,10 +486,11 @@ def test_line_endings_give_the_same_rows_and_line_numbers(tmp_path, ending, fina
                  (got.s_missing2, want.s_missing2)):
         assert views_equal(a, b)
 
-    path.write_bytes(text(ENDING_ROWS[:4] + ["0\tx\t0:1.0"] + ENDING_ROWS[4:]))
-    with pytest.raises(DataFormatError) as err:
-        vg.load_multiview_file(path)
-    assert err.value.line == 5
+    for bad_row in ("0\tx\t0:1.0", "\xff\t0:1.0\t-"):
+        path.write_bytes(text(ENDING_ROWS[:4] + [bad_row] + ENDING_ROWS[4:]))
+        with pytest.raises(DataFormatError) as err:
+            vg.load_multiview_file(path)
+        assert err.value.line == 5, bad_row
 
 
 @pytest.mark.parametrize("bad_line,expect_line", [

@@ -293,21 +293,6 @@ def test_checkpoint_net_errors_carry_line_numbers(tmp_path, lineno, damage):
     assert err.value.line == lineno
 
 
-def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, small_model(seed=1), seed=0, step=1)
-    first = path.read_bytes()
-
-    def boom(*args):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(model_mod, "_write_net", boom)
-    with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, small_model(seed=2), seed=0, step=2)
-    assert path.read_bytes() == first
-    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
-
-
 def test_checkpoint_magic_is_stable(tmp_path):
     m = small_model()
     path = tmp_path / "model.ckpt"

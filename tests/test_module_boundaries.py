@@ -1,5 +1,6 @@
-"""Each viewgan module uses only the public names of its siblings, and one
-function owns each piece of the training step that others reuse."""
+"""Each viewgan module uses only the public names of its siblings, one
+function owns each piece of the training step that others reuse, and one
+function replaces files."""
 
 import ast
 from pathlib import Path
@@ -24,9 +25,15 @@ def private_imports(path):
     return found
 
 
+def scan_package(scan):
+    """{file name: what ``scan`` finds in it} for each viewgan module where it
+    finds anything."""
+    found = {path.name: scan(path) for path in sorted(PACKAGE.glob("*.py"))}
+    return {name: items for name, items in found.items() if items}
+
+
 def test_no_module_imports_a_private_name_from_a_sibling():
-    leaks = {path.name: private_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
-    assert {name: found for name, found in leaks.items() if found} == {}
+    assert scan_package(private_imports) == {}
 
 
 def test_the_scan_sees_a_private_import(tmp_path):
@@ -38,31 +45,39 @@ def test_the_scan_sees_a_private_import(tmp_path):
                                        (2, "viewgan.train", "_check_heldout")]
 
 
-def step_pieces(path):
-    """(enclosing function, piece) of each call in the module at ``path`` that
-    builds a completed pair or runs a forward pass over ``real_pairs``."""
+def labelled_nodes(path, label):
+    """(enclosing function, label) of each node in the module at ``path`` to
+    which ``label`` gives a label other than None, in source order."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                reads_real = any(isinstance(n, ast.Attribute) and n.attr == "real_pairs"
-                                 for arg in child.args for n in ast.walk(arg))
-                if called == "completed_pair":
-                    found.append((owner, "completed pair"))
-                elif called == "forward" and reads_real:
-                    found.append((owner, "real-pair forward"))
+            if (name := label(child)) is not None:
+                found.append((owner, name))
             visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), None)
     return found
 
 
+def step_piece(node):
+    """"completed pair" for a call that builds one, "real-pair forward" for a
+    forward pass over ``real_pairs``."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    reads_real = any(isinstance(n, ast.Attribute) and n.attr == "real_pairs"
+                     for arg in node.args for n in ast.walk(arg))
+    if called == "completed_pair":
+        return "completed pair"
+    if called == "forward" and reads_real:
+        return "real-pair forward"
+    return None
+
+
 def test_one_function_owns_each_piece_of_the_step():
-    pieces = {path.name: step_pieces(path) for path in sorted(PACKAGE.glob("*.py"))}
-    assert {name: found for name, found in pieces.items() if found} == {
+    assert scan_package(lambda path: labelled_nodes(path, step_piece)) == {
         "train.py": [("complete", "completed pair"), ("real_feature_mean", "real-pair forward")]}
 
 
@@ -73,5 +88,37 @@ def test_the_scan_sees_the_step_pieces(tmp_path):
                       "    return forward(model.disc, batch.real_pairs, need=HIDDEN)\n"
                       "x = nn.forward(net, np.abs(batch.real_pairs))\n"
                       "y = forward(net, batch.other_pairs)\n", encoding="utf-8")
-    assert step_pieces(source) == [("f", "completed pair"), ("f", "real-pair forward"),
-                                   (None, "real-pair forward")]
+    assert labelled_nodes(source, step_piece) == [
+        ("f", "completed pair"), ("f", "real-pair forward"), (None, "real-pair forward")]
+
+
+def file_piece(node):
+    """"os.replace" or "os.rename" for a call of either, "temporary name" for a
+    string that ends in ".tmp", "sidecar name" for one that ends in ".arrays"."""
+    if isinstance(node, ast.Call):
+        name = ast.unparse(node.func)
+        return name if name in ("os.replace", "os.rename") else None
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        for suffix, piece in ((".tmp", "temporary name"), (".arrays", "sidecar name")):
+            if node.value.endswith(suffix):
+                return piece
+    return None
+
+
+def test_one_function_replaces_files_and_one_names_the_sidecar():
+    assert scan_package(lambda path: labelled_nodes(path, file_piece)) == {
+        "data.py": [("replace_file", "temporary name"), ("replace_file", "os.replace"),
+                    ("sidecar_path", "sidecar name")]}
+
+
+def test_the_scan_sees_the_file_pieces(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("import os\n"
+                      "def save(path):\n"
+                      "    tmp = f'{path}.{os.getpid()}.tmp'\n"
+                      "    os.replace(tmp, path)\n"
+                      "os.rename('a', f'{p}.arrays')\n"
+                      "x = replace(view, label=None)\n", encoding="utf-8")
+    assert labelled_nodes(source, file_piece) == [
+        ("save", "temporary name"), ("save", "os.replace"), (None, "os.rename"),
+        (None, "sidecar name")]
