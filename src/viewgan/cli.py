@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
 import numpy as np
 
 from .config import ConfigMap, load_kv_file
-from .data import (SyntheticSpec, block_class_means, check_scorable, generate_synthetic,
-                   load_multiview_file, other_view, partition_rows, read_text, save_multiview_file,
-                   sidecar_path)
+from .data import (SyntheticSpec, TextLines, block_class_means, check_scorable,
+                   generate_synthetic, load_multiview_file, other_view, partition_rows,
+                   save_multiview_file, sidecar_path)
 from .errors import ConfigError, DataFormatError
 from .evaluate import (ExperimentSpec, MetricsReport, Scenario, evaluate,
                        run_experiment, write_experiment_csv)
@@ -250,17 +251,17 @@ def _load_table(path) -> DiscreteJoint:
     """The table in file ``path``: one row of numbers per line, ``#`` starts a
     comment. A table that cannot be used names the file, and a bad row its line."""
     rows = []
-    for lineno, line in enumerate(read_text(path, "utf-8").splitlines(), start=1):
-        fields = line.partition("#")[0].split()
-        if not fields:
-            continue
-        try:
+    with TextLines(path, "utf-8") as lines:
+        for line in lines:
+            fields = line.partition("#")[0].split()
+            if not fields:
+                continue
             rows.append([float(f) for f in fields])
-        except ValueError as e:
-            raise DataFormatError(str(e), line=lineno, path=path) from None
-        if len(fields) != len(rows[0]):
-            raise DataFormatError(f"expected {len(rows[0])} values as on the first row, "
-                                  f"got {len(fields)}", line=lineno, path=path)
+            if len(fields) != len(rows[0]):
+                raise ValueError(f"expected {len(rows[0])} values as on the first row, "
+                                 f"got {len(fields)}")
+            if not all(math.isfinite(v) and v >= 0 for v in rows[-1]):
+                raise ValueError("table entries must be finite and nonnegative")
     try:
         return DiscreteJoint(np.array(rows, dtype=np.float64, ndmin=2))
     except ValueError as e:

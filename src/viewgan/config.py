@@ -10,8 +10,8 @@ key's line and the key.
 
 from __future__ import annotations
 
-from .data import read_text
-from .errors import ConfigError, DataFormatError
+from .data import TextLines
+from .errors import ConfigError
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -25,7 +25,7 @@ def _to_bool(v: str) -> bool:
 
 
 class ConfigMap:
-    def __init__(self, pairs: dict, lines: dict, source: str = "<config>"):
+    def __init__(self, pairs: dict, lines: dict, source: str):
         self._pairs = dict(pairs)
         self._lines = lines  # key -> the 1-based line that set it
         self._source = source
@@ -77,23 +77,20 @@ class ConfigMap:
             raise ConfigError(f"{self._source}: {stray}")
 
 
-def parse_kv_text(text: str, source: str = "<config>") -> ConfigMap:
-    pairs, lines = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep or not key.strip():
-            raise DataFormatError(f"expected 'key = value', got {raw!r}", line=lineno,
-                                  path=source)
-        key = key.strip()
-        if key in pairs:
-            raise DataFormatError(f"duplicate key {key!r}", line=lineno, path=source)
-        pairs[key] = value.strip()
-        lines[key] = lineno
-    return ConfigMap(pairs, lines, source)
-
-
 def load_kv_file(path) -> ConfigMap:
-    return parse_kv_text(read_text(path, "utf-8"), source=str(path))
+    """The config in file ``path``, read through ``data.TextLines``."""
+    pairs, lines = {}, {}
+    with TextLines(path, "utf-8") as text:
+        for raw in text:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            if not sep or not key.strip():
+                raise ValueError(f"expected 'key = value', got {raw!r}")
+            key = key.strip()
+            if key in pairs:
+                raise ValueError(f"duplicate key {key!r}")
+            pairs[key] = value.strip()
+            lines[key] = text.number
+    return ConfigMap(pairs, lines, str(path))

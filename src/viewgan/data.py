@@ -43,7 +43,7 @@ def label_index(label: np.ndarray) -> int:
     return int(label.argmax())
 
 
-def _decode(raw: bytes, encoding: str, path, lines_before: int = 0) -> str:
+def _decode(raw: bytes, encoding: str, path, lines_before: int) -> str:
     """``raw`` decoded; a byte that does not decode names file ``path`` and its
     line: ``lines_before`` plus its line in ``raw``, with the breaks of the
     text decoded before it counted as ``str.splitlines`` counts them."""
@@ -54,12 +54,6 @@ def _decode(raw: bytes, encoding: str, path, lines_before: int = 0) -> str:
         line = len((raw[:e.start].decode(encoding) + "?").splitlines())
         raise DataFormatError(f"byte {raw[e.start]:#04x} is not {encoding} text",
                               line=lines_before + line, path=path) from None
-
-
-def read_text(path, encoding: str) -> str:
-    """The text of file ``path``; a byte that does not decode names the file and line."""
-    with open(path, "rb") as f:
-        return _decode(f.read(), encoding, path)
 
 
 @contextlib.contextmanager
@@ -79,15 +73,42 @@ def replace_file(path, mode: str, encoding: str | None = None):
         raise
 
 
-def _read_lines(path, encoding: str):
-    """The lines of file ``path`` as ``str.splitlines`` numbers them in its whole
-    text, read and decoded one newline-ended line at a time."""
-    yielded = 0
-    with open(path, "rb") as f:
-        for raw in f:
-            lines = _decode(raw, encoding, path, yielded).splitlines()
-            yielded += len(lines)
-            yield from lines
+class TextLines:
+    """The lines of text file ``path``, read one newline-ended line at a time,
+    decoded with ``_decode`` and numbered as ``str.splitlines`` numbers the
+    whole text: ``number`` is the line read last, and past the last line
+    ``next()`` gives "" counted as one more. In a ``with`` block, a ValueError
+    that is not a DataFormatError becomes one naming the file and line
+    ``number``; leaving the block closes the file."""
+
+    def __init__(self, path, encoding: str):
+        self.path, self.number = path, 0
+        self._file = open(path, "rb")
+        self._lines = (line for raw in self._file
+                       for line in _decode(raw, encoding, path, self.number).splitlines())
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        line = next(self._lines)
+        self.number += 1
+        return line
+
+    def next(self) -> str:
+        line = next(self, None)
+        if line is None:  # past the last line
+            self.number += 1
+            return ""
+        return line
+
+    def __enter__(self) -> "TextLines":
+        return self
+
+    def __exit__(self, kind, error, traceback):
+        self._file.close()
+        if isinstance(error, ValueError) and not isinstance(error, DataFormatError):
+            raise DataFormatError(str(error), line=self.number, path=self.path) from None
 
 
 def by_view(v: int, first, second):
@@ -242,6 +263,14 @@ def _format_view(v: np.ndarray | None, prefix) -> str:
     return " ".join(map(str.__add__, map(prefix, cols.tolist()), map(repr, v[cols].tolist())))
 
 
+def _integer(text: str) -> int:
+    """``int(text)``, but ``_``, which int() reads as a digit separator and no
+    writer writes, is a ValueError."""
+    if "_" in text:
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _parse_view(text: str, buf: array, zeros: array) -> None:
     """Append one present view field to ``buf`` as ``len(zeros)`` floats: the
     zeros, then each nonzero entry set by its index. A malformed field raises
@@ -250,6 +279,8 @@ def _parse_view(text: str, buf: array, zeros: array) -> None:
     buf.extend(zeros)
     if text == "":
         return
+    if "_" in text:  # int() and float() would read it as a digit separator
+        raise ValueError(f"malformed pair {next(p for p in text.split(' ') if '_' in p)!r}")
     dim = len(zeros)
     prev = -1
     for pair in text.split(" "):
@@ -304,21 +335,20 @@ def _parse_multiview_file(path) -> PartitionedDataset:
 
     The file is read a line at a time, and each subset's labels and present
     views go into one flat float64 buffer apiece, which the returned (n, d)
-    arrays use without a copy. A malformed line, or a byte that does not
-    decode, raises DataFormatError naming the file and the line. Lines are
-    checked in file order, so the first bad line is the one reported; a bad
-    byte is found when the newline-ended line holding it is read.
+    arrays use without a copy. The lines come from ``TextLines``, so a
+    malformed line, or a byte that does not decode, raises DataFormatError
+    naming the file and the line. Lines are checked in file order, so the
+    first bad line is the one reported; a bad byte is found when the
+    newline-ended line holding it is read.
     """
-    lines = _read_lines(path, "ascii")
-    lineno = 1
-    try:
-        head = next(lines, "").split()
+    with TextLines(path, "ascii") as lines:
+        head = lines.next().split()
         if head[:1] != ["#dims"]:
             raise ValueError("missing '#dims d1 d2 K' header")
         if len(head) != 4:
             raise ValueError("header must be '#dims d1 d2 K'")
         try:
-            widths = d1, d2, num_classes = tuple(int(p) for p in head[1:])
+            widths = d1, d2, num_classes = tuple(_integer(p) for p in head[1:])
         except ValueError:
             raise ValueError("non-integer dimensions in header") from None
         if min(widths) < 1:
@@ -327,14 +357,14 @@ def _parse_multiview_file(path) -> PartitionedDataset:
         # (view1, view2, label) buffers per subset, keyed by which views are present
         subsets = {present: (array("d"), array("d"), array("d")) for present in _PATTERNS}
 
-        for lineno, line in enumerate(lines, start=2):
+        for line in lines:
             if line == "":
                 continue
             fields = line.split("\t")
             if len(fields) != 3:
                 raise ValueError("expected 'label<TAB>view1<TAB>view2'")
             try:
-                label = int(fields[0])
+                label = _integer(fields[0])
             except ValueError:
                 raise ValueError(f"malformed label {fields[0]!r}") from None
             y = one_hot(label, num_classes)
@@ -347,12 +377,6 @@ def _parse_multiview_file(path) -> PartitionedDataset:
             if present[1]:
                 _parse_view(fields[2], buf2, zeros2)
             labels.frombytes(y.tobytes())
-    except DataFormatError:
-        raise  # an undecodable byte, which names its own line
-    except ValueError as e:
-        raise DataFormatError(str(e), line=lineno, path=path) from None
-    finally:
-        lines.close()  # closes the file when a bad line stops the read
 
     def block(present):
         bufs = subsets[present]

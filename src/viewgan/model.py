@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import by_view, read_text, replace_file
-from .errors import DataFormatError, DimensionError
+from .data import TextLines, by_view, replace_file
+from .errors import DimensionError
 from .nn import DEFAULT_HIDDEN_DIM, LINEAR, SOFTMAX, Mlp, forward_in_blocks, init_mlp
 
 CHECKPOINT_MAGIC = "VIEWGAN-CKPT-1"
@@ -180,93 +180,78 @@ def save_checkpoint(path, model: TripartiteModel, seed: int, step: int) -> None:
             _write_net(f, name, getattr(model, name))
 
 
-class _LineReader:
-    """The lines of a checkpoint file, read in order; errors name the file
-    and the line read last."""
-
-    def __init__(self, path):
-        self.path = path
-        self.lines = read_text(path, "ascii").splitlines()
-        self.pos = 0
-
-    def error(self, message: str) -> DataFormatError:
-        return DataFormatError(message, line=self.pos, path=self.path)
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise DataFormatError("unexpected end of checkpoint", line=self.pos + 1,
-                                  path=self.path)
-        self.pos += 1
-        return self.lines[self.pos - 1]
-
-
-def _read_rows(reader: _LineReader, count: int, size: int) -> np.ndarray:
+def _read_rows(lines: TextLines, count: int, size: int) -> np.ndarray:
     """``count`` lines of ``size`` finite numbers each, as a (count, size) block."""
     rows = []
     for _ in range(count):
-        parts = reader.next().split()
+        line = lines.next()
+        parts = line.split()
         if len(parts) != size:
-            raise reader.error(f"expected {size} values, got {len(parts)}")
+            raise ValueError(f"expected {size} values, got {len(parts)}")
         try:
+            if "_" in line:  # float() would read it as a digit separator
+                raise ValueError(line)
             row = list(map(float, parts))
         except ValueError:
-            raise reader.error("values must be numbers") from None
+            raise ValueError("values must be numbers") from None
         if not all(map(math.isfinite, row)):
-            raise reader.error("values must be finite")
+            raise ValueError("values must be finite")
         rows.append(row)
     return np.array(rows, dtype=np.float64)
 
 
-def _int_fields(reader: _LineReader, fields, what: str, low: int | None = None) -> list[int]:
+def _int_fields(fields, what: str, low: int | None = None) -> list[int]:
     try:
+        if any("_" in f for f in fields):  # int() would read it as a digit separator
+            raise ValueError(fields)
         values = [int(f) for f in fields]
     except ValueError:
-        raise reader.error(f"{what} must be integers") from None
+        raise ValueError(f"{what} must be integers") from None
     if low is not None and min(values) < low:
-        raise reader.error(f"{what} must be at least {low}")
+        raise ValueError(f"{what} must be at least {low}")
     return values
 
 
-def _read_header(reader: _LineReader, key: str, count: int, low: int | None = None) -> list[int]:
+def _read_header(lines: TextLines, key: str, count: int, low: int | None = None) -> list[int]:
     """Parse a '<key> <int> ...' line holding ``count`` integers."""
-    parts = reader.next().split()
+    parts = lines.next().split()
     if len(parts) != count + 1 or parts[0] != key:
-        raise reader.error(f"expected a '{key}' line with {count} integer(s)")
-    return _int_fields(reader, parts[1:], key, low)
+        raise ValueError(f"expected a '{key}' line with {count} integer(s)")
+    return _int_fields(parts[1:], key, low)
 
 
-def _read_net(reader: _LineReader, name: str, kind: str,
-              input_dim: int, output_dim: int) -> Mlp:
+def _read_net(lines: TextLines, name: str, kind: str, input_dim: int, output_dim: int) -> Mlp:
     """Read net ``name``, whose header must agree with its entry in ``_nets``."""
-    parts = reader.next().split()
+    parts = lines.next().split()
     if len(parts) != 6 or parts[:3] != ["net", name, kind]:
-        raise reader.error(f"expected a 'net {name} {kind} ...' header")
-    got_in, hidden_dim, got_out = _int_fields(reader, parts[3:6], "net sizes", low=1)
+        raise ValueError(f"expected a 'net {name} {kind} ...' header")
+    got_in, hidden_dim, got_out = _int_fields(parts[3:6], "net sizes", low=1)
     if (got_in, got_out) != (input_dim, output_dim):
-        raise reader.error(f"net {name} must map {input_dim} inputs to {output_dim} "
-                           f"outputs, as dims says")
-    w_in = _read_rows(reader, hidden_dim, input_dim)
-    b_in = _read_rows(reader, 1, hidden_dim)[0]
-    w_out = _read_rows(reader, output_dim, hidden_dim)
-    b_out = _read_rows(reader, 1, output_dim)[0]
+        raise ValueError(f"net {name} must map {input_dim} inputs to {output_dim} "
+                         f"outputs, as dims says")
+    w_in = _read_rows(lines, hidden_dim, input_dim)
+    b_in = _read_rows(lines, 1, hidden_dim)[0]
+    w_out = _read_rows(lines, output_dim, hidden_dim)
+    b_out = _read_rows(lines, 1, output_dim)[0]
     return Mlp(w_in, b_in, w_out, b_out, kind)
 
 
 def load_checkpoint(path) -> tuple[TripartiteModel, int, int]:
-    """Read a checkpoint written by :func:`save_checkpoint`.
+    """Read a checkpoint written by :func:`save_checkpoint` through
+    ``data.TextLines``, so an error names the file and line.
 
     Returns (model, seed, step).
     """
-    reader = _LineReader(path)
-    if reader.next() != CHECKPOINT_MAGIC:
-        raise reader.error(f"missing magic header {CHECKPOINT_MAGIC!r}")
-    if reader.next() != _LAYOUT_LINE:
-        raise reader.error(f"expected the layout line {_LAYOUT_LINE!r}")
-    d1, d2, num_classes = _read_header(reader, "dims", 3, low=1)
-    (seed,) = _read_header(reader, "seed", 1)
-    (step,) = _read_header(reader, "step", 1, low=0)
-    nets = [_read_net(reader, *net) for net in _nets(d1, d2, num_classes)]
-    while reader.pos < len(reader.lines):
-        if reader.next().strip():
-            raise reader.error("unexpected content after the last net")
+    with TextLines(path, "ascii") as lines:
+        if lines.next() != CHECKPOINT_MAGIC:
+            raise ValueError(f"missing magic header {CHECKPOINT_MAGIC!r}")
+        if lines.next() != _LAYOUT_LINE:
+            raise ValueError(f"expected the layout line {_LAYOUT_LINE!r}")
+        d1, d2, num_classes = _read_header(lines, "dims", 3, low=1)
+        (seed,) = _read_header(lines, "seed", 1)
+        (step,) = _read_header(lines, "step", 1, low=0)
+        nets = [_read_net(lines, *net) for net in _nets(d1, d2, num_classes)]
+        for line in lines:
+            if line.strip():
+                raise ValueError("unexpected content after the last net")
     return TripartiteModel(*nets), seed, step

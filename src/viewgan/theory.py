@@ -54,7 +54,7 @@ class DiscreteJoint:
     def __post_init__(self):
         t = _table(self.table, "table entries must be finite and nonnegative")
         if abs(float(t.sum()) - 1.0) > _SUM_TOL:
-            raise ValueError(f"table sums to {t.sum()!r}, not 1")
+            raise ValueError(f"table sums to {float(t.sum())!r}, not 1")
         object.__setattr__(self, "table", t)
 
 

@@ -416,11 +416,18 @@ def theory_tables(tmp_path, real_rows=3):
             "--pg1", str(tmp_path / "g1.txt"), "--pg2", str(tmp_path / "g2.txt")]
 
 
-def bad_table_case(tmp_path):
-    """theory-check with a --p-real file whose first row, on line 2, holds a word."""
+def bad_table_case(tmp_path, name="real", row="0.5 abc", want="'abc'"):
+    """theory-check with a table file ``name``.txt whose first row, on line 2, is ``row``."""
     argv = theory_tables(tmp_path)
-    write(tmp_path / "real.txt", "# p_real\n0.5 abc\n")
-    return argv, [f"{tmp_path / 'real.txt'}: line 2:", "'abc'"]
+    write(tmp_path / f"{name}.txt", f"# {name}\n{row}\n")
+    return argv, [f"{tmp_path / f'{name}.txt'}: line 2:", want]
+
+
+def summed_table_case(tmp_path):
+    """theory-check with a --p-real table that sums to 1.1: the sum is a plain float."""
+    argv = theory_tables(tmp_path)
+    write(tmp_path / "real.txt", "0.5 0.6\n")
+    return argv, [f"error: {tmp_path / 'real.txt'}: table sums to 1.1, not 1"]
 
 
 def ragged_table_case(tmp_path):
@@ -544,6 +551,11 @@ BAD_INPUTS = {
          "--data", tr, "--out-checkpoint", str(t / "x.ckpt")],
         [f"{t / 'bad.cfg'}: line 2:", "expected 'key = value'"]),
     "theory-table-line": lambda t, tr, te: bad_table_case(t),
+    "theory-table-nan": lambda t, tr, te: bad_table_case(
+        t, "g1", "0.5 nan", "table entries must be finite and nonnegative"),
+    "theory-table-negative": lambda t, tr, te: bad_table_case(
+        t, "g2", "0.75 -0.25", "table entries must be finite and nonnegative"),
+    "theory-table-sum": lambda t, tr, te: summed_table_case(t),
     "theory-table-ragged-row": lambda t, tr, te: ragged_table_case(t),
     "experiment-zero-m_full": lambda t, tr, te: zero_subset_case(t, te, 0),
     "experiment-zero-m_missing1": lambda t, tr, te: zero_subset_case(t, te, 1),

@@ -378,6 +378,9 @@ SIDECAR_DAMAGE = {
     "not-a-number": lambda raw, path: _header_fields(raw, lambda f: [*f[:2], b"x", *f[3:]]),
     "body-byte": lambda raw, path: raw[:-20] + bytes([raw[-20] ^ 1]) + raw[-19:],
     "not-one-hot": lambda raw, path: _not_one_hot(path),
+    # 4 + 3 + 2 rows as -1 + 11 + 2: the same byte count, so only the range guard rejects it
+    "negative-count": lambda raw, path: _header_fields(
+        raw, lambda f: [*f[:5], b"-1", b"11", *f[7:]]),
 }
 
 
@@ -504,6 +507,10 @@ def test_line_endings_give_the_same_rows_and_line_numbers(tmp_path, ending, fina
     ("\n0\t-\t-", 3),               # blank lines count
     ("0\t0:1.0", 2),                # a field short
     ("x\t0:1.0\t0:1.0", 2),         # malformed label
+    # int() and float() read "_" as a digit separator, which no writer writes
+    ("0\t0:1_5\t0:1.0", 2),         # in a value
+    ("0\t0_1:1.0\t0:1.0", 2),       # in an index
+    ("0_1\t0:1.0\t0:1.0", 2),       # in a label
     ("0\t0:1.0\t0:1.0\n1\t0:\u00e9\t-", 3),  # not ASCII
     # the first bad line is reported: a loader that decoded the whole file
     # before parsing it reported the byte on line 8
@@ -519,7 +526,7 @@ def test_file_errors_carry_line_numbers(tmp_path, bad_line, expect_line):
 
 def test_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.tsv"
-    for header in ("#dims 4 3", "#dimsfoo 4 3 2", "#dims 4 x 2", "#dims 4 0 2"):
+    for header in ("#dims 4 3", "#dimsfoo 4 3 2", "#dims 4 x 2", "#dims 4 0 2", "#dims 2_0 2 2"):
         path.write_text(header + "\n")
         with pytest.raises(DataFormatError) as err:
             vg.load_multiview_file(path)

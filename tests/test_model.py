@@ -278,9 +278,12 @@ def test_checkpoint_rejects_content_after_the_last_net(tmp_path, appended):
 @pytest.mark.parametrize("lineno,damage", [
     (7, lambda line: "abc" + line[line.index(" "):]),
     (7, lambda line: "nan" + line[line.index(" "):]),
+    (7, lambda line: "1_5" + line[line.index(" "):]),
+    (6, lambda line: line.replace(" 7 5 3", " 7 5 0_3")),
     (6, lambda line: line.replace(" linear ", " softmax ")),
     (6, lambda line: line.replace(" 7 5 3", " 7 5 4")),
-], ids=["not-a-number", "non-finite", "wrong-output-kind", "sizes-disagree-with-dims"])
+], ids=["not-a-number", "non-finite", "digit-separator", "digit-separator-in-a-size",
+        "wrong-output-kind", "sizes-disagree-with-dims"])
 def test_checkpoint_net_errors_carry_line_numbers(tmp_path, lineno, damage):
     # line 6 is the 'net gen1 linear 7 5 3' header, line 7 its first weight row
     path = tmp_path / "model.ckpt"

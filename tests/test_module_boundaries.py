@@ -1,6 +1,6 @@
 """Each viewgan module uses only the public names of its siblings, one
-function owns each piece of the training step that others reuse, and one
-function replaces files."""
+function owns each piece of the training step that others reuse, one
+function replaces files, and one reader reads text."""
 
 import ast
 from pathlib import Path
@@ -47,14 +47,18 @@ def test_the_scan_sees_a_private_import(tmp_path):
 
 def labelled_nodes(path, label):
     """(enclosing function, label) of each node in the module at ``path`` to
-    which ``label`` gives a label other than None, in source order."""
+    which ``label`` gives a label other than None, in source order. A method
+    is named ``Class.method``."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if (name := label(child)) is not None:
                 found.append((owner, name))
-            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if owner is None else f"{owner}.{child.name}")
+            else:
+                visit(child, owner)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), None)
     return found
@@ -122,3 +126,47 @@ def test_the_scan_sees_the_file_pieces(tmp_path):
     assert labelled_nodes(source, file_piece) == [
         ("save", "temporary name"), ("save", "os.replace"), (None, "os.rename"),
         (None, "sidecar name")]
+
+
+def text_piece(node):
+    """"line error" for a DataFormatError built with ``line=``, "decode" for a
+    call of ``_decode`` or of a ``decode`` method, "open to read" for an open
+    whose mode is a constant that writes nothing."""
+    if not isinstance(node, ast.Call):
+        return None
+    name = ast.unparse(node.func)
+    if name == "DataFormatError":
+        return "line error" if any(k.arg == "line" for k in node.keywords) else None
+    if name == "_decode" or name.endswith(".decode"):
+        return "decode"
+    if name == "open" or name.endswith((".open", ".read_text", ".read_bytes")):
+        modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+        mode = modes[0] if modes else ast.Constant("r")
+        if isinstance(mode, ast.Constant) and not set("wax+") & set(mode.value):
+            return "open to read"
+    return None
+
+
+def test_one_reader_numbers_the_lines_of_every_text_input():
+    # TextLines alone opens a file whose bytes are decoded, and only it and
+    # _decode name a line; the hash and the sidecar read bytes they never decode
+    assert scan_package(lambda path: labelled_nodes(path, text_piece)) == {
+        "data.py": [("_decode", "decode"), ("_decode", "decode"), ("_decode", "line error"),
+                    ("TextLines.__init__", "open to read"), ("TextLines.__init__", "decode"),
+                    ("TextLines.__exit__", "line error"), ("_file_sha256", "open to read"),
+                    ("_read_arrays", "open to read")]}
+
+
+def test_the_scan_sees_the_text_pieces(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("class Reader:\n"
+                      "    def read(self, path):\n"
+                      "        return open(path).read().decode('ascii')\n"
+                      "def load(path, n):\n"
+                      "    Path(path).read_text()\n"
+                      "    open(path, mode='rb'), open(path, 'w'), open(path, mode)\n"
+                      "    raise DataFormatError('bad', line=n, path=path)\n"
+                      "raise DataFormatError('bad', path=p)\n", encoding="utf-8")
+    assert labelled_nodes(source, text_piece) == [
+        ("Reader.read", "decode"), ("Reader.read", "open to read"),
+        ("load", "open to read"), ("load", "open to read"), ("load", "line error")]
