@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
 import numpy as np
 
 from .config import ConfigMap, load_kv_file
-from .data import (SyntheticSpec, TextLines, block_class_means, check_scorable,
-                   generate_synthetic, load_multiview_file, other_view, partition_rows,
-                   save_multiview_file, sidecar_path)
+from .data import (SyntheticSpec, TextLines, block_class_means, check_scorable, float_row,
+                   generate_synthetic, load_multiview_file, other_view, parse_int,
+                   partition_rows, save_multiview_file, sidecar_path)
 from .errors import ConfigError, DataFormatError
 from .evaluate import (ExperimentSpec, MetricsReport, Scenario, evaluate,
                        run_experiment, write_experiment_csv)
@@ -42,7 +41,7 @@ def _seed(value: int, key: str = "seed") -> int:
 def _positive_int(cfg: ConfigMap, key: str, default=None) -> int:
     """Config ``key`` as an integer of at least 1."""
     def convert(text: str) -> int:
-        value = int(text)
+        value = parse_int(text)
         if value < 1:
             raise ValueError(text)
         return value
@@ -253,14 +252,14 @@ def _load_table(path) -> DiscreteJoint:
     rows = []
     with TextLines(path, "utf-8") as lines:
         for line in lines:
-            fields = line.partition("#")[0].split()
-            if not fields:
+            row = float_row(line.partition("#")[0])
+            if not row:
                 continue
-            rows.append([float(f) for f in fields])
-            if len(fields) != len(rows[0]):
+            rows.append(row)
+            if len(row) != len(rows[0]):
                 raise ValueError(f"expected {len(rows[0])} values as on the first row, "
-                                 f"got {len(fields)}")
-            if not all(math.isfinite(v) and v >= 0 for v in rows[-1]):
+                                 f"got {len(row)}")
+            if min(row) < 0:
                 raise ValueError("table entries must be finite and nonnegative")
     try:
         return DiscreteJoint(np.array(rows, dtype=np.float64, ndmin=2))
@@ -356,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--scenario", default=Scenario.COMPLETE.value,
                    choices=[s.value for s in Scenario])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_int, default=0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic two-view dataset")
@@ -375,15 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pg1", default=None)
     p.add_argument("--pg2", default=None)
     # None marks a flag left out: the tables take neither
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--trials", type=parse_int, default=None,
                    help=f"random triples to check (default {_THEORY_TRIALS}); not with tables")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=parse_int, default=None,
                    help="seed of the random triples (default 0); not with tables")
     p.set_defaults(func=cmd_theory_check)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--instances", type=parse_int, default=100)
+    p.add_argument("--seed", type=parse_int, default=0)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -10,7 +10,7 @@ key's line and the key.
 
 from __future__ import annotations
 
-from .data import TextLines
+from .data import TextLines, parse_float, parse_int
 from .errors import ConfigError
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -51,10 +51,10 @@ class ConfigMap:
                               f"key {key!r} needs {needs}, got {v!r}") from None
 
     def get_int(self, key: str, default=None) -> int:
-        return self.typed(key, default, int, "an integer")
+        return self.typed(key, default, parse_int, "an integer")
 
     def get_float(self, key: str, default=None) -> float:
-        return self.typed(key, default, float, "a number")
+        return self.typed(key, default, parse_float, "a finite number")
 
     def get_bool(self, key: str, default=None) -> bool:
         return self.typed(key, default, _to_bool, "true/false")

@@ -111,6 +111,61 @@ class TextLines:
             raise DataFormatError(str(error), line=self.number, path=self.path) from None
 
 
+def _spelled(text: str) -> bool:
+    """Whether ``text``, a number or a field or row of them, is spelled by the
+    one number rule of every text input: ASCII, no "_" (a digit separator to
+    int() and float()), a "+" only right after an exponent's e or E. The rule
+    also asks that int() or float() read it and a float be finite."""
+    return text.isascii() and "_" not in text and (
+        "+" not in text or text.count("+") == text.count("e+") + text.count("E+"))
+
+
+def parse_int(text: str) -> int:
+    """The integer that ``text`` spells by the number rule; else ValueError."""
+    if not _spelled(text):
+        raise ValueError(f"malformed number {text!r}")
+    return int(text)
+
+
+def parse_float(text: str) -> float:
+    """The finite number that ``text`` spells by the number rule; else ValueError."""
+    if not _spelled(text):
+        raise ValueError(f"malformed number {text!r}")
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
+def float_row(line: str, size: int | None = None) -> list[float]:
+    """The whitespace-separated numbers of ``line``, ``size`` of them unless
+    it is None. The rule is checked once for the line and each entry read by
+    float(); a line that breaks it is read by parse_float, to name the entry."""
+    parts = line.split()
+    if size is not None and len(parts) != size:
+        raise ValueError(f"expected {size} values, got {len(parts)}")
+    if _spelled(line):
+        row = list(map(float, parts))
+        if all(map(math.isfinite, row)):
+            return row
+    return list(map(parse_float, parts))
+
+
+def keyed_ints(line: str, key: str, count: int, low: int | None = None) -> list[int]:
+    """The ``count`` integers of a '<key> <int> ...' line, where ``key`` may be
+    several words; each must be at least ``low`` unless it is None."""
+    parts, words = line.split(), key.split()
+    if len(parts) != len(words) + count or parts[:len(words)] != words:
+        raise ValueError(f"expected a '{key}' line with {count} integer(s)")
+    try:
+        values = [parse_int(p) for p in parts[len(words):]]
+    except ValueError:
+        raise ValueError(f"{key} must be integers") from None
+    if low is not None and min(values) < low:
+        raise ValueError(f"{key} must be at least {low}")
+    return values
+
+
 def by_view(v: int, first, second):
     """``first`` for view 1, ``second`` for view 2; any other v is an error."""
     if v not in (1, 2):
@@ -144,6 +199,11 @@ class Views:
         v1, v2 = self.view1, self.view2
         return Views(None if v1 is None else v1[index], None if v2 is None else v2[index],
                      self.label[index])
+
+    @property
+    def classes(self) -> np.ndarray:
+        """The class index of each row: where its one-hot label is 1."""
+        return self.label.argmax(axis=1)
 
     def view(self, v: int) -> np.ndarray | None:
         """View ``v`` (1 or 2) of the block; None when the block lacks it."""
@@ -263,14 +323,6 @@ def _format_view(v: np.ndarray | None, prefix) -> str:
     return " ".join(map(str.__add__, map(prefix, cols.tolist()), map(repr, v[cols].tolist())))
 
 
-def _integer(text: str) -> int:
-    """``int(text)``, but ``_``, which int() reads as a digit separator and no
-    writer writes, is a ValueError."""
-    if "_" in text:
-        raise ValueError(f"invalid integer {text!r}")
-    return int(text)
-
-
 def _parse_view(text: str, buf: array, zeros: array) -> None:
     """Append one present view field to ``buf`` as ``len(zeros)`` floats: the
     zeros, then each nonzero entry set by its index. A malformed field raises
@@ -279,8 +331,8 @@ def _parse_view(text: str, buf: array, zeros: array) -> None:
     buf.extend(zeros)
     if text == "":
         return
-    if "_" in text:  # int() and float() would read it as a digit separator
-        raise ValueError(f"malformed pair {next(p for p in text.split(' ') if '_' in p)!r}")
+    if not _spelled(text):
+        raise ValueError(f"malformed pair {next(p for p in text.split(' ') if not _spelled(p))!r}")
     dim = len(zeros)
     prev = -1
     for pair in text.split(" "):
@@ -342,17 +394,7 @@ def _parse_multiview_file(path) -> PartitionedDataset:
     newline-ended line holding it is read.
     """
     with TextLines(path, "ascii") as lines:
-        head = lines.next().split()
-        if head[:1] != ["#dims"]:
-            raise ValueError("missing '#dims d1 d2 K' header")
-        if len(head) != 4:
-            raise ValueError("header must be '#dims d1 d2 K'")
-        try:
-            widths = d1, d2, num_classes = tuple(_integer(p) for p in head[1:])
-        except ValueError:
-            raise ValueError("non-integer dimensions in header") from None
-        if min(widths) < 1:
-            raise ValueError("dimensions must be positive")
+        widths = d1, d2, num_classes = keyed_ints(lines.next(), "#dims", 3, low=1)
         zeros1, zeros2 = (array("d", bytes(8 * d)) for d in (d1, d2))
         # (view1, view2, label) buffers per subset, keyed by which views are present
         subsets = {present: (array("d"), array("d"), array("d")) for present in _PATTERNS}
@@ -364,7 +406,7 @@ def _parse_multiview_file(path) -> PartitionedDataset:
             if len(fields) != 3:
                 raise ValueError("expected 'label<TAB>view1<TAB>view2'")
             try:
-                label = _integer(fields[0])
+                label = parse_int(fields[0])
             except ValueError:
                 raise ValueError(f"malformed label {fields[0]!r}") from None
             y = one_hot(label, num_classes)

@@ -116,8 +116,7 @@ def evaluate(model: TripartiteModel, test: Views, scenario: Scenario,
         test = test.with_view(v, generate(model, v, test.view(other_view(v)), noise))
 
     fake, cls = decide_batch(discriminate(model, test.view1, test.view2))
-    return metrics_from_predictions(np.argmax(test.label, axis=1), cls, fake,
-                                    model.num_classes, seed)
+    return metrics_from_predictions(test.classes, cls, fake, model.num_classes, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,7 @@ def train_singleview_baseline(which_view: int, dataset: PartitionedDataset,
         raise ConfigError(f"no training examples observe view {which_view}")
     k = dataset.num_classes
     x = pool.view(which_view)
-    y_idx = np.argmax(pool.label, axis=1)
+    y_idx = pool.classes
 
     rng = np.random.default_rng(config.seed)
     net = init_mlp(x.shape[1], hidden_dim, k, SOFTMAX, rng)
@@ -156,7 +155,7 @@ def train_singleview_baseline(which_view: int, dataset: PartitionedDataset,
         adam_step(net.params(), backward(net, trace, dlogits), adam)
 
     pred = np.argmax(forward_in_blocks(net, test.view(which_view)), axis=1)
-    report = metrics_from_predictions(np.argmax(test.label, axis=1), pred,
+    report = metrics_from_predictions(test.classes, pred,
                                       np.zeros(len(test), dtype=bool), k, config.seed)
     return net, report
 

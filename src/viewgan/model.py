@@ -12,12 +12,11 @@ Canonical layouts (also recorded in checkpoint headers):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TextLines, by_view, replace_file
+from .data import TextLines, by_view, float_row, keyed_ints, replace_file
 from .errors import DimensionError
 from .nn import DEFAULT_HIDDEN_DIM, LINEAR, SOFTMAX, Mlp, forward_in_blocks, init_mlp
 
@@ -181,51 +180,13 @@ def save_checkpoint(path, model: TripartiteModel, seed: int, step: int) -> None:
 
 
 def _read_rows(lines: TextLines, count: int, size: int) -> np.ndarray:
-    """``count`` lines of ``size`` finite numbers each, as a (count, size) block."""
-    rows = []
-    for _ in range(count):
-        line = lines.next()
-        parts = line.split()
-        if len(parts) != size:
-            raise ValueError(f"expected {size} values, got {len(parts)}")
-        try:
-            if "_" in line:  # float() would read it as a digit separator
-                raise ValueError(line)
-            row = list(map(float, parts))
-        except ValueError:
-            raise ValueError("values must be numbers") from None
-        if not all(map(math.isfinite, row)):
-            raise ValueError("values must be finite")
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)
-
-
-def _int_fields(fields, what: str, low: int | None = None) -> list[int]:
-    try:
-        if any("_" in f for f in fields):  # int() would read it as a digit separator
-            raise ValueError(fields)
-        values = [int(f) for f in fields]
-    except ValueError:
-        raise ValueError(f"{what} must be integers") from None
-    if low is not None and min(values) < low:
-        raise ValueError(f"{what} must be at least {low}")
-    return values
-
-
-def _read_header(lines: TextLines, key: str, count: int, low: int | None = None) -> list[int]:
-    """Parse a '<key> <int> ...' line holding ``count`` integers."""
-    parts = lines.next().split()
-    if len(parts) != count + 1 or parts[0] != key:
-        raise ValueError(f"expected a '{key}' line with {count} integer(s)")
-    return _int_fields(parts[1:], key, low)
+    """``count`` lines of ``size`` numbers each, as a (count, size) block."""
+    return np.array([float_row(lines.next(), size) for _ in range(count)], dtype=np.float64)
 
 
 def _read_net(lines: TextLines, name: str, kind: str, input_dim: int, output_dim: int) -> Mlp:
     """Read net ``name``, whose header must agree with its entry in ``_nets``."""
-    parts = lines.next().split()
-    if len(parts) != 6 or parts[:3] != ["net", name, kind]:
-        raise ValueError(f"expected a 'net {name} {kind} ...' header")
-    got_in, hidden_dim, got_out = _int_fields(parts[3:6], "net sizes", low=1)
+    got_in, hidden_dim, got_out = keyed_ints(lines.next(), f"net {name} {kind}", 3, low=1)
     if (got_in, got_out) != (input_dim, output_dim):
         raise ValueError(f"net {name} must map {input_dim} inputs to {output_dim} "
                          f"outputs, as dims says")
@@ -247,9 +208,9 @@ def load_checkpoint(path) -> tuple[TripartiteModel, int, int]:
             raise ValueError(f"missing magic header {CHECKPOINT_MAGIC!r}")
         if lines.next() != _LAYOUT_LINE:
             raise ValueError(f"expected the layout line {_LAYOUT_LINE!r}")
-        d1, d2, num_classes = _read_header(lines, "dims", 3, low=1)
-        (seed,) = _read_header(lines, "seed", 1)
-        (step,) = _read_header(lines, "step", 1, low=0)
+        d1, d2, num_classes = keyed_ints(lines.next(), "dims", 3, low=1)
+        (seed,) = keyed_ints(lines.next(), "seed", 1)
+        (step,) = keyed_ints(lines.next(), "step", 1, low=0)
         nets = [_read_net(lines, *net) for net in _nets(d1, d2, num_classes)]
         for line in lines:
             if line.strip():

@@ -68,13 +68,12 @@ class Minibatch:
                                  f"all must have the same K")
         self.num_classes = widths[0]
         self.real_pairs = np.concatenate([self.full.view1, self.full.view2], axis=1)
-        self.real_targets = self.full.label.argmax(axis=1)
+        self.real_targets = self.full.classes
         self.fake_targets = np.full(m, self.num_classes)
         self._sides = []
         for v, miss, noise in ((1, self.miss1, self.noise_v1), (2, self.miss2, self.noise_v2)):
             observed = miss.view(other_view(v))
-            self._sides.append((np.concatenate([noise, observed], axis=1), observed,
-                                miss.label.argmax(axis=1)))
+            self._sides.append((np.concatenate([noise, observed], axis=1), observed, miss.classes))
 
     def side(self, v: int):
         """(generator input [noise | observed], observed other view, class
@@ -312,7 +311,7 @@ def sample_minibatch(dataset: PartitionedDataset, m_b: int, rng: np.random.Gener
 def _heldout_accuracy(model: TripartiteModel, heldout: Views) -> tuple[float, float]:
     """Fake-gated and class-head accuracy on held-out pairs, from one discriminate call."""
     fake, cls = decide_batch(discriminate(model, heldout.view1, heldout.view2))
-    hit = cls == np.argmax(heldout.label, axis=1)
+    hit = cls == heldout.classes
     return float(np.mean(~fake & hit)), float(np.mean(hit))
 
 

@@ -279,6 +279,18 @@ def test_oracle_commands_reject_an_empty_count(argv, capsys):
     assert [line.startswith("error:") for line in captured.err.splitlines()] == [True]
 
 
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--instances", "1_0"],
+    ["eval", "--checkpoint", "m.ckpt", "--data", "d.tsv", "--seed", "+1"],
+    ["theory-check", "--trials", "\uff15"],
+], ids=["digit-separator", "sign", "full-width-digit"])
+def test_a_number_flag_keeps_the_number_rule(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"{argv[-2]}: invalid parse_int value: {argv[-1]!r}" in capsys.readouterr().err
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = write(tmp_path / "bad.cfg", "iterations = 5\nunknown_key = 1\n"
                 "minibatch_size = 2\n")
@@ -386,6 +398,14 @@ def synth_experiment_case(tmp_path, text=re.sub(r"^seed = .*\n", "", SYNTH_CFG, 
     cfg = write(tmp_path / "synth-exp.cfg",
                 text + "iterations = 2\nminibatch_size = 2\nhidden_dim = 4\nn_repeats = 1\n")
     return ["experiment", "--out", str(tmp_path / "exp.csv"), "--config", cfg]
+
+
+def synth_experiment_config_case(tmp_path, blame, **settings):
+    """One repeat of an experiment on SYNTH_CFG's task with these settings replaced,
+    whose config is at fault at key ``blame``."""
+    text = re.sub(r"^seed = .*\n", "", synth_text(**settings), flags=re.M)
+    return (synth_experiment_case(tmp_path, text),
+            [f"{tmp_path / 'synth-exp.cfg'}: line {line_of(text, blame)}:", f"key '{blame}'"])
 
 
 def never_scored_case(tmp_path, train_f, test_f, eval_every_line):
@@ -552,9 +572,14 @@ BAD_INPUTS = {
         [f"{t / 'bad.cfg'}: line 2:", "expected 'key = value'"]),
     "theory-table-line": lambda t, tr, te: bad_table_case(t),
     "theory-table-nan": lambda t, tr, te: bad_table_case(
-        t, "g1", "0.5 nan", "table entries must be finite and nonnegative"),
+        t, "g1", "0.5 nan", "non-finite number 'nan'"),
     "theory-table-negative": lambda t, tr, te: bad_table_case(
         t, "g2", "0.75 -0.25", "table entries must be finite and nonnegative"),
+    # a table entry keeps the number rule of data files: no "_", no leading "+"
+    "theory-table-digit-separator": lambda t, tr, te: bad_table_case(
+        t, "real", "0.2_5 0.25 0.5", "malformed number '0.2_5'"),
+    "theory-table-sign": lambda t, tr, te: bad_table_case(
+        t, "g2", "+0.5 0.25 0.25", "malformed number '+0.5'"),
     "theory-table-sum": lambda t, tr, te: summed_table_case(t),
     "theory-table-ragged-row": lambda t, tr, te: ragged_table_case(t),
     "experiment-zero-m_full": lambda t, tr, te: zero_subset_case(t, te, 0),
@@ -584,6 +609,16 @@ BAD_INPUTS = {
         t, "d1", d1=2, num_classes=3),
     "synth-no-classes": lambda t, tr, te: synth_config_case(t, "num_classes", num_classes=0),
     "synth-seed-negative": lambda t, tr, te: synth_config_case(t, "seed", seed=-1),
+    # a config number is finite and keeps the number rule of data files
+    "synth-noise-inf": lambda t, tr, te: synth_config_case(t, "noise_sigma", noise_sigma="inf"),
+    "synth-mean-scale-nan": lambda t, tr, te: synth_config_case(
+        t, "mean_scale_view1", mean_scale_view1="nan"),
+    "experiment-noise-overflows": lambda t, tr, te: synth_experiment_config_case(
+        t, "noise_sigma", noise_sigma="1e999"),
+    "synth-size-digit-separator": lambda t, tr, te: synth_config_case(t, "m_full", m_full="1_0"),
+    "synth-seed-signed": lambda t, tr, te: synth_config_case(t, "seed", seed="+0_0"),
+    "train-iterations-full-width-digit": lambda t, tr, te: train_config_case(
+        t, tr, "iterations", "\uff15"),
     "experiment-master-seed-negative": lambda t, tr, te: (
         experiment_case(t, te, (2, 2, 2), extra="master_seed = -3\n"),
         [f"{t / 'exp.cfg'}: line 9:", "key 'master_seed'"]),

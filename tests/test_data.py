@@ -511,6 +511,10 @@ def test_line_endings_give_the_same_rows_and_line_numbers(tmp_path, ending, fina
     ("0\t0:1_5\t0:1.0", 2),         # in a value
     ("0\t0_1:1.0\t0:1.0", 2),       # in an index
     ("0_1\t0:1.0\t0:1.0", 2),       # in a label
+    # and they take a sign, which no writer writes but after an exponent's e
+    ("+1\t0:1.0\t0:1.0", 2),        # in a label
+    ("0\t+0:1.0\t0:1.0", 2),        # in an index
+    ("0\t0:+1.5\t0:1.0", 2),        # in a value
     ("0\t0:1.0\t0:1.0\n1\t0:\u00e9\t-", 3),  # not ASCII
     # the first bad line is reported: a loader that decoded the whole file
     # before parsing it reported the byte on line 8
@@ -526,11 +530,50 @@ def test_file_errors_carry_line_numbers(tmp_path, bad_line, expect_line):
 
 def test_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.tsv"
-    for header in ("#dims 4 3", "#dimsfoo 4 3 2", "#dims 4 x 2", "#dims 4 0 2", "#dims 2_0 2 2"):
+    for header in ("#dims 4 3", "#dimsfoo 4 3 2", "#dims 4 x 2", "#dims 4 0 2", "#dims 2_0 2 2",
+                   "#dims +4 3 2"):
         path.write_text(header + "\n")
         with pytest.raises(DataFormatError) as err:
             vg.load_multiview_file(path)
         assert err.value.line == 1
+
+
+def test_classes_are_the_label_index_of_each_row():
+    views = make_views(5, k=3)
+    assert views.classes.tolist() == [label_index(y) for y in views.label] == [0, 1, 2, 0, 1]
+
+
+def test_the_number_rule_reads_what_writers_write_and_nothing_else():
+    for text, value in (("0", 0), ("-0", 0), ("-12", -12), ("12", 12)):
+        assert data_mod.parse_int(text) == value
+    for text, value in (("0.5", 0.5), ("-0.0", 0.0), ("1e+300", 1e300), ("2.5E-3", 2.5e-3),
+                        ("7", 7.0), (".5", 0.5)):
+        assert data_mod.parse_float(text) == value
+    for text in ("1_0", "+1", "\uff15", "1.0", "1e+5", ""):
+        with pytest.raises(ValueError):
+            data_mod.parse_int(text)
+    for text in ("0.2_5", "+0.5", "1e+5+", "+1e5", "\uff15", "inf", "-inf", "nan", "1e999",
+                 "abc", ""):
+        with pytest.raises(ValueError):
+            data_mod.parse_float(text)
+    # a row is checked once, but a bad entry is named
+    assert data_mod.float_row("0.5 -1e+2\t3") == [0.5, -100.0, 3.0]
+    for row, bad in (("0.5 1_5", "'1_5'"), ("+0.5 1", "'+0.5'"), ("0.5 nan", "'nan'"),
+                     ("0.5 abc", "'abc'")):
+        with pytest.raises(ValueError) as err:
+            data_mod.float_row(row)
+        assert bad in str(err.value)
+    with pytest.raises(ValueError, match="expected 3 values, got 2"):
+        data_mod.float_row("0.5 1", 3)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+       st.integers(min_value=-2**70, max_value=2**70))
+def test_every_number_a_writer_writes_reads_back_exactly(values, integer):
+    row = data_mod.float_row(" ".join(map(repr, values)))
+    assert np.array(row).tobytes() == np.array(values, dtype=np.float64).tobytes()
+    assert [data_mod.parse_float(repr(v)) for v in values] == row
+    assert data_mod.parse_int(str(integer)) == integer
 
 
 def test_block_class_means():

@@ -246,6 +246,7 @@ def test_checkpoint_reports_line_of_damage(tmp_path):
     (3, "dims 0 3 2"),
     (4, None),
     (5, "step \u00e9"),
+    (4, "seed +1"),
 ])
 def test_checkpoint_header_errors_carry_line_numbers(tmp_path, lineno, bad):
     path = tmp_path / "model.ckpt"
@@ -279,10 +280,11 @@ def test_checkpoint_rejects_content_after_the_last_net(tmp_path, appended):
     (7, lambda line: "abc" + line[line.index(" "):]),
     (7, lambda line: "nan" + line[line.index(" "):]),
     (7, lambda line: "1_5" + line[line.index(" "):]),
+    (7, lambda line: "+0.5" + line[line.index(" "):]),
     (6, lambda line: line.replace(" 7 5 3", " 7 5 0_3")),
     (6, lambda line: line.replace(" linear ", " softmax ")),
     (6, lambda line: line.replace(" 7 5 3", " 7 5 4")),
-], ids=["not-a-number", "non-finite", "digit-separator", "digit-separator-in-a-size",
+], ids=["not-a-number", "non-finite", "digit-separator", "sign", "digit-separator-in-a-size",
         "wrong-output-kind", "sizes-disagree-with-dims"])
 def test_checkpoint_net_errors_carry_line_numbers(tmp_path, lineno, damage):
     # line 6 is the 'net gen1 linear 7 5 3' header, line 7 its first weight row

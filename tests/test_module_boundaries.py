@@ -1,6 +1,7 @@
 """Each viewgan module uses only the public names of its siblings, one
 function owns each piece of the training step that others reuse, one
-function replaces files, and one reader reads text."""
+function replaces files, one reader reads text, and one module reads the
+numbers in it; one property turns labels into class indices."""
 
 import ast
 from pathlib import Path
@@ -170,3 +171,68 @@ def test_the_scan_sees_the_text_pieces(tmp_path):
     assert labelled_nodes(source, text_piece) == [
         ("Reader.read", "decode"), ("Reader.read", "open to read"),
         ("load", "open to read"), ("load", "open to read"), ("load", "line error")]
+
+
+def number_builtin(node):
+    """"int" or "float" for a call of that builtin, or for a call that passes
+    it on as a converter, as in ``map(float, parts)`` or ``type=int``."""
+    if not isinstance(node, ast.Call):
+        return None
+    for n in (node.func, *node.args, *(k.value for k in node.keywords)):
+        if isinstance(n, ast.Name) and n.id in ("int", "float"):
+            return n.id
+    return None
+
+
+def test_only_data_turns_the_text_of_an_input_into_a_number():
+    # checkpoints, configs, theory tables and flags are read through
+    # data.parse_int, parse_float, float_row and keyed_ints
+    found = scan_package(lambda path: labelled_nodes(path, number_builtin))
+    assert "model.py" not in found and "config.py" not in found
+    readers = ("_load_table", "_positive_int", "build_parser")
+    assert [(owner, name) for owner, name in found.get("cli.py", [])
+            if owner is not None and owner.split(".")[0] in readers] == []
+
+
+def test_the_scan_sees_the_number_builtins(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("def f(cfg, line):\n"
+                      "    def convert(text):\n"
+                      "        return int(text)\n"
+                      "    row = list(map(float, line.split()))\n"
+                      "    return cfg.typed('k', None, int, 'an integer')\n"
+                      "p.add_argument('--n', type=float)\n"
+                      "x: int = len(str(3))\n", encoding="utf-8")
+    assert labelled_nodes(source, number_builtin) == [
+        ("f.convert", "int"), ("f", "float"), ("f", "int"), (None, "float")]
+
+
+def label_argmax(node):
+    """"label argmax" for ``<x>.argmax(...)`` or ``np.argmax(<x>, ...)`` where
+    ``<x>`` is ``label`` or ends in ``.label``."""
+    if not isinstance(node, ast.Call):
+        return None
+    name = ast.unparse(node.func)
+    if name == "np.argmax" and node.args:
+        operand = ast.unparse(node.args[0])
+    elif name.endswith(".argmax"):
+        operand = name.removesuffix(".argmax")
+    else:
+        return None
+    return "label argmax" if operand == "label" or operand.endswith(".label") else None
+
+
+def test_one_property_turns_labels_into_class_indices():
+    # Views.classes for blocks; label_index, which perfbench times, for one saved row
+    assert scan_package(lambda path: labelled_nodes(path, label_argmax)) == {
+        "data.py": [("label_index", "label argmax"), ("Views.classes", "label argmax")]}
+
+
+def test_the_scan_sees_a_label_argmax(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("def f(batch, p, label):\n"
+                      "    a = np.argmax(batch.label, axis=1)\n"
+                      "    b = batch.full.label.argmax(axis=1)\n"
+                      "    c = label.argmax()\n"
+                      "    return np.argmax(p, axis=1), p.argmax(), a, b, c\n", encoding="utf-8")
+    assert labelled_nodes(source, label_argmax) == [("f", "label argmax")] * 3
