@@ -19,7 +19,7 @@ from .config import ConfigMap, load_kv_file
 from .data import (SyntheticSpec, TextLines, block_class_means, check_scorable, float_row,
                    generate_synthetic, load_multiview_file, other_view, parse_int,
                    partition_rows, save_multiview_file, sidecar_path)
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, DimensionError
 from .evaluate import (ExperimentSpec, MetricsReport, Scenario, evaluate,
                        run_experiment, write_experiment_csv)
 from .gradcheck import run_all
@@ -30,33 +30,22 @@ from .theory import (GRID_STEP, LOG4, DiscreteJoint, brute_force_gap, check_theo
 from .train import TrainConfig, train
 
 
-def _seed(value: int, key: str = "seed") -> int:
-    """``value`` of config key or flag ``key``, checked as a seed: numpy's
+def _seed(value: int) -> int:
+    """``value`` of a ``--seed`` flag, checked before any work: numpy's
     generators take integers of at least 0."""
     if value < 0:
-        raise ConfigError(f"must be at least 0, got {value}", key=key)
+        raise ConfigError(f"must be at least 0, got {value}", key="seed")
     return value
 
 
-def _positive_int(cfg: ConfigMap, key: str, default=None) -> int:
-    """Config ``key`` as an integer of at least 1."""
-    def convert(text: str) -> int:
-        value = parse_int(text)
-        if value < 1:
-            raise ValueError(text)
-        return value
-    return cfg.typed(key, default, convert, "an integer of at least 1")
-
-
-def _train_config(cfg: ConfigMap, skip=()) -> TrainConfig:
-    """Read every TrainConfig field but those in ``skip`` under its own name,
-    type and default; a skipped field keeps its default."""
-    getters = {"int": cfg.get_int, "float": cfg.get_float}
-    values = {
-        f.name: getters[f.type](f.name, None if f.default is dataclasses.MISSING else f.default)
-        for f in dataclasses.fields(TrainConfig) if f.name not in skip}
-    _seed(values.get("seed", 0))
-    return TrainConfig(**values)
+def _fields(cfg: ConfigMap, cls, skip=()) -> dict:
+    """Each int, float and bool field of dataclass ``cls`` but those in
+    ``skip``, read under its own name, type and default; ``cls`` checks the
+    values, and a field left out keeps its default."""
+    getters = {"int": cfg.get_int, "float": cfg.get_float, "bool": cfg.get_bool}
+    return {f.name: getters[f.type](f.name,
+                                    None if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(cls) if f.type in getters and f.name not in skip}
 
 
 # the TrainConfig fields a repeat of run_experiment sets itself or has no use
@@ -147,26 +136,26 @@ def cmd_train(args) -> int:
     _check_output_paths([("--out-checkpoint", args.out_checkpoint), ("--metrics", args.metrics)],
                         [("--config", args.config),
                          *_data_files(("--data", args.data), ("--heldout", args.heldout))])
+    # the whole run is in the block, so a rule that new_model or train applies
+    # to a config value names the file, the line and the key
     with load_kv_file(args.config) as cfg:
-        tc = _train_config(cfg)
-        if args.heldout and tc.eval_every == 0:  # the pairs would never be scored
-            raise ConfigError("must be at least 1 with --heldout, got 0", key="eval_every")
-        hidden = _positive_int(cfg, "hidden_dim", DEFAULT_HIDDEN_DIM)
+        tc = TrainConfig(**_fields(cfg, TrainConfig))
+        hidden = cfg.get_int("hidden_dim", DEFAULT_HIDDEN_DIM)
         cfg.finish()
-    dataset = load_multiview_file(args.data)
-    heldout = None
-    if args.heldout:
-        heldout = load_multiview_file(args.heldout).s_full
-        check_scorable(heldout, args.heldout, dataset, f"the training data {args.data}")
-        if len(heldout) == 0:
-            raise ConfigError(f"{args.heldout} has no complete pairs")
+        dataset = load_multiview_file(args.data)
+        heldout = None
+        if args.heldout:
+            heldout = load_multiview_file(args.heldout).s_full
+            check_scorable(heldout, args.heldout, dataset, f"the training data {args.data}")
+            if len(heldout) == 0:
+                raise ConfigError(f"{args.heldout} has no complete pairs")
 
-    init_ss, train_ss = np.random.SeedSequence(tc.seed).spawn(2)
-    model = new_model(dataset.d1, dataset.d2, dataset.num_classes,
-                      np.random.default_rng(init_ss), hidden)
-    run_cfg = dataclasses.replace(tc, seed=int(train_ss.generate_state(1)[0]))
-    _, rows = train(model, dataset, run_cfg, heldout=heldout,
-                    metrics_path=args.metrics, checkpoint_path=args.out_checkpoint)
+        init_ss, train_ss = np.random.SeedSequence(tc.seed).spawn(2)
+        model = new_model(dataset.d1, dataset.d2, dataset.num_classes,
+                          np.random.default_rng(init_ss), hidden)
+        run_cfg = dataclasses.replace(tc, seed=int(train_ss.generate_state(1)[0]))
+        _, rows = train(model, dataset, run_cfg, heldout=heldout,
+                        metrics_path=args.metrics, checkpoint_path=args.out_checkpoint)
     if rows:
         last = rows[-1]
         print(f"final iter={last[0]} loss_d={repr(float(last[1]))} "
@@ -198,7 +187,7 @@ def cmd_synth(args) -> int:
                         [("--config", args.config)])
     with load_kv_file(args.config) as cfg:
         sizes = {key: cfg.get_int(key) for key in _SUBSET_SIZES}
-        spec = _synthetic_spec(cfg, sizes, _seed(cfg.get_int("seed", 0)))
+        spec = _synthetic_spec(cfg, sizes, cfg.get_int("seed", 0))
         cfg.finish()
     dataset, test, bayes = generate_synthetic(spec)
     save_multiview_file(args.out_train, dataset)
@@ -211,33 +200,23 @@ def cmd_synth(args) -> int:
 def cmd_experiment(args) -> int:
     _check_output_paths([("--out", args.out)], [("--config", args.config)])
     with load_kv_file(args.config) as cfg:
-        tc = _train_config(cfg, skip=_REPEAT_FIELDS)
-        n_repeats = cfg.get_int("n_repeats")
+        tc = TrainConfig(**_fields(cfg, TrainConfig, skip=_REPEAT_FIELDS))
+        fields = _fields(cfg, ExperimentSpec)
         scenario = cfg.typed("scenario", Scenario.COMPLETE.value, Scenario,
                              "one of " + ", ".join(s.value for s in Scenario))
-        master_seed = _seed(cfg.get_int("master_seed", 0), "master_seed")
-        include_baselines = cfg.get_bool("include_baselines", True)
-        hidden = _positive_int(cfg, "hidden_dim", DEFAULT_HIDDEN_DIM)
-        # every repeat trains on all three subsets, so none may be empty
-        sizes = {key: _positive_int(cfg, key) for key in _SUBSET_SIZES}
-
-        pool = None
-        synth = None
+        pool = synth = None
         if cfg.has("data"):
             pool_file = cfg.get_str("data")
             cfg.finish()
             _check_output_paths([("--out", args.out)],
                                 _data_files((f"key 'data' of {args.config}", pool_file)))
             pool = load_multiview_file(pool_file).s_full
-            if len(pool) == 0:
-                raise ConfigError(f"{pool_file} has no complete pairs to split")
         else:
+            sizes = {key: fields[key] for key in _SUBSET_SIZES}
             synth = _synthetic_spec(cfg, sizes, seed=0)  # each repeat draws with its own
             cfg.finish()
-
-        spec = ExperimentSpec(n_repeats=n_repeats, scenario=scenario, train_config=tc, **sizes,
-                              data_pool=pool, synthetic=synth, hidden_dim=hidden,
-                              include_baselines=include_baselines, master_seed=master_seed)
+        spec = ExperimentSpec(scenario=scenario, train_config=tc, data_pool=pool,
+                              synthetic=synth, **fields)
     result = run_experiment(spec)
     write_experiment_csv(args.out, result)
     for name, value in result.mean.items():
@@ -280,7 +259,12 @@ def cmd_theory_check(args) -> int:
             if getattr(args, key) is not None:
                 raise ConfigError("does not apply to tables given by --p-real, --pg1, --pg2",
                                   key=key)
-        p_real, pg1, pg2 = (_load_table(p) for p in (args.p_real, args.pg1, args.pg2))
+        paths = {"--p-real": args.p_real, "--pg1": args.pg1, "--pg2": args.pg2}
+        p_real, pg1, pg2 = tables = [_load_table(p) for p in paths.values()]
+        for (flag, path), t in zip(paths.items(), tables):
+            if t.table.shape != p_real.table.shape:
+                raise DimensionError(f"{flag} {path} has shape {t.table.shape}, "
+                                     f"but --p-real {args.p_real} has {p_real.table.shape}")
         report = check_theorem(p_real, pg1, pg2)
         bf_diff = brute_force_gap(p_real, pg1, pg2)
         print(f"value={repr(report.value)}")

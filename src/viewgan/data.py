@@ -582,7 +582,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for key, low in (("num_classes", 2), ("d1", 1), ("d2", 1), ("m_full", 0),
-                         ("m_missing1", 0), ("m_missing2", 0), ("m_test", 0)):
+                         ("m_missing1", 0), ("m_missing2", 0), ("m_test", 0), ("seed", 0)):
             value = getattr(self, key)
             if value < low:
                 raise ConfigError(f"must be at least {low}, got {value!r}", key=key)

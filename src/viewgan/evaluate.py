@@ -102,9 +102,8 @@ def evaluate(model: TripartiteModel, test: Views, scenario: Scenario,
     with one fresh noise draw per item before scoring. Before any pass,
     ``data.check_scorable`` rejects a block that lacks a view the scenario
     reads or does not fit the model, the regenerated slot's width included.
+    An empty test block is a ConfigError of ``metrics_from_predictions``.
     """
-    if len(test) == 0:
-        raise ConfigError("empty test set")
     if not isinstance(scenario, Scenario):
         raise ValueError(f"unknown scenario {scenario!r}")
     v = scenario.generated_view
@@ -168,9 +167,11 @@ class ExperimentSpec:
     """One experiment: n_repeats independent split/train/evaluate cycles.
 
     Exactly one data source: a complete-pairs file (pool re-split every
-    repeat) or a synthetic spec (fresh draw every repeat). Per-repeat seeds
-    are spawned from master_seed so repeats are independent but the whole
-    experiment replays bit for bit.
+    repeat) or a synthetic spec (fresh draw every repeat). Each repeat trains
+    on three non-empty subsets and tests on rows the source has left over; a
+    ConfigError names the config key at fault, ``data`` for the pool.
+    Per-repeat seeds are spawned from master_seed so repeats are independent
+    but the whole experiment replays bit for bit.
     """
 
     n_repeats: int
@@ -186,10 +187,20 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.n_repeats < 1:
-            raise ConfigError(f"must be at least 1, got {self.n_repeats}", key="n_repeats")
+        for key, low in (("n_repeats", 1), ("m_full", 1), ("m_missing1", 1), ("m_missing2", 1),
+                         ("hidden_dim", 1), ("master_seed", 0)):
+            value = getattr(self, key)
+            if value < low:
+                raise ConfigError(f"must be at least {low}, got {value!r}", key=key)
         if (self.data_pool is None) == (self.synthetic is None):
             raise ConfigError("exactly one of data_pool and synthetic must be set")
+        if self.synthetic is not None and self.synthetic.m_test < 1:
+            raise ConfigError(f"must be at least 1, got {self.synthetic.m_test!r}", key="m_test")
+        need = self.m_full + self.m_missing1 + self.m_missing2
+        if self.data_pool is not None and len(self.data_pool) <= need:
+            raise ConfigError(f"must hold more than the m_full + m_missing1 + m_missing2 = "
+                              f"{need} complete pairs that each repeat trains on, got "
+                              f"{len(self.data_pool)}", key="data")
 
 
 @dataclass(frozen=True)
@@ -236,8 +247,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             else:
                 dataset, test = split_for_protocol(
                     spec.data_pool, spec.m_full, spec.m_missing1, spec.m_missing2, s_data)
-            if len(test) == 0:
-                raise ConfigError("split left no test examples")
 
             model = new_model(dataset.d1, dataset.d2, dataset.num_classes,
                               np.random.default_rng(s_init), spec.hidden_dim)

@@ -120,6 +120,8 @@ class Mlp:
 def init_mlp(input_dim: int, hidden_dim: int, output_dim: int, output_kind: str,
              rng: np.random.Generator) -> Mlp:
     """Xavier-initialized weights, zero biases. Draw order: weights_in, weights_out."""
+    if hidden_dim < 1:
+        raise ConfigError(f"must be at least 1, got {hidden_dim!r}", key="hidden_dim")
     w_in = xavier_init(input_dim, hidden_dim, rng)
     w_out = xavier_init(hidden_dim, output_dim, rng)
     return Mlp(w_in, np.zeros(hidden_dim), w_out, np.zeros(output_dim), output_kind)

@@ -95,8 +95,8 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self):
-        for key, low in (("iterations", 0), ("minibatch_size", 1), ("eval_every", 0),
-                         ("checkpoint_every", 0)):
+        for key, low in (("iterations", 0), ("minibatch_size", 1), ("seed", 0),
+                         ("eval_every", 0), ("checkpoint_every", 0)):
             value = getattr(self, key)
             if value < low:
                 raise ConfigError(f"must be at least {low}, got {value!r}", key=key)
@@ -348,15 +348,17 @@ def train(model: TripartiteModel, dataset: PartitionedDataset, config: TrainConf
     step and before the metrics file is opened, ``data.check_scorable`` rejects
     training data (its ``s_full``) or held-out pairs that do not fit the model
     or lack a view, and an empty held-out block or subset is rejected too, as
-    are held-out pairs with config.eval_every = 0, which would never score them.
+    are held-out pairs with a config.eval_every outside [1, config.iterations],
+    which would never score them.
     """
     check_scorable(dataset.s_full, "the training data", model, "the model")
     if heldout is not None:
         check_scorable(heldout, "the held-out block", model, "the model")
         if len(heldout) == 0:
             raise ConfigError("the held-out block is empty: it has no complete pairs")
-        if config.eval_every == 0:
-            raise ConfigError("must be at least 1 when held-out pairs are given, got 0",
+        if not 1 <= config.eval_every <= config.iterations:
+            raise ConfigError(f"must be between 1 and iterations = {config.iterations} when "
+                              f"held-out pairs are given, got {config.eval_every!r}",
                               key="eval_every")
     _check_subsets(dataset)
     rng = np.random.default_rng(config.seed)

@@ -202,9 +202,14 @@ scenario = complete
     assert len(lines) == 5
 
 
+# ExperimentSpec's rule on the pool
+POOL_USED_UP = ("key 'data' must hold more than the m_full + m_missing1 + m_missing2 = {} "
+                "complete pairs that each repeat trains on, got {}")
+
+
 @pytest.mark.parametrize("sizes,message", [
-    ((40, 3, 3), "cannot draw 46 examples from a pool of 10"),
-    ((4, 3, 3), "split left no test examples"),
+    ((40, 3, 3), POOL_USED_UP.format(46, 10)),
+    ((4, 3, 3), POOL_USED_UP.format(10, 10)),
 ], ids=["pool-too-small", "no-test-left"])
 def test_experiment_on_an_impossible_split_exits_2(tmp_path, synth_files, capsys,
                                                    sizes, message):
@@ -213,7 +218,7 @@ def test_experiment_on_an_impossible_split_exits_2(tmp_path, synth_files, capsys
     rc = main(experiment_case(tmp_path, test_f, sizes))
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == [f"error: repeat 0: {message}"]
+    assert err.splitlines() == [f"error: {tmp_path / 'exp.cfg'}: line 1: {message}"]
 
 
 def test_theory_check_builtin(capsys):
@@ -408,16 +413,18 @@ def synth_experiment_config_case(tmp_path, blame, **settings):
             [f"{tmp_path / 'synth-exp.cfg'}: line {line_of(text, blame)}:", f"key '{blame}'"])
 
 
-def never_scored_case(tmp_path, train_f, test_f, eval_every_line):
-    """A train run with held-out pairs whose config's eval_every line is
-    ``eval_every_line``: one that sets 0, or none, which leaves the default of 0."""
+def never_scored_case(tmp_path, train_f, test_f, eval_every=None):
+    """A train run of TRAIN_CFG's 6 iterations with held-out pairs whose config sets
+    ``eval_every``, or with None leaves it at its default of 0."""
+    eval_every_line = "" if eval_every is None else f"eval_every = {eval_every}\n"
     text = re.sub(r"^eval_every = .*\n", eval_every_line, TRAIN_CFG, flags=re.M)
     cfg = write(tmp_path / "bad.cfg", text)
     line = f"line {line_of(text, 'eval_every')}: " if eval_every_line else ""
     return (["train", "--config", cfg, "--data", train_f, "--out-checkpoint",
              str(tmp_path / "x.ckpt"), "--metrics", str(tmp_path / "metrics.csv"),
              "--heldout", test_f],
-            [f"{cfg}: {line}key 'eval_every' must be at least 1 with --heldout, got 0"])
+            [f"{cfg}: {line}key 'eval_every' must be between 1 and iterations = 6 when "
+             f"held-out pairs are given, got {eval_every or 0}"])
 
 
 def experiment_key_case(tmp_path, test_f, key):
@@ -458,6 +465,16 @@ def ragged_table_case(tmp_path):
                   "expected 2 values as on the first row, got 1"]
 
 
+def mismatched_tables_case(tmp_path):
+    """theory-check with a (2, 2) --p-real table and one (2, 1) file as --pg1 and --pg2."""
+    np.savetxt(tmp_path / "r.txt", np.full((2, 2), 0.25))
+    np.savetxt(tmp_path / "g.txt", np.full((2, 1), 0.5))
+    g = tmp_path / "g.txt"
+    return (["theory-check", "--p-real", str(tmp_path / "r.txt"), "--pg1", str(g),
+             "--pg2", str(g)],
+            [f"error: --pg1 {g} has shape (2, 1), but --p-real {tmp_path / 'r.txt'} has (2, 2)"])
+
+
 def tables_with_flag_case(tmp_path, flag, value):
     """theory-check on three equal tables, which pass, with a flag for random triples."""
     argv = theory_tables(tmp_path)
@@ -471,7 +488,7 @@ def zero_subset_case(tmp_path, test_f, index):
     sizes[index] = 0
     key = ("m_full", "m_missing1", "m_missing2")[index]
     return (experiment_case(tmp_path, test_f, sizes),
-            [f"{tmp_path / 'exp.cfg'}: line {index + 2}:", f"'{key}'", "'0'"])
+            [f"{tmp_path / 'exp.cfg'}: line {index + 2}:", f"'{key}'", "got 0"])
 
 
 def empty_subset_case(tmp_path):
@@ -528,7 +545,9 @@ BAD_INPUTS = {
          "--data", tr, "--out-checkpoint", str(t / "x.ckpt")], ["unknown_key"]),
     "missing-data-file": lambda t, tr, te: (
         train_argv(t, str(t / "absent.tsv")), [str(t / "absent.tsv")]),
-    "theory-table-shapes": lambda t, tr, te: (theory_tables(t), []),
+    "theory-table-shapes": lambda t, tr, te: (theory_tables(t), [
+        f"--pg1 {t / 'g1.txt'} has shape (1, 3), but --p-real {t / 'real.txt'} has (3, 1)"]),
+    "theory-table-shape-mismatch": lambda t, tr, te: mismatched_tables_case(t),
     "theory-table-empty": lambda t, tr, te: (
         theory_tables(t, real_rows=0), [str(t / "real.txt") + ": table must be a nonempty"]),
     "theory-check-some-tables": lambda t, tr, te: (
@@ -548,7 +567,7 @@ BAD_INPUTS = {
         "has no rows that observe view 2"),
     "experiment-no-complete-pairs": lambda t, tr, te: (
         experiment_case(t, write(t / "half.tsv", HALF_FILE), (2, 2, 2)),
-        [f"error: {t / 'half.tsv'} has no complete pairs"]),
+        [f"error: {t / 'exp.cfg'}: line 1: {POOL_USED_UP.format(6, 0)}"]),
     "experiment-unknown-scenario": lambda t, tr, te: (
         experiment_case(t, te, (2, 2, 2), extra="scenario = bogus\n"),
         [f"{t / 'exp.cfg'}: line 9:", "'scenario'", "'bogus'",
@@ -586,9 +605,13 @@ BAD_INPUTS = {
     "experiment-zero-m_missing1": lambda t, tr, te: zero_subset_case(t, te, 1),
     "experiment-zero-m_missing2": lambda t, tr, te: zero_subset_case(t, te, 2),
     "experiment-pool-too-small": lambda t, tr, te: (
-        experiment_case(t, te, (40, 3, 3)), ["cannot draw 46 examples from a pool of 10"]),
+        experiment_case(t, te, (40, 3, 3)),
+        [f"{t / 'exp.cfg'}: line 1: {POOL_USED_UP.format(46, 10)}"]),
     "experiment-no-test-left": lambda t, tr, te: (
-        experiment_case(t, te, (4, 3, 3)), ["split left no test examples"]),
+        experiment_case(t, te, (4, 3, 3)),
+        [f"{t / 'exp.cfg'}: line 1: {POOL_USED_UP.format(10, 10)}"]),
+    "experiment-synthetic-no-test": lambda t, tr, te: synth_experiment_config_case(
+        t, "m_test", m_test=0),
     "gradcheck-no-instances": lambda t, tr, te: (["gradcheck", "--instances", "0"], []),
     "theory-check-no-trials": lambda t, tr, te: (["theory-check", "--trials", "0"], []),
     "fm-weight-nan": lambda t, tr, te: train_config_case(t, tr, "fm_weight", "nan"),
@@ -597,8 +620,9 @@ BAD_INPUTS = {
     "epsilon-inf": lambda t, tr, te: train_config_case(t, tr, "epsilon", "inf"),
     "beta1-one": lambda t, tr, te: train_config_case(t, tr, "beta1", "1.0"),
     "eval-every-negative": lambda t, tr, te: train_config_case(t, tr, "eval_every", "-1"),
-    "heldout-never-scored": lambda t, tr, te: never_scored_case(t, tr, te, "eval_every = 0\n"),
-    "heldout-never-scored-by-default": lambda t, tr, te: never_scored_case(t, tr, te, ""),
+    "heldout-never-scored": lambda t, tr, te: never_scored_case(t, tr, te, 0),
+    "heldout-never-scored-by-default": lambda t, tr, te: never_scored_case(t, tr, te),
+    "heldout-scored-after-the-last-step": lambda t, tr, te: never_scored_case(t, tr, te, 25),
     "minibatch-size-zero": lambda t, tr, te: train_config_case(t, tr, "minibatch_size", "0"),
     "alpha-negative": lambda t, tr, te: train_config_case(t, tr, "alpha", "-1"),
     "hidden-dim-zero": lambda t, tr, te: train_config_case(t, tr, "hidden_dim", "0"),

@@ -1,5 +1,6 @@
 """Tests for scoring, scenarios, the baseline and the repeat driver."""
 
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -15,6 +16,7 @@ from viewgan.evaluate import (ExperimentSpec, Scenario, evaluate,
                               metrics_from_predictions, run_experiment,
                               train_singleview_baseline, write_experiment_csv)
 from viewgan.model import new_model
+from viewgan.nn import SOFTMAX
 from viewgan.train import TrainConfig
 
 
@@ -239,6 +241,36 @@ def tiny_experiment(n_repeats=2, master_seed=11, include_baselines=True):
         m_full=8, m_missing1=8, m_missing2=8,
         synthetic=synth_spec(), hidden_dim=4,
         include_baselines=include_baselines, master_seed=master_seed)
+
+
+# Each case builds, from an rng it may not draw from, a type given one setting one
+# below its bound, and names the key of that setting.
+SETTINGS_BELOW_THEIR_BOUND = {
+    "train-seed": (lambda rng: TrainConfig(iterations=1, minibatch_size=1, seed=-1), "seed"),
+    "synthetic-seed": (lambda rng: synth_spec(seed=-1), "seed"),
+    **{f"experiment-{key}": (
+        lambda rng, key=key: dataclasses.replace(tiny_experiment(), **{key: 0}), key)
+       for key in ("m_full", "m_missing1", "m_missing2", "hidden_dim")},
+    "experiment-master-seed": (lambda rng: tiny_experiment(master_seed=-1), "master_seed"),
+    "experiment-synthetic-m-test": (lambda rng: dataclasses.replace(
+        tiny_experiment(), synthetic=synth_spec(m_test=0)), "m_test"),
+    # 24 pairs, all of which the three subsets of 8 take
+    "experiment-pool": (lambda rng: dataclasses.replace(
+        tiny_experiment(), synthetic=None,
+        data_pool=vg.generate_synthetic(synth_spec(m_test=24))[1]), "data"),
+    "init-mlp-hidden-dim": (lambda rng: vg.init_mlp(3, 0, 2, SOFTMAX, rng), "hidden_dim"),
+}
+
+
+@pytest.mark.parametrize("case", SETTINGS_BELOW_THEIR_BOUND)
+def test_each_type_rejects_a_setting_below_its_bound_when_built(case):
+    build, key = SETTINGS_BELOW_THEIR_BOUND[case]
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError) as err:
+        build(rng)
+    assert err.value.key == key
+    assert rng.bit_generator.state == state
 
 
 def test_run_experiment_synthetic():

@@ -1,7 +1,8 @@
 """Each viewgan module uses only the public names of its siblings, one
 function owns each piece of the training step that others reuse, one
 function replaces files, one reader reads text, and one module reads the
-numbers in it; one property turns labels into class indices."""
+numbers in it; one property turns labels into class indices; the command
+line keys an error only for a flag or a renamed library key."""
 
 import ast
 from pathlib import Path
@@ -236,3 +237,33 @@ def test_the_scan_sees_a_label_argmax(tmp_path):
                       "    c = label.argmax()\n"
                       "    return np.argmax(p, axis=1), p.argmax(), a, b, c\n", encoding="utf-8")
     assert labelled_nodes(source, label_argmax) == [("f", "label argmax")] * 3
+
+
+def keyed_config_error(node):
+    """The key, as source text, of a ConfigError built with ``key=``."""
+    if not isinstance(node, ast.Call):
+        return None
+    name = ast.unparse(node.func)
+    if name != "ConfigError" and not name.endswith(".ConfigError"):
+        return None
+    return next((ast.unparse(k.value) for k in node.keywords if k.arg == "key"), None)
+
+
+def test_the_cli_keys_an_error_only_for_a_flag_or_a_renamed_library_key():
+    # the rule on a config value lives in the library type that takes it; the
+    # command line keys an error for --seed and --trials, and _view_means gives
+    # block_class_means' keys their config names
+    assert labelled_nodes(PACKAGE / "cli.py", keyed_config_error) == [
+        ("_seed", "'seed'"), ("_view_means", "keys.get(e.key, e.key)"),
+        ("cmd_theory_check", "key"), ("cmd_theory_check", "'trials'")]
+
+
+def test_the_scan_sees_a_keyed_config_error(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("def f(v):\n"
+                      "    if v < 0:\n"
+                      "        raise ConfigError('must be at least 0', key='eval_every')\n"
+                      "    raise ConfigError('bad')\n"
+                      "e = errors.ConfigError('x', key=k)\n"
+                      "g = MyConfigError('y', key='z')\n", encoding="utf-8")
+    assert labelled_nodes(source, keyed_config_error) == [("f", "'eval_every'"), (None, "k")]

@@ -467,8 +467,8 @@ def test_train_rejects_heldout_pairs_it_would_never_score(tmp_path):
     ds, test, _ = small_task()
     model = new_model(3, 3, 2, np.random.default_rng(0), hidden_dim=4)
     metrics = tmp_path / "metrics.csv"
-    with pytest.raises(ConfigError, match="^eval_every must be at least 1 when held-out "
-                                          "pairs are given, got 0$"):
+    with pytest.raises(ConfigError, match="^eval_every must be between 1 and iterations = 4 "
+                                          "when held-out pairs are given, got 0$"):
         train(model, ds, TrainConfig(iterations=4, minibatch_size=2), heldout=test,
               metrics_path=metrics)
     assert not metrics.exists()
